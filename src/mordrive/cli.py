@@ -30,21 +30,11 @@ from .errors import (
     MorDriveError,
     NoPositiveGain,
     NoRealGain,
-    NumericError,
     ValidationError,
 )
 from .mor_engine import ReductionConfig, reduce
 from .poly_tf import TransferFunction, dc_gain
 from .sim_analysis import bode, step_response
-
-_MOTOR_REQUIRED = (
-    "rated_voltage_v", "rated_current_a", "ra_ohm", "la_h", "j_kgm2",
-    "bt_nm_per_rad_s", "kb_v_per_rad_s", "supply_line_voltage_v",
-    "vcm_v", "imax_a", "tc_s",
-)
-_MOTOR_OPTIONAL = (
-    "tr_s", "zeta", "rated_speed_rpm", "tacho_gain_v_per_rad_s", "tacho_tc_s",
-)
 
 # The published worked example pairs these two numbers; neither follows
 # from the stated design equations, so they are quoted in reports as an
@@ -58,22 +48,18 @@ _REFERENCE_GAIN_NOTE = (
 )
 
 
-def _fail(message: str) -> ValidationError:
-    return ValidationError(message)
-
-
 def _load_json(path: str) -> tuple[dict, bytes]:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(raw.decode("utf-8", errors="strict"),
                           parse_constant=_reject_constant)
     except (ValueError, UnicodeDecodeError) as exc:
-        raise _fail(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise _fail(f"{path} must contain a JSON object")
+        raise ValidationError(f"{path} must contain a JSON object")
     return data, raw
 
 
@@ -83,13 +69,13 @@ def _reject_constant(name: str):
 
 def _number_list(data: dict, key: str, path: str) -> list[float]:
     if key not in data:
-        raise _fail(f"missing field '{key}' in {path}")
+        raise ValidationError(f"missing field '{key}' in {path}")
     value = data[key]
     if (not isinstance(value, list) or not value
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        and math.isfinite(x) for x in value)):
-        raise _fail(f"field '{key}' in {path} must be a non-empty list of "
-                    "finite numbers")
+        raise ValidationError(f"field '{key}' in {path} must be a non-empty "
+                              "list of finite numbers")
     return [float(x) for x in value]
 
 
@@ -104,17 +90,19 @@ def read_tf_file(path: str) -> tuple[TransferFunction, bytes]:
 def read_motor_file(path: str) -> tuple[MotorDriveParams, bytes]:
     """Motor parameter input with snake_case, unit-suffixed keys."""
     data, raw = _load_json(path)
+    fields = dataclasses.fields(MotorDriveParams)
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in data:
+            raise ValidationError(f"missing field '{f.name}' in {path}")
     kwargs = {}
-    for key in _MOTOR_REQUIRED:
-        if key not in data:
-            raise _fail(f"missing field '{key}' in {path}")
-    for key in _MOTOR_REQUIRED + _MOTOR_OPTIONAL:
-        if key in data:
-            value = data[key]
+    for f in fields:
+        if f.name in data:
+            value = data[f.name]
             if (not isinstance(value, (int, float)) or isinstance(value, bool)
                     or not math.isfinite(value)):
-                raise _fail(f"field '{key}' in {path} must be a finite number")
-            kwargs[key] = float(value)
+                raise ValidationError(
+                    f"field '{f.name}' in {path} must be a finite number")
+            kwargs[f.name] = float(value)
     return MotorDriveParams(**kwargs), raw
 
 
@@ -150,18 +138,19 @@ def _parse_adjust(text: str) -> tuple[str, float | None]:
     try:
         pct = float(text)
     except ValueError as exc:
-        raise _fail("--adjust must be 'none', 'auto' or a percent "
-                    "in (0, 15]") from exc
+        raise ValidationError("--adjust must be 'none', 'auto' or a percent "
+                              "in (0, 15]") from exc
     if not 0.0 < pct <= 15.0:
-        raise _fail("--adjust percent must lie in (0, 15]")
+        raise ValidationError("--adjust percent must lie in (0, 15]")
     return "fixed", pct
 
 
 def cmd_reduce(args: argparse.Namespace, t0: float) -> int:
     g, raw = read_tf_file(args.tf)
     if not 1 <= args.order < g.den.degree:
-        raise _fail(f"--order must satisfy 1 <= order < {g.den.degree} "
-                    "(the input denominator degree)")
+        raise ValidationError(
+            f"--order must satisfy 1 <= order < {g.den.degree} "
+            "(the input denominator degree)")
     q = args.numerator_order
     if q is None:
         q = args.order - 1
@@ -228,8 +217,8 @@ def cmd_design(args: argparse.Namespace, t0: float) -> int:
         print(json.dumps(data, indent=2))
         return 0
     if args.motor is None or args.method is None or args.report is None:
-        raise _fail("design needs --motor, --method and --report "
-                    "(or --print-example)")
+        raise ValidationError("design needs --motor, --method and --report "
+                              "(or --print-example)")
     params, raw = read_motor_file(args.motor)
     model = derive_model(params)
     zeta = args.zeta if args.zeta is not None else params.zeta
@@ -359,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except MorDriveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

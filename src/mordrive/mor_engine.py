@@ -30,6 +30,7 @@ from .poly_tf import (
     dc_gain,
     even_odd_factor,
     is_stable,
+    poly_eval,
     poly_mul,
     poly_roots,
     spectral_square,
@@ -132,10 +133,7 @@ def _squared_ratio(g: TransferFunction, gr: TransferFunction,
     s = 1j * omega
 
     def mag2(p: Polynomial) -> np.ndarray:
-        acc = np.zeros_like(s)
-        for c in p.coeffs[::-1]:
-            acc = acc * s + c
-        return np.abs(acc) ** 2
+        return np.abs(poly_eval(p, s)) ** 2
 
     with np.errstate(divide="ignore", invalid="ignore"):
         return (mag2(g.num) * mag2(gr.den)) / (mag2(g.den) * mag2(gr.num))

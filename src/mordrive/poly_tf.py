@@ -26,11 +26,8 @@ from .errors import (
 # Leading coefficients at or below this relative size are trimmed.
 _TRIM_REL = 1e-14
 
-# Root finder: simultaneous iteration over all roots at once.
-_ROOT_UPDATE_TOL = 1e-12
-_ROOT_ITER_BUDGET = 500
+# Primary residual bound for accepted roots, relative to max|coeff|.
 _ROOT_RESIDUAL_REL = 1e-10
-_ROOT_SEED = 181090
 
 # Imaginary parts below this (relative) size count as zero when a real
 # root is required.
@@ -107,12 +104,14 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial([a.coeff(i) + b.coeff(i) for i in range(n)])
 
 
-def poly_eval(p: Polynomial, s: complex) -> complex:
-    """Horner evaluation; exact for degree 0."""
-    acc: complex = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * s + c
-    return complex(acc)
+def poly_eval(p: Polynomial, s: complex | np.ndarray) -> complex | np.ndarray:
+    """Horner evaluation at a point or elementwise over an array.
+
+    A scalar argument gives a Python ``complex``; an array argument
+    gives a complex array of the same shape.  Exact for degree 0.
+    """
+    out = np.polyval(p.coeffs[::-1], np.asarray(s, dtype=complex))
+    return complex(out) if out.ndim == 0 else out
 
 
 def poly_from_roots(roots: Sequence[complex], leading: float = 1.0) -> Polynomial:
@@ -123,83 +122,38 @@ def poly_from_roots(roots: Sequence[complex], leading: float = 1.0) -> Polynomia
     return Polynomial([leading * c.real for c in acc], exact=True)
 
 
-def _eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def poly_roots(p: Polynomial) -> list[complex]:
-    """All complex roots, found by simultaneous iteration.
+    """All complex roots, from companion-matrix eigenvalues (NumPy),
+    with a residual acceptance check.
 
     Every root of the returned multiset satisfies
-    ``|p(root)| <= 1e-10 * max|coeff|``; otherwise ``NonConvergence``
-    is raised.  The iteration starts from perturbed points on a circle
-    of radius ``1 + max|coeff ratio|`` of a root-scale-balanced copy of
-    the polynomial, with a fixed seed so results are reproducible.
+    ``|p(root)| <= max(1e-10 * max|coeff|, 4 n eps sum|c_i||root|^i)``;
+    otherwise ``NonConvergence`` is raised.  Roots are sorted by
+    ascending (real, imag).
     """
     if p.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
     n = p.degree
     orig = np.array(p.coeffs, dtype=float)
-
-    # Balance the root scale so the starting circle is close to the
-    # actual root magnitudes; roots are mapped back afterwards.
-    scale = 1.0
-    if orig[0] != 0.0:
-        scale = abs(orig[0] / orig[-1]) ** (1.0 / n)
-        if not (np.isfinite(scale) and scale > 0.0):
-            scale = 1.0
-    balanced = orig * scale ** np.arange(n + 1)
-    monic = (balanced / balanced[-1]).astype(complex)
-
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-    rng = np.random.default_rng(_ROOT_SEED)
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.4 + 0.05 * rng.random(n)
-    z = radius * np.exp(1j * angles)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_ROOT_ITER_BUDGET):
-            pv = _eval_many(monic, z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            w = pv / diff.prod(axis=1)
-            z = z - w
-            if not np.all(np.isfinite(z.view(float))):
-                raise NonConvergence("root iteration produced non-finite values")
-            if np.all(np.abs(w) <= _ROOT_UPDATE_TOL * (1.0 + np.abs(z))):
-                break
-        else:
-            raise NonConvergence(
-                f"root iteration did not converge within {_ROOT_ITER_BUDGET} steps"
-            )
-
-        # A couple of Newton polish steps sharpen simple roots.
-        deriv = monic[1:] * np.arange(1, n + 1)
-        for _ in range(2):
-            pv = _eval_many(monic, z)
-            dv = _eval_many(deriv, z)
-            step = np.where(np.abs(dv) > 0.0, pv / np.where(dv == 0.0, 1.0, dv), 0.0)
-            z_new = z - step
-            ok = np.abs(_eval_many(monic, z_new)) <= np.abs(pv)
-            z = np.where(ok, z_new, z)
-
-    roots = [complex(r) for r in z * scale]
-
     # Primary acceptance bound, with the per-root evaluation rounding
     # floor as the only relaxation: |p(z)| below eps * sum|c_i||z|^i is
     # indistinguishable from zero in double precision.
     bound = _ROOT_RESIDUAL_REL * float(np.max(np.abs(orig)))
     eps = np.finfo(float).eps
-    for r in roots:
-        residual = abs(poly_eval(p, r))
-        floor = 4.0 * n * eps * sum(
-            abs(c) * abs(r) ** i for i, c in enumerate(orig))
-        if residual > max(bound, floor):
-            raise NonConvergence(
-                f"root residual {residual:.3e} exceeds {max(bound, floor):.3e}"
-            )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            z = np.roots(orig[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
+        if not np.all(np.isfinite(z)):
+            raise NonConvergence("companion eigenvalues are non-finite")
+        residual = np.abs(poly_eval(p, z))
+        floor = 4.0 * n * eps * np.polyval(np.abs(orig[::-1]), np.abs(z))
+    limit = np.maximum(bound, floor)
+    for res, lim in zip(residual, limit):
+        if res > lim:
+            raise NonConvergence(f"root residual {res:.3e} exceeds {lim:.3e}")
+    roots = [complex(r) for r in z]
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots
 

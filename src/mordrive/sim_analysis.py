@@ -20,7 +20,7 @@ from .errors import (
     StiffnessWarning,
     ValidationError,
 )
-from .poly_tf import TransferFunction, poly_roots
+from .poly_tf import TransferFunction, poly_eval, poly_roots
 
 # Propagation happens in chunks of precomputed one-step matrix powers.
 _CHUNK = 256
@@ -183,18 +183,6 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     return StepTrace(t=t, y=y, dt=dt, input_amplitude=amplitude)
 
 
-def _eval_response(g: TransferFunction, omega: np.ndarray) -> np.ndarray:
-    s = 1j * omega
-    num = np.zeros_like(s)
-    for cf in g.num.coeffs[::-1]:
-        num = num * s + cf
-    den = np.zeros_like(s)
-    for cf in g.den.coeffs[::-1]:
-        den = den * s + cf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
-
-
 def bode(g: TransferFunction, omega_min: float, omega_max: float,
          points_per_decade: int = 60) -> BodeTrace:
     """Magnitude/phase of g(jw) on a log grid.
@@ -210,8 +198,9 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
     decades = math.log10(omega_max / omega_min)
     n = max(2, int(round(points_per_decade * decades)) + 1)
     omega = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-    resp = _eval_response(g, omega)
     with np.errstate(divide="ignore", invalid="ignore"):
+        s = 1j * omega
+        resp = poly_eval(g.num, s) / poly_eval(g.den, s)
         mag_db = 20.0 * np.log10(np.abs(resp))
     phase = np.degrees(np.unwrap(np.angle(resp)))
     flag = not (np.all(np.isfinite(mag_db)) and np.all(np.isfinite(phase)))

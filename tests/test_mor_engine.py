@@ -239,6 +239,13 @@ class TestReduceProperties:
             g = TransferFunction(Polynomial([k]), den)
             res = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
             assert abs(dc_gain(res.reduced) - dc_gain(g)) <= 1e-12 * abs(dc_gain(g))
+        # triple pole (1+0.5s)/((1+s)^3 (1+s/8)) through the auto-adjust scan
+        g = TransferFunction(
+            Polynomial([1.0, 0.5]),
+            poly_mul(Polynomial([1.0, 3.0, 3.0, 1.0]), Polynomial([1.0, 0.125])))
+        res = reduce(g, ReductionConfig(target_order=2, numerator_order=1,
+                                        adjust_mode="auto"))
+        assert abs(dc_gain(res.reduced) - dc_gain(g)) <= 1e-12 * abs(dc_gain(g))
 
     def test_stability_preserved_smoke(self):
         # the full 1000-system sweep lives in the acceptance suite

@@ -93,13 +93,27 @@ class TestPolyRoots:
         bound = 1e-10 * max(abs(c) for c in p.coeffs)
         for r in poly_roots(p):
             assert abs(poly_eval(p, r)) <= bound
+        # repeated and widely spread real roots: (s+1)^3, (s+1)^4 and
+        # (s+1)(s+2)...(s+12); the bound relaxes to the evaluation
+        # rounding floor 4 n eps sum|c_i||r|^i
+        eps = np.finfo(float).eps
+        for roots in ([-1.0] * 3, [-1.0] * 4, [-float(k) for k in range(1, 13)]):
+            p = Polynomial(np.poly(roots)[::-1].tolist())
+            assert p.degree == len(roots)
+            got = poly_roots(p)
+            assert len(got) == p.degree
+            for r in got:
+                floor = 4.0 * p.degree * eps * sum(
+                    abs(c) * abs(r) ** i for i, c in enumerate(p.coeffs))
+                bound = max(1e-10 * max(abs(c) for c in p.coeffs), floor)
+                assert abs(poly_eval(p, r)) <= bound
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValidationError):
             poly_roots(Polynomial([3.0]))
 
     def test_round_trip_property(self):
-        # coefficients from numpy, roots from the iteration under test
+        # coefficients from numpy, roots from the finder under test
         rng = np.random.default_rng(1213)
         for _ in range(120):
             n = int(rng.integers(1, 9))
