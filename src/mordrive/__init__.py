@@ -15,9 +15,7 @@ from .drive_model import (
     DerivedDriveModel,
     MotorDriveParams,
     derive_model,
-    k_from_kc,
     kc_from_K,
-    loop_gain_with_K,
     worked_example_params,
 )
 from .mor_engine import (
@@ -39,7 +37,6 @@ from .poly_tf import (
     poly_eval,
     poly_mul,
     poly_roots,
-    series,
     spectral_square,
 )
 from .sim_analysis import (
@@ -59,9 +56,9 @@ __all__ = [
     "StabilityFactorization", "StepTrace", "SweepPoint", "TransferFunction",
     "adjust_denominator", "bode", "close_loop", "closed_current_loop",
     "dc_gain", "derive_model", "design_conventional", "design_via_mor",
-    "even_odd_factor", "is_stable", "ise", "k_from_kc", "kc_from_K",
-    "loop_gain_with_K", "match_numerator", "poly_eval", "poly_mul",
-    "poly_roots", "reduce", "reduce_denominator", "response_metrics",
-    "series", "solve_damping_gain", "spectral_square", "step_response", "sweep_gain",
+    "even_odd_factor", "is_stable", "ise", "kc_from_K", "match_numerator",
+    "poly_eval", "poly_mul", "poly_roots", "reduce", "reduce_denominator",
+    "response_metrics", "solve_damping_gain", "spectral_square",
+    "step_response", "sweep_gain",
     "worked_example_params",
 ]

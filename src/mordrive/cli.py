@@ -151,11 +151,9 @@ def cmd_reduce(args: argparse.Namespace, t0: float) -> int:
         raise ValidationError(
             f"--order must satisfy 1 <= order < {g.den.degree} "
             "(the input denominator degree)")
-    q = args.numerator_order
-    if q is None:
-        q = args.order - 1
     mode, pct = _parse_adjust(args.adjust)
-    cfg = ReductionConfig(target_order=args.order, numerator_order=q,
+    cfg = ReductionConfig(target_order=args.order,
+                          numerator_order=args.numerator_order,
                           adjust_mode=mode, adjust_percent=pct)
     result = reduce(g, cfg)
 

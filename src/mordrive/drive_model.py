@@ -7,11 +7,12 @@ zero) and the simplified third-order design shape.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from .errors import ComplexMotorPoles, TimeConstantOrdering, ValidationError
-from .poly_tf import Polynomial, TransferFunction, poly_mul, poly_roots
+from .poly_tf import Polynomial, TransferFunction, poly_roots
 
 
 @dataclass(frozen=True)
@@ -37,16 +38,15 @@ class MotorDriveParams:
     tacho_tc_s: float | None = None
 
     def __post_init__(self):
-        required = (
-            "rated_voltage_v", "rated_current_a", "ra_ohm", "la_h", "j_kgm2",
-            "bt_nm_per_rad_s", "kb_v_per_rad_s", "supply_line_voltage_v",
-            "vcm_v", "imax_a", "tc_s", "tr_s",
-        )
-        for name in required:
-            value = getattr(self, name)
+        # Every field must be positive except zeta (checked below) and the
+        # unused speed-loop data, whose default is None.
+        for f in dataclasses.fields(self):
+            if f.default is None or f.name == "zeta":
+                continue
+            value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)
                     and value > 0.0):
-                raise ValidationError(f"{name} must be a positive finite number")
+                raise ValidationError(f"{f.name} must be a positive finite number")
         if not 0.0 < self.zeta <= 1.0:
             raise ValidationError("zeta must lie in (0, 1]")
 
@@ -63,9 +63,6 @@ class DerivedDriveModel:
     Kr: float
     Hc: float
     rated_control_voltage: float
-    motor_tf: TransferFunction
-    converter_tf: TransferFunction
-    speed_tf: TransferFunction
     # Full current-loop gain with unit controller gain: PI(1) x converter
     # x motor x transducer, type 1 with the back-EMF zero.
     loop_gain_full: TransferFunction
@@ -108,53 +105,26 @@ def derive_model(p: MotorDriveParams) -> DerivedDriveModel:
         raise TimeConstantOrdering(
             f"need Tr < T2 < T1, got Tr={p.tr_s:g}, T2={t2:g}, T1={t1:g}")
 
-    motor_tf = TransferFunction(
-        Polynomial([k1, k1 * tm]),
-        poly_mul(Polynomial([1.0, t1]), Polynomial([1.0, t2])))
-    converter_tf = TransferFunction(Polynomial([kr]), Polynomial([1.0, p.tr_s]))
-    speed_tf = TransferFunction(
-        Polynomial([p.kb_v_per_rad_s / p.bt_nm_per_rad_s]),
-        Polynomial([1.0, tm]))
+    # (1+sT1)(1+sT2)(1+sTr), shared by both loop shapes.
+    lags = (Polynomial([1.0, t1]) * Polynomial([1.0, t2])
+            * Polynomial([1.0, p.tr_s]))
 
     # Unit-Kc loop gain: {K1*Kr*Hc/Tc} (1+sTc)(1+sTm) / [s(1+sT1)(1+sT2)(1+sTr)]
     g0 = k1 * kr * hc / p.tc_s
-    full_num = poly_mul(Polynomial([1.0, p.tc_s]), Polynomial([1.0, tm])).scaled(g0)
-    full_den = poly_mul(
-        Polynomial([0.0, 1.0]),
-        poly_mul(poly_mul(Polynomial([1.0, t1]), Polynomial([1.0, t2])),
-                 Polynomial([1.0, p.tr_s])))
-    loop_gain_full = TransferFunction(full_num, full_den)
-
-    design_den = poly_mul(
-        poly_mul(Polynomial([1.0, t1]), Polynomial([1.0, t2])),
-        Polynomial([1.0, p.tr_s]))
-    loop_gain_design = TransferFunction(Polynomial([1.0, p.tc_s]), design_den)
+    full_num = (Polynomial([1.0, p.tc_s]) * Polynomial([1.0, tm])).scaled(g0)
+    loop_gain_full = TransferFunction(full_num, Polynomial([0.0, 1.0]) * lags)
+    loop_gain_design = TransferFunction(Polynomial([1.0, p.tc_s]), lags)
 
     return DerivedDriveModel(
         params=p, K1=k1, T1=t1, T2=t2, Tm=tm, Kr=kr, Hc=hc,
-        rated_control_voltage=rated_cv, motor_tf=motor_tf,
-        converter_tf=converter_tf, speed_tf=speed_tf,
+        rated_control_voltage=rated_cv,
         loop_gain_full=loop_gain_full, loop_gain_design=loop_gain_design)
-
-
-def loop_gain_with_K(model: DerivedDriveModel, K: float) -> TransferFunction:
-    """Third-order design loop shape scaled by the loop gain K."""
-    if K <= 0.0:
-        raise ValidationError("loop gain K must be positive")
-    return TransferFunction(model.loop_gain_design.num.scaled(K),
-                            model.loop_gain_design.den)
 
 
 def kc_from_K(model: DerivedDriveModel, K: float) -> float:
     """Controller gain for a given loop gain: Kc = K*Tc/(K1*Hc*Kr*Tm)."""
     p = model.params
     return K * p.tc_s / (model.K1 * model.Hc * model.Kr * model.Tm)
-
-
-def k_from_kc(model: DerivedDriveModel, kc: float) -> float:
-    """Loop gain for a given controller gain: K = Kc*K1*Hc*Kr*Tm/Tc."""
-    p = model.params
-    return kc * model.K1 * model.Hc * model.Kr * model.Tm / p.tc_s
 
 
 def worked_example_params() -> MotorDriveParams:

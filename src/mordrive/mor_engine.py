@@ -29,7 +29,6 @@ from .poly_tf import (
     combine_stability_parts,
     dc_gain,
     even_odd_factor,
-    is_stable,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -60,7 +59,6 @@ class ReductionConfig:
     adjust_mode: str = "none"
     adjust_percent: float | None = None
     auto_grid: tuple[float, float, float] = (1.0, 15.0, 0.5)
-    ise_horizon: float | None = None
 
     def __post_init__(self):
         if self.target_order < 1:
@@ -188,8 +186,6 @@ def _candidate_numerators(g: TransferFunction, d_r: Polynomial,
     l4 = Polynomial([b(4) + b(2) * gamma / 2.0, b(3), b(2) / 2.0])
     m4 = l4.scaled(2.0) + poly_mul(l1, l3).scaled(-2.0) + poly_mul(l2, l2)
     quartic = m4 - Polynomial([big_l.coeff(2)])
-    if quartic.degree < 1:
-        raise MatchInfeasible("second matching condition is degenerate")
     out: list[Polynomial] = []
     for root in poly_roots(quartic):
         if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
@@ -253,8 +249,7 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
     lo, hi, step = cfg.auto_grid
     grid = np.arange(lo, hi + step / 2.0, step)
     tc_small_g, tc_large_g = characteristic_times(g)
-    horizon = cfg.ise_horizon if cfg.ise_horizon is not None \
-        else 5.0 * tc_large_g
+    horizon = 5.0 * tc_large_g
 
     best_n = None
     best_den = None
@@ -263,9 +258,8 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
         n = float(n)
         try:
             cand_den = adjust_denominator(d_r, n)
-            if not is_stable(cand_den):
-                continue
             cand = TransferFunction(n_r.scaled(k), cand_den)
+            # Raises ValidationError (skipped below) for an unstable candidate.
             tc_small_c, _ = characteristic_times(cand)
             dt = min(tc_small_g, tc_small_c) / 20.0
             score = ise(step_response(g, t_final=horizon, dt=dt),
@@ -297,8 +291,8 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
         raise ZeroConstantTerm(
             "numerator constant term is zero; DC normalization impossible")
     k = dc_gain(g)
-    num_hat = Polynomial([c / g.num.coeffs[0] for c in g.num.coeffs], exact=True)
-    den_hat = Polynomial([c / g.den.coeffs[0] for c in g.den.coeffs], exact=True)
+    num_hat = Polynomial([c / g.num.coeffs[0] for c in g.num.coeffs])
+    den_hat = Polynomial([c / g.den.coeffs[0] for c in g.den.coeffs])
     g_hat = TransferFunction(num_hat, den_hat)
 
     fact = even_odd_factor(den_hat)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .errors import (
     ZeroConstantTerm,
 )
 
-# Leading coefficients at or below this relative size are trimmed.
-_TRIM_REL = 1e-14
-
 # Primary residual bound for accepted roots, relative to max|coeff|.
 _ROOT_RESIDUAL_REL = 1e-10
 
@@ -34,34 +31,23 @@ _ROOT_RESIDUAL_REL = 1e-10
 _REAL_IMAG_TOL = 1e-8
 
 
-def _trimmed(coeffs: Iterable[float], exact: bool) -> tuple[float, ...]:
-    vals = [float(c) for c in coeffs]
-    if not vals:
-        raise ValidationError("polynomial needs at least one coefficient")
-    top = max(abs(c) for c in vals)
-    if top == 0.0:
-        return (0.0,)
-    cutoff = 0.0 if exact else _TRIM_REL * top
-    while len(vals) > 1 and abs(vals[-1]) <= cutoff:
-        vals.pop()
-    return tuple(vals)
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Real-coefficient polynomial in ascending powers of s.
 
-    Construction trims leading coefficients at or below 1e-14 of the
-    largest magnitude; such values are additive-cancellation residue.
-    Operations whose leading coefficient is exact by construction
-    (products, scaling) bypass the relative trim, since a tiny leading
-    product coefficient is meaningful, not junk.
+    Construction drops only leading coefficients that are exactly zero;
+    every other coefficient is kept, however small next to the rest.
     """
 
     coeffs: tuple[float, ...]
 
-    def __init__(self, coeffs: Sequence[float], exact: bool = False):
-        object.__setattr__(self, "coeffs", _trimmed(coeffs, exact))
+    def __init__(self, coeffs: Sequence[float]):
+        vals = [float(c) for c in coeffs]
+        if not vals:
+            raise ValidationError("polynomial needs at least one coefficient")
+        while len(vals) > 1 and vals[-1] == 0.0:
+            vals.pop()
+        object.__setattr__(self, "coeffs", tuple(vals))
 
     @property
     def degree(self) -> int:
@@ -78,7 +64,7 @@ class Polynomial:
         return 0.0
 
     def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial([factor * c for c in self.coeffs], exact=True)
+        return Polynomial([factor * c for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return poly_mul(self, other)
@@ -92,11 +78,7 @@ class Polynomial:
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Product polynomial (coefficient convolution)."""
-    out = [0.0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] += ca * cb
-    return Polynomial(out, exact=True)
+    return Polynomial(np.convolve(a.coeffs, b.coeffs))
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -112,14 +94,6 @@ def poly_eval(p: Polynomial, s: complex | np.ndarray) -> complex | np.ndarray:
     """
     out = np.polyval(p.coeffs[::-1], np.asarray(s, dtype=complex))
     return complex(out) if out.ndim == 0 else out
-
-
-def poly_from_roots(roots: Sequence[complex], leading: float = 1.0) -> Polynomial:
-    """Real polynomial with the given roots (imaginary residue dropped)."""
-    acc = np.array([1.0 + 0.0j])
-    for r in roots:
-        acc = np.convolve(acc, np.array([-r, 1.0 + 0.0j]))
-    return Polynomial([leading * c.real for c in acc], exact=True)
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
@@ -215,8 +189,8 @@ def even_odd_factor(d: Polynomial) -> StabilityFactorization:
         # Hurwitz polynomials have all coefficients of one strict sign.
         raise NotFactorable("mixed-sign or zero coefficients; not Hurwitz")
 
-    even_x = Polynomial(c[0::2], exact=True)
-    odd_x = Polynomial(c[1::2], exact=True)
+    even_x = Polynomial(c[0::2])
+    odd_x = Polynomial(c[1::2])
     z_sq = _positive_real_neg_roots(even_x, "even part")
     p_sq = _positive_real_neg_roots(odd_x, "odd part")
 
@@ -237,14 +211,11 @@ def combine_stability_parts(e0: float, e1: float,
     """Rebuild ``e0*prod(1+s^2/z^2) + e1*s*prod(1+s^2/p^2)``."""
     even = Polynomial([e0])
     for z2 in z_sq:
-        even = poly_mul(even, Polynomial([1.0, 0.0, 1.0 / z2]))
-    odd = Polynomial([e1])
+        even = even * Polynomial([1.0, 0.0, 1.0 / z2])
+    odd = Polynomial([0.0, e1])
     for p2 in p_sq:
-        odd = poly_mul(odd, Polynomial([1.0, 0.0, 1.0 / p2]))
-    odd = poly_mul(odd, Polynomial([0.0, 1.0]))
-    n = max(len(even.coeffs), len(odd.coeffs))
-    return Polynomial([even.coeff(i) + odd.coeff(i) for i in range(n)],
-                      exact=True)
+        odd = odd * Polynomial([1.0, 0.0, 1.0 / p2])
+    return even + odd
 
 
 def spectral_square(p: Polynomial) -> Polynomial:
@@ -265,7 +236,7 @@ def spectral_square(p: Polynomial) -> Polynomial:
         for i in range(x):
             acc += (-1.0) ** i * 2.0 * m(i) * m(2 * x - i)
         out.append(acc)
-    return Polynomial(out, exact=True)
+    return Polynomial(out)
 
 
 @dataclass(frozen=True)
@@ -290,11 +261,6 @@ class TransferFunction:
 
     def __call__(self, s: complex) -> complex:
         return poly_eval(self.num, s) / poly_eval(self.den, s)
-
-
-def series(g1: TransferFunction, g2: TransferFunction) -> TransferFunction:
-    """Cascade connection; no pole-zero cancellation is attempted."""
-    return TransferFunction(poly_mul(g1.num, g2.num), poly_mul(g1.den, g2.den))
 
 
 def close_loop(g: TransferFunction, h: TransferFunction) -> TransferFunction:

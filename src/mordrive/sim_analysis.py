@@ -28,6 +28,12 @@ _CHUNK = 256
 DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
 
+# Largest number of time steps one step response may take.  Each float64
+# array over such a grid is 16 MB, and the propagation holds one per state
+# besides time and output; a wide pole spread under the default dt and
+# horizon would ask for far more.
+MAX_STEP_SAMPLES = 2_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class StepTrace:
@@ -141,7 +147,8 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     Defaults: ``dt`` = smallest time constant / 20 and ``t_final`` =
     5 x largest time constant, both derived from the denominator
     poles.  A ``StiffnessWarning`` fires when the chosen dt is coarser
-    than a tenth of the fastest time constant.
+    than a tenth of the fastest time constant.  A grid of more than
+    ``MAX_STEP_SAMPLES`` steps is refused with ``ValidationError``.
     """
     tc_small = None
     if g.den.degree >= 1:
@@ -162,13 +169,19 @@ def step_response(g: TransferFunction, t_final: float | None = None,
         raise ValidationError("dt must be positive")
     if t_final < 10.0 * dt:
         raise ValidationError("t_final must cover at least 10 steps")
+    steps = t_final / dt
+    if not (math.isfinite(steps) and round(steps) <= MAX_STEP_SAMPLES):
+        raise ValidationError(
+            f"step response needs {steps:.3g} steps (t_final = {t_final:g} s, "
+            f"dt = {dt:g} s), more than the budget of {MAX_STEP_SAMPLES}; "
+            "pass a larger dt or a shorter t_final (--dt / --t-final)")
     if tc_small is not None and dt > tc_small / 10.0:
         warnings.warn(
             f"dt = {dt:g} is coarse next to the fastest time constant "
             f"{tc_small:g}", StiffnessWarning, stacklevel=2)
 
     a, b, c, d = _ccf_realization(g)
-    n_steps = int(round(t_final / dt))
+    n_steps = int(round(steps))
     t = np.arange(n_steps + 1) * dt
     y = np.empty(n_steps + 1)
     y[0] = d * amplitude

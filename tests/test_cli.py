@@ -179,6 +179,20 @@ class TestSimulateCommand:
         redl = (tmp_path / "red.csv").read_text().splitlines()
         assert len(full) == len(redl)
 
+    def test_sample_budget_exits_2(self, tmp_path, capsys):
+        # poles near -10 and -1e12: the default grid would need ~1e13
+        # steps; an infinite horizon asks for unboundedly many
+        tf = tmp_path / "stiff.json"
+        tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 0.1, 1e-13]}))
+        out = tmp_path / "step.csv"
+        for extra in ([], ["--t-final", "inf", "--dt", "0.01"]):
+            assert main(["simulate", "step", "--tf", str(tf),
+                         "--out", str(out)] + extra) == 2
+            err = capsys.readouterr().err
+            assert "ValidationError" in err
+            assert "--dt" in err and "--t-final" in err
+            assert not out.exists()
+
     def test_malformed_tf_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

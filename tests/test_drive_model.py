@@ -6,9 +6,7 @@ import pytest
 from mordrive.drive_model import (
     MotorDriveParams,
     derive_model,
-    k_from_kc,
     kc_from_K,
-    loop_gain_with_K,
     worked_example_params,
 )
 from mordrive.errors import (
@@ -16,7 +14,6 @@ from mordrive.errors import (
     TimeConstantOrdering,
     ValidationError,
 )
-from mordrive.poly_tf import dc_gain
 
 
 class TestDeriveModelGolden:
@@ -53,13 +50,6 @@ class TestDeriveModelGolden:
 
 
 class TestDerivedTransferFunctions:
-    def test_dc_gains(self, model):
-        p = model.params
-        assert dc_gain(model.motor_tf) == pytest.approx(model.K1, rel=1e-12)
-        assert dc_gain(model.converter_tf) == pytest.approx(model.Kr, rel=1e-12)
-        assert dc_gain(model.speed_tf) == pytest.approx(
-            p.kb_v_per_rad_s / p.bt_nm_per_rad_s, rel=1e-12)
-
     def test_full_loop_is_type_one(self, model):
         assert model.loop_gain_full.den.coeffs[0] == 0.0
         assert model.loop_gain_design.den.coeffs[0] != 0.0
@@ -90,21 +80,15 @@ class TestGainConversions:
         assert kc_from_K(model, 2.0 * 39.0) == 2.0 * kc_from_K(model, 39.0)
 
     def test_round_trip(self, model):
+        # Kc = K*Tc/(K1*Hc*Kr*Tm), inverted by hand
         k = 39.053
-        assert k_from_kc(model, kc_from_K(model, k)) == pytest.approx(k, rel=1e-12)
+        kc = kc_from_K(model, k)
+        k_back = kc * model.K1 * model.Hc * model.Kr * model.Tm / model.params.tc_s
+        assert k_back == pytest.approx(k, rel=1e-12)
 
     def test_unit_controller_round_trip(self, model):
-        k_unit = k_from_kc(model, 1.0)
+        k_unit = model.K1 * model.Hc * model.Kr * model.Tm / model.params.tc_s
         assert kc_from_K(model, k_unit) == pytest.approx(1.0, rel=1e-12)
-
-    def test_loop_gain_with_positive_k(self, model):
-        g = loop_gain_with_K(model, 5.0)
-        assert dc_gain(g) == pytest.approx(5.0, rel=1e-12)
-        assert g.den.coeffs == model.loop_gain_design.den.coeffs
-
-    def test_zero_gain_rejected(self, model):
-        with pytest.raises(ValidationError):
-            loop_gain_with_K(model, 0.0)
 
     def test_published_gain_pair_is_inconsistent(self, model):
         # the study quotes Kc = 35.719 for K = 357.192, but the stated

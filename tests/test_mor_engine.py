@@ -233,8 +233,7 @@ class TestReduceProperties:
         for _ in range(60):
             deg = int(rng.integers(3, 7))
             den = _random_stable_den(rng, deg)
-            if den.degree != deg:
-                continue
+            assert den.degree == deg
             k = float(rng.uniform(0.2, 50.0))
             g = TransferFunction(Polynomial([k]), den)
             res = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
@@ -253,8 +252,7 @@ class TestReduceProperties:
         for _ in range(150):
             deg = int(rng.integers(3, 7))
             den = _random_stable_den(rng, deg)
-            if den.degree != deg:
-                continue
+            assert den.degree == deg
             for r in range(1, den.degree):
                 out = reduce_denominator(den, r)
                 assert is_stable(out)
@@ -266,8 +264,7 @@ class TestReduceProperties:
         for _ in range(40):
             deg = int(rng.integers(3, 7))
             den = _random_stable_den(rng, deg)
-            if den.degree != deg:
-                continue
+            assert den.degree == deg
             g = TransferFunction(Polynomial([1.0]), den)
             res = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
             for lv, mv in res.matched_conditions:
@@ -280,8 +277,7 @@ class TestReduceProperties:
         for _ in range(40):
             deg = int(rng.integers(3, 7))
             den = _random_stable_den(rng, deg, lo=1.3, hi=3.0)
-            if den.degree != deg:
-                continue
+            assert den.degree == deg
             g = TransferFunction(Polynomial([1.0]), den)
             res = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
             eps0 = residual_epsilon(g, res.reduced,

@@ -21,10 +21,8 @@ from mordrive.poly_tf import (
     is_stable,
     poly_add,
     poly_eval,
-    poly_from_roots,
     poly_mul,
     poly_roots,
-    series,
     spectral_square,
 )
 
@@ -93,11 +91,13 @@ class TestPolyRoots:
         bound = 1e-10 * max(abs(c) for c in p.coeffs)
         for r in poly_roots(p):
             assert abs(poly_eval(p, r)) <= bound
-        # repeated and widely spread real roots: (s+1)^3, (s+1)^4 and
-        # (s+1)(s+2)...(s+12); the bound relaxes to the evaluation
-        # rounding floor 4 n eps sum|c_i||r|^i
+        # repeated and widely spread real roots: (s+1)^3, (s+1)^4,
+        # (s+1)(s+2)...(s+12) and (s+1)...(s+20), whose coefficients span
+        # 18 decades; the bound relaxes to the evaluation rounding floor
+        # 4 n eps sum|c_i||r|^i
         eps = np.finfo(float).eps
-        for roots in ([-1.0] * 3, [-1.0] * 4, [-float(k) for k in range(1, 13)]):
+        for roots in ([-1.0] * 3, [-1.0] * 4, [-float(k) for k in range(1, 13)],
+                      [-float(k) for k in range(1, 21)]):
             p = Polynomial(np.poly(roots)[::-1].tolist())
             assert p.degree == len(roots)
             got = poly_roots(p)
@@ -131,11 +131,10 @@ class TestPolyRoots:
                 if sep < 0.01:
                     continue
             p = Polynomial(np.poly(roots)[::-1].tolist())
-            if p.degree != n:
-                continue
+            assert p.degree == n
             got = poly_roots(p)
-            rebuilt = poly_from_roots(got)
-            for c_got, c_ref in zip(rebuilt.coeffs, np.poly(roots)[::-1]):
+            rebuilt = np.real(np.poly(got))[::-1]
+            for c_got, c_ref in zip(rebuilt, np.poly(roots)[::-1]):
                 assert c_got == pytest.approx(float(c_ref), rel=1e-8, abs=1e-10)
 
 
@@ -198,8 +197,7 @@ class TestEvenOddFactor:
                     tau = 1.0 / 10.0 ** rng.uniform(-1.0, 2.0)
                     d = poly_mul(d, Polynomial([1.0, tau]))
                     left -= 1
-            if d.degree != deg:
-                continue
+            assert d.degree == deg
             f = even_odd_factor(d)
             merged = []
             for i in range(len(f.p_sq)):
@@ -247,35 +245,6 @@ class TestSpectralSquare:
                 assert rhs == pytest.approx(lhs, rel=1e-10)
 
 
-class TestSeries:
-    def test_unity_identity(self, bench_loop):
-        out = series(bench_loop, UNITY)
-        assert out.num.coeffs == bench_loop.num.coeffs
-        assert out.den.coeffs == bench_loop.den.coeffs
-
-    def test_two_lags(self):
-        g1 = TransferFunction.from_coeffs([1.0], [1.0, 1.0])
-        g2 = TransferFunction.from_coeffs([1.0], [1.0, 2.0])
-        out = series(g1, g2)
-        assert out.num.coeffs == (1.0,)
-        assert out.den.coeffs == (1.0, 3.0, 2.0)
-
-    def test_converter_times_motor(self):
-        converter = TransferFunction.from_coeffs([31.05], [1.0, 0.00138])
-        motor = TransferFunction(
-            Polynomial([0.0449, 0.0449 * 0.7]),
-            poly_mul(Polynomial([1.0, 0.0208]), Polynomial([1.0, 0.1077])))
-        out = series(converter, motor)
-        want_num = Polynomial([0.0449 * 31.05, 0.0449 * 31.05 * 0.7])
-        want_den = poly_mul(
-            poly_mul(Polynomial([1.0, 0.0208]), Polynomial([1.0, 0.1077])),
-            Polynomial([1.0, 0.00138]))
-        for got, want in zip(out.num.coeffs, want_num.coeffs):
-            assert got == pytest.approx(want, rel=1e-12)
-        for got, want in zip(out.den.coeffs, want_den.coeffs):
-            assert got == pytest.approx(want, rel=1e-12)
-
-
 class TestCloseLoop:
     def test_unit_loop(self):
         out = close_loop(UNITY, UNITY)
@@ -319,12 +288,6 @@ class TestCloseLoop:
 class TestDcGain:
     def test_simple_ratio(self):
         assert dc_gain(TransferFunction.from_coeffs([2.0, 1.0], [1.0, 1.0])) == 2.0
-
-    def test_motor_gain(self, model):
-        assert dc_gain(model.motor_tf) == pytest.approx(0.0449, abs=1e-4)
-
-    def test_converter_gain(self, model):
-        assert dc_gain(model.converter_tf) == pytest.approx(31.05, rel=1e-12)
 
     def test_pole_at_origin(self):
         with pytest.raises(PoleAtOrigin):
