@@ -33,6 +33,9 @@ from .poly_tf import (
 )
 from .sim_analysis import constant_trace, ise, response_metrics, step_response
 
+# Largest number of gains one sweep may evaluate.
+MAX_SWEEP_STEPS = 2_000_000
+
 
 @dataclass(frozen=True)
 class DesignReport:
@@ -207,11 +210,16 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
     """Step-response metrics over a linear grid of controller gains.
 
     Unstable closures are flagged rather than aborting the sweep, and
-    per-point simulation failures leave that point's metrics empty.
+    per-point simulation failures leave that point's metrics empty.  More
+    than ``MAX_SWEEP_STEPS`` steps are refused with ``ValidationError``.
     """
     if not 0.0 < kc_min < kc_max:
         raise ValidationError("need 0 < kc_min < kc_max")
     if steps < 2:
         raise ValidationError("need at least 2 sweep steps")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValidationError(
+            f"sweep of {steps} steps exceeds the budget of {MAX_SWEEP_STEPS}; "
+            "pass fewer --steps")
     return [evaluate_gain(model, float(kc))
             for kc in np.linspace(kc_min, kc_max, steps)]

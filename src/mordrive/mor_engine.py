@@ -251,6 +251,8 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
     tc_small_g, tc_large_g = characteristic_times(g)
     horizon = 5.0 * tc_large_g
 
+    # The full-model trace depends on the percent only through dt.
+    full_traces = {}
     best_n = None
     best_den = None
     best_score = math.inf
@@ -262,7 +264,9 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
             # Raises ValidationError (skipped below) for an unstable candidate.
             tc_small_c, _ = characteristic_times(cand)
             dt = min(tc_small_g, tc_small_c) / 20.0
-            score = ise(step_response(g, t_final=horizon, dt=dt),
+            if dt not in full_traces:
+                full_traces[dt] = step_response(g, t_final=horizon, dt=dt)
+            score = ise(full_traces[dt],
                         step_response(cand, t_final=horizon, dt=dt))
         except MorDriveError:
             continue

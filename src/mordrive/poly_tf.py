@@ -7,6 +7,7 @@ are safe to share between threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,6 +53,12 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @functools.cached_property
+    def roots(self) -> tuple[complex, ...]:
+        """``poly_roots(self)``, found on first access and kept; a failure
+        is not kept and raises again on the next access."""
+        return tuple(poly_roots(self))
 
     @property
     def is_zero(self) -> bool:
@@ -136,7 +143,7 @@ def is_stable(p: Polynomial) -> bool:
     """True iff every root lies strictly in the left half-plane."""
     if p.degree < 1:
         raise ValidationError("stability test needs degree >= 1")
-    return all(r.real < 0.0 for r in poly_roots(p))
+    return all(r.real < 0.0 for r in p.roots)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,12 @@
 Step responses integrate a controllable-canonical state-space
 realization with the classical fourth-order fixed-step scheme; Bode
 traces evaluate the rational function directly on a log grid.
+
+The scheme's one-step update x+ = M x + v is not applied step by step.
+The N steps are cut into blocks of about sqrt(N): the powers of M within
+a block come from doubling, the block-start states from the same update
+raised to a whole block, and all N outputs from one matrix product, so
+only the output, never the state, is kept per step.
 """
 from __future__ import annotations
 
@@ -20,19 +26,19 @@ from .errors import (
     StiffnessWarning,
     ValidationError,
 )
-from .poly_tf import TransferFunction, poly_eval, poly_roots
-
-# Propagation happens in chunks of precomputed one-step matrix powers.
-_CHUNK = 256
+from .poly_tf import TransferFunction, poly_eval
 
 DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
 
 # Largest number of time steps one step response may take.  Each float64
-# array over such a grid is 16 MB, and the propagation holds one per state
-# besides time and output; a wide pole spread under the default dt and
-# horizon would ask for far more.
+# array over such a grid is 16 MB, and a response holds four at once (time,
+# output and two propagation temporaries); a wide pole spread under the
+# default dt and horizon would ask for far more.
 MAX_STEP_SAMPLES = 2_000_000
+
+# Largest Bode grid; a point costs one complex response and three floats.
+MAX_BODE_POINTS = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +79,7 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
     """
     if g.den.degree < 1:
         raise ValidationError("static system has no time constants")
-    poles = poly_roots(g.den)
+    poles = g.den.roots
     fastest = max(abs(p) for p in poles)
     slowest_decay = min(-p.real for p in poles)
     if fastest <= 0.0 or slowest_decay <= 0.0:
@@ -116,27 +122,34 @@ def _rk4_step_matrices(a: np.ndarray, b: np.ndarray, dt: float, u: float):
     return m, (s @ b) * u
 
 
-def _propagate(m: np.ndarray, v: np.ndarray, n_steps: int) -> np.ndarray:
-    """States after 1..n_steps updates of x+ = M x + v starting from 0."""
+def _propagate(m: np.ndarray, v: np.ndarray, c: np.ndarray,
+               n_steps: int) -> np.ndarray:
+    """Projections c^T x_k, k = 1..n_steps, of x+ = M x + v from x_0 = 0.
+
+    ``c`` is (dim, p) and the result (n_steps, p).  For j up to the block
+    size B = ceil(sqrt(n_steps)), M^j and w_j = (I + ... + M^(j-1)) v come
+    from doubling, w_(a+b) = M^a w_b + w_a; the block-start states x_(iB)
+    from a call on (M^B, w_B) with c = I; output iB + j is
+    c^T M^j x_(iB) + c^T w_j.
+    """
     dim = v.shape[0]
-    out = np.empty((n_steps, dim))
-    block = min(_CHUNK, n_steps)
+    block = math.isqrt(n_steps - 1) + 1
+    n_blocks = (n_steps + block - 1) // block
     mp = np.empty((block, dim, dim))
     w = np.empty((block, dim))
-    mp[0] = m
-    w[0] = v
-    for j in range(1, block):
-        mp[j] = m @ mp[j - 1]
-        w[j] = m @ w[j - 1] + v
-    x = np.zeros(dim)
-    pos = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while pos < n_steps:
-            c = min(block, n_steps - pos)
-            out[pos:pos + c] = mp[:c] @ x + w[:c]
-            x = out[pos + c - 1]
-            pos += c
-    return out
+    mp[0], w[0] = m, v
+    have = 1
+    while have < block:
+        k = min(have, block - have)
+        mp[have:have + k] = mp[:k] @ mp[have - 1]
+        w[have:have + k] = mp[:k] @ w[have - 1] + w[:k]
+        have += k
+    starts = np.zeros((n_blocks, dim))
+    if n_blocks > 1:
+        starts[1:] = _propagate(mp[-1], w[-1], np.eye(dim), n_blocks - 1)
+    out = starts @ (c.T @ mp).reshape(-1, dim).T
+    out += (w @ c).reshape(1, -1)
+    return out.reshape(n_blocks * block, -1)[:n_steps]
 
 
 def step_response(g: TransferFunction, t_final: float | None = None,
@@ -187,8 +200,9 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     y[0] = d * amplitude
     if a.shape[0] > 0:
         m, v = _rk4_step_matrices(a, b, dt, amplitude)
-        states = _propagate(m, v, n_steps)
-        y[1:] = states @ c + d * amplitude
+        with np.errstate(over="ignore", invalid="ignore"):
+            y[1:] = _propagate(m, v, c[:, None], n_steps)[:, 0]
+            y[1:] += d * amplitude
     else:
         y[1:] = d * amplitude
     if not np.all(np.isfinite(y)):
@@ -202,13 +216,21 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
 
     The grid has ``round(ppd * decades) + 1`` points (at least 2).
     Poles on the imaginary axis yield infinities that are passed
-    through and flagged via ``contains_nonfinite``.
+    through and flagged via ``contains_nonfinite``.  A grid of more
+    than ``MAX_BODE_POINTS`` points is refused with ``ValidationError``.
     """
     if not (0.0 < omega_min < omega_max):
         raise ValidationError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:
         raise ValidationError("points_per_decade must be >= 1")
     decades = math.log10(omega_max / omega_min)
+    # An int compared with a float is exact in Python, so no product
+    # overflows here, however large points_per_decade is.
+    if points_per_decade > MAX_BODE_POINTS / decades:
+        raise ValidationError(
+            f"bode grid of {points_per_decade} points per decade over "
+            f"{decades:.3g} decades exceeds the budget of {MAX_BODE_POINTS} "
+            "points; pass a smaller --ppd or a narrower band")
     n = max(2, int(round(points_per_decade * decades)) + 1)
     omega = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -193,6 +193,18 @@ class TestSimulateCommand:
             assert "--dt" in err and "--t-final" in err
             assert not out.exists()
 
+    def test_bode_point_budget_exits_2(self, tmp_path, capsys):
+        tf = tmp_path / "g.json"
+        tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
+        out = tmp_path / "bode.csv"
+        # the second count is far past the float range
+        for ppd in ("1000000000000000", "1" + "0" * 400):
+            assert main(["simulate", "bode", "--tf", str(tf), "--out", str(out),
+                         "--ppd", ppd]) == 2
+            err = capsys.readouterr().err
+            assert "ValidationError" in err and "--ppd" in err
+            assert not out.exists()
+
     def test_malformed_tf_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -218,6 +230,15 @@ class TestSweepCommand:
         assert main(["sweep", "--motor", motor_file, "--kc-min", "1.0",
                      "--kc-max", "2.0", "--steps", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_step_budget_exits_2(self, motor_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--motor", motor_file, "--kc-min", "3.1",
+                     "--kc-max", "50.0", "--steps", "10000000000000000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "--steps" in err
+        assert not out.exists()
 
     def test_unstable_rows_have_empty_metrics(self, tmp_path):
         import dataclasses

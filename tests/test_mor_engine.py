@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mordrive import mor_engine
 from mordrive.errors import (
     BadOrder,
     MatchInfeasible,
@@ -211,6 +212,20 @@ class TestReducePipeline:
         assert res.chosen_n in (1.0, 2.0, 3.0, 4.0, 5.0)
         assert res.warnings == ()
         assert is_stable(res.reduced.den)
+
+    def test_auto_simulates_full_model_once_per_dt(self, bench_loop,
+                                                    monkeypatch):
+        full_dts = []
+
+        def recording(g, t_final=None, dt=None, amplitude=1.0):
+            if g is bench_loop:
+                full_dts.append(dt)
+            return step_response(g, t_final=t_final, dt=dt, amplitude=amplitude)
+
+        monkeypatch.setattr(mor_engine, "step_response", recording)
+        reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1,
+                                           adjust_mode="auto"))
+        assert full_dts and len(full_dts) == len(set(full_dts))
 
     def test_auto_prefers_smaller_ise(self, bench_loop):
         cfg = ReductionConfig(target_order=2, numerator_order=1,

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mordrive import poly_tf
 from mordrive.errors import (
+    NonConvergence,
     NotFactorable,
     NotNormalized,
     PoleAtOrigin,
@@ -136,6 +138,34 @@ class TestPolyRoots:
             rebuilt = np.real(np.poly(got))[::-1]
             for c_got, c_ref in zip(rebuilt, np.poly(roots)[::-1]):
                 assert c_got == pytest.approx(float(c_ref), rel=1e-8, abs=1e-10)
+
+
+class TestRootsCache:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Polynomials handed to poly_tf.poly_roots while the test runs."""
+        seen = []
+
+        def counting(p):
+            seen.append(p)
+            return poly_roots(p)
+
+        monkeypatch.setattr(poly_tf, "poly_roots", counting)
+        return seen
+
+    def test_found_once_and_shared(self, calls):
+        p = Polynomial([2.0, 3.0, 1.0])
+        assert is_stable(p) is True
+        _match_roots(p.roots, [-1.0, -2.0])
+        assert p.roots is p.roots
+        assert calls == [p]
+
+    def test_failure_raised_again(self, calls):
+        p = Polynomial([float("nan"), 1.0])
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                p.roots
+        assert len(calls) == 2
 
 
 class TestIsStable:

@@ -13,6 +13,8 @@ from mordrive.errors import (
 from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, poly_roots
 from mordrive.sim_analysis import (
+    _ccf_realization,
+    _rk4_step_matrices,
     bode,
     characteristic_times,
     constant_trace,
@@ -85,9 +87,12 @@ class TestStepResponse:
             step_response(_lag(0.01), t_final=1.0, dt=0.005)
 
     def test_divergence_detected(self):
-        g = TransferFunction.from_coeffs([1.0], [1.0, -1.0])
-        with pytest.raises(SimulationDiverged):
-            step_response(g, t_final=1000.0, dt=0.05)
+        for den in ([1.0, -1.0],
+                    [2.0, -2.0, 1.0],  # growing oscillation, poles 1 +- 1j
+                    [2.0, 1.0, -3.0, 1.0]):  # real poles -0.62, 1.62 and 2
+            g = TransferFunction.from_coeffs([1.0], den)
+            with pytest.raises(SimulationDiverged):
+                step_response(g, t_final=1000.0, dt=0.05)
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValidationError):
@@ -123,6 +128,45 @@ class TestStepResponse:
         tr = step_response(g, t_final=6.0, dt=1e-3)
         assert tr.y[0] == pytest.approx(2.0)  # b1/a1 at t = 0+
         assert tr.y[-1] == pytest.approx(1.0, rel=1e-4)
+
+
+def _per_step_reference(g, n_steps, dt):
+    """The RK4 recurrence x+ = M x + v one step at a time, as y = c x + d."""
+    a, b, c, d = _ccf_realization(g)
+    m, v = _rk4_step_matrices(a, b, dt, 1.0)
+    x = np.zeros(len(v))
+    y = [d]
+    for _ in range(n_steps):
+        x = m @ x + v
+        y.append(c @ x + d)
+    return np.array(y)
+
+
+def _from_poles(poles, num=(1.0,)):
+    den = np.real(np.poly(poles))[::-1]
+    return TransferFunction.from_coeffs(list(num), den / den[0])
+
+
+_KERNEL_SYSTEMS = (
+    [_from_poles([-(k + 1.0) for k in range(n)]) for n in range(1, 13)]
+    + [_from_poles([-(1.5 ** k) for k in range(n)], (1.0, 0.3))
+       for n in range(1, 13)]
+    + [_from_poles([-1.0, -1.0, -1.0, -8.0], (1.0, 0.5)),  # repeated pole
+       _from_poles([-1 + 5j, -1 - 5j, -2, -0.5 + 1j, -0.5 - 1j])]
+)
+
+
+class TestBlockPropagation:
+    # 32^2, 32^2 + 1, primes, and counts the block size does not divide
+    @pytest.mark.parametrize("n_steps", [10, 11, 1024, 1025, 997, 1000, 10007])
+    def test_matches_per_step_recurrence(self, n_steps):
+        for g in _KERNEL_SYSTEMS:
+            dt = characteristic_times(g)[0] / 20.0
+            got = step_response(g, t_final=n_steps * dt, dt=dt).y
+            want = _per_step_reference(g, n_steps, dt)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 class TestBode:
