@@ -34,7 +34,7 @@ from .poly_tf import (
     poly_roots,
     spectral_square,
 )
-from .sim_analysis import characteristic_times, ise, step_response
+from .sim_analysis import characteristic_times, step_ise
 
 # Log grid used for the squared-magnitude residual and for picking
 # between candidate numerators: 60 points/decade over 1e-1..1e4 rad/s.
@@ -245,39 +245,34 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
 
 def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
                  d_r: Polynomial, cfg: ReductionConfig):
-    """Scan the percent grid for the step-response ISE minimizer."""
+    """Scan the percent grid for the step-response ISE minimizer.
+
+    All percents are scored at once by the exact step-error ISE over
+    5 x the slowest time constant of the full model (``step_ise``, no
+    time grid).  Unstable candidates and non-finite or negative scores
+    are rejected; ties go to the smaller percent.  A model too large for
+    the exact ISE ends in the same note as a scan where every percent
+    fails, with the reason appended.
+    """
     lo, hi, step = cfg.auto_grid
     grid = np.arange(lo, hi + step / 2.0, step)
-    tc_small_g, tc_large_g = characteristic_times(g)
-    horizon = 5.0 * tc_large_g
-
-    # The full-model trace depends on the percent only through dt.
-    full_traces = {}
-    best_n = None
-    best_den = None
-    best_score = math.inf
-    for n in grid:
-        n = float(n)
+    horizon = 5.0 * characteristic_times(g)[1]
+    scores = np.full(len(grid), np.nan)
+    failed = "auto adjustment failed for every percent"
+    if d_r.degree >= 2:  # adjust_denominator refuses lower degrees
+        # adjust_denominator's arithmetic, for every percent at once
+        dens = np.tile(d_r.coeffs, (len(grid), 1))
+        dens[:, 1] *= 1.0 + grid / 100.0
+        dens[:, 2] *= 1.0 - grid / 100.0
         try:
-            cand_den = adjust_denominator(d_r, n)
-            cand = TransferFunction(n_r.scaled(k), cand_den)
-            # Raises ValidationError (skipped below) for an unstable candidate.
-            tc_small_c, _ = characteristic_times(cand)
-            dt = min(tc_small_g, tc_small_c) / 20.0
-            if dt not in full_traces:
-                full_traces[dt] = step_response(g, t_final=horizon, dt=dt)
-            score = ise(full_traces[dt],
-                        step_response(cand, t_final=horizon, dt=dt))
-        except MorDriveError:
-            continue
-        if score < best_score:
-            best_score = score
-            best_n = n
-            best_den = cand_den
-    if best_n is None:
-        return None, d_r, ("auto adjustment failed for every percent; "
-                           "returning the unadjusted denominator",)
-    return best_n, best_den, ()
+            scores = step_ise(g, n_r.scaled(k).coeffs, dens, horizon)
+        except ValidationError as exc:  # too large for the exact ISE
+            failed += f" ({exc})"
+    ok = np.isfinite(scores) & (scores >= 0.0)
+    if not np.any(ok):
+        return None, d_r, (f"{failed}; returning the unadjusted denominator",)
+    best = int(np.argmin(np.where(ok, scores, np.inf)))
+    return float(grid[best]), Polynomial(dens[best]), ()
 
 
 def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:

@@ -9,6 +9,10 @@ The N steps are cut into blocks of about sqrt(N): the powers of M within
 a block come from doubling, the block-start states from the same update
 raised to a whole block, and all N outputs from one matrix product, so
 only the output, never the state, is kept per step.
+
+``step_ise`` needs no time grid: the exact step-error ISE over a finite
+horizon comes from a Lyapunov/Sylvester solve and a matrix exponential
+of the error system, for a whole stack of candidate models at once.
 """
 from __future__ import annotations
 
@@ -39,6 +43,12 @@ MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
 MAX_BODE_POINTS = 2_000_000
+
+# Largest stacked Kronecker system ``step_ise`` may build, in matrix
+# entries (16 MB of float64, held about three times over while it is
+# formed).  A full model of degree n needs n^4 entries, so full models
+# up to degree 37 fit.
+MAX_KRONECKER_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,23 +100,99 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
     return 1.0 / fastest, 1.0 / slowest_decay
 
 
+def _ccf(num: np.ndarray, den: np.ndarray):
+    """Controllable canonical (A, c, d) of num/den, batched over leading axes.
+
+    ``num`` and ``den`` hold ascending coefficients, ``num`` no more than
+    ``den``; the input vector b is the last unit vector.
+    """
+    n = den.shape[-1] - 1
+    lead = den[..., -1:]
+    alpha = den[..., :-1] / lead
+    beta = np.zeros(den.shape)
+    beta[..., :num.shape[-1]] = num / lead
+    d = beta[..., n]
+    a = np.zeros(den.shape[:-1] + (n, n))
+    a[..., range(n - 1), range(1, n)] = 1.0
+    a[..., n - 1:, :] = -alpha[..., None, :]
+    return a, beta[..., :n] - d[..., None] * alpha, d
+
+
 def _ccf_realization(g: TransferFunction):
     """Controllable canonical (A, B, C, D) for a proper SISO function."""
     n = g.den.degree
-    lead = g.den.coeffs[-1]
-    alpha = np.array([c / lead for c in g.den.coeffs[:-1]], dtype=float)
-    beta = np.array([g.num.coeff(i) / lead for i in range(n + 1)], dtype=float)
-    d = beta[n]
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros(0), np.zeros(0), d
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-    a[n - 1, :] = -alpha
+    a, c, d = _ccf(np.array(g.num.coeffs), np.array(g.den.coeffs))
     b = np.zeros(n)
-    b[n - 1] = 1.0
-    c = beta[:n] - d * alpha
+    b[n - 1:] = 1.0
     return a, b, c, d
+
+
+# Padé-13 coefficients and the 1-norm up to which they need no scaling
+# (Higham 2005, "The scaling and squaring method for the matrix
+# exponential revisited").
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^A by Padé-13 scaling and squaring, batched over leading axes.
+
+    Each matrix is scaled by its own 2^-s so that its 1-norm is at most
+    theta_13, and its Padé approximant squared s times.
+    """
+    b = _PADE13
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
+    a = a / np.ldexp(1.0, s)[..., None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(np.max(s, initial=0))):
+        r = np.where((k < s)[..., None, None], r @ r, r)
+    return r
+
+
+def _sylvester(a1: np.ndarray, a2: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with A1^T X + X A2 = Q, batched over leading axes.
+
+    Solved in Kronecker form, (A1^T (x) I + I (x) A2^T) vec(X) = vec(Q)
+    with row-major vec, so it suits the small orders met here.
+    """
+    n1, n2 = a1.shape[-1], a2.shape[-1]
+    k = (np.einsum("...ji,kl->...ikjl", a1, np.eye(n2))
+         + np.einsum("ij,...lk->...ikjl", np.eye(n1), a2))
+    k = k.reshape(k.shape[:-4] + (n1 * n2, n1 * n2))
+    x = np.linalg.solve(k, q.reshape(q.shape[:-2] + (n1 * n2, 1)))
+    return x.reshape(q.shape)
+
+
+def _scaled_ccf(num: np.ndarray, den: np.ndarray):
+    """(A, c, x0, poles) of the step deviation from steady state, batched.
+
+    The canonical realization is rescaled by D = diag(1, |p1|, |p1 p2|,
+    ...), poles by ascending magnitude, which keeps every entry of A
+    within the pole magnitudes however stiff the denominator is.  The
+    response minus its final value is c e^(At) x0, x0 = A^-1 b, which in
+    canonical form is -(lead / constant term) e_1 and is left unchanged
+    by D.
+    """
+    a, c, _ = _ccf(num, den)
+    poles = np.linalg.eigvals(a)
+    scale = np.ones(poles.shape)
+    np.cumprod(np.sort(np.abs(poles), axis=-1)[..., :-1], axis=-1,
+               out=scale[..., 1:])
+    x0 = np.zeros(poles.shape)
+    x0[..., 0] = -den[..., -1] / den[..., 0]
+    return (a * scale[..., None, :] / scale[..., :, None], c * scale, x0,
+            poles)
 
 
 def _rk4_step_matrices(a: np.ndarray, b: np.ndarray, dt: float, u: float):
@@ -223,7 +309,7 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
         raise ValidationError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:
         raise ValidationError("points_per_decade must be >= 1")
-    decades = math.log10(omega_max / omega_min)
+    decades = math.log10(omega_max) - math.log10(omega_min)
     # An int compared with a float is exact in Python, so no product
     # overflows here, however large points_per_decade is.
     if points_per_decade > MAX_BODE_POINTS / decades:
@@ -233,7 +319,7 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
             "points; pass a smaller --ppd or a narrower band")
     n = max(2, int(round(points_per_decade * decades)) + 1)
     omega = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = 1j * omega
         resp = poly_eval(g.num, s) / poly_eval(g.den, s)
         mag_db = 20.0 * np.log10(np.abs(resp))
@@ -244,11 +330,69 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
 
 
 def ise(a: StepTrace, b: StepTrace) -> float:
-    """Trapezoidal integral of the squared sample difference."""
+    """Trapezoidal integral of the squared sample difference.
+
+    A trace's grid is k * dt, so the trapezoid is dt times the sum less
+    half the end samples, taken over one temporary.
+    """
     if a.t.shape != b.t.shape or not np.array_equal(a.t, b.t):
         raise GridMismatch("traces do not share a time grid")
-    diff = a.y - b.y
-    return float(np.trapezoid(diff * diff, a.t))
+    d = a.y - b.y
+    d *= d
+    return float(a.dt * (d.sum() - (d[0] + d[-1]) / 2.0))
+
+
+def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
+    """Exact ISE over [0, t_final] between the unit-step responses of g
+    and of each num/den_i, with no time grid.
+
+    ``g`` must be stable.  ``dens`` is an (m, r + 1) array of ascending
+    denominators of one degree r >= 1 and ``num`` their shared
+    numerator, of degree at most r.  A candidate with a pole at or right
+    of the imaginary axis scores NaN.  Each response is its final value
+    plus c e^(At) x0, so the error of the block-diagonal error system is
+    delta + C e^(At) x0, and its integral up to T is
+    x0^T (P - e^(A^T T) P e^(AT)) x0 + 2 delta C A^-1 (e^(AT) - I) x0
+    + delta^2 T, where A^T P + P A = -C^T C.  The full model's blocks
+    are built once; each candidate adds its r x r blocks and its n x r
+    cross block, all candidates in stacked solves.  Sizes whose
+    Kronecker systems exceed ``MAX_KRONECKER_ENTRIES`` are refused with
+    ``ValidationError``.
+    """
+    dens = np.asarray(dens, dtype=float)
+    n, m, r = g.den.degree, len(dens), dens.shape[1] - 1
+    entries = max(n ** 4, m * (n * r) ** 2, m * r ** 4)
+    if entries > MAX_KRONECKER_ENTRIES:
+        raise ValidationError(
+            f"exact ISE of a degree-{n} model against {m} candidates of "
+            f"degree {r} needs {entries} Kronecker entries, more than the "
+            f"budget of {MAX_KRONECKER_ENTRIES}")
+    num = np.asarray(num, dtype=float)
+    out = np.full(m, np.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_g, c_g, x0_g, _ = _scaled_ccf(np.array(g.num.coeffs),
+                                        np.array(g.den.coeffs))
+        a_c, c_c, x0_c, poles = _scaled_ccf(num, dens)
+        stable = np.all(poles.real < 0.0, axis=-1)
+        a_c, c_c, x0_c = a_c[stable], c_c[stable], x0_c[stable]
+        xt_g = _expm(a_g * t_final) @ x0_g
+        xt_c = (_expm(a_c * t_final) @ x0_c[..., None])[..., 0]
+        p_gg = _sylvester(a_g, a_g, -np.outer(c_g, c_g))
+        p_gc = _sylvester(a_g, a_c, c_g[:, None] * c_c[:, None, :])
+        p_cc = _sylvester(a_c, a_c, -c_c[:, :, None] * c_c[:, None, :])
+
+        def energy(x_g, x_c):
+            return (x_g @ p_gg @ x_g
+                    + 2.0 * np.einsum("i,mij,mj->m", x_g, p_gc, x_c)
+                    + np.einsum("mi,mij,mj->m", x_c, p_cc, x_c))
+
+        delta = g.num.coeffs[0] / g.den.coeffs[0] - num[0] / dens[stable, 0]
+        area_g = c_g @ np.linalg.solve(a_g, xt_g - x0_g)
+        area_c = np.einsum("mi,mi->m", c_c, np.linalg.solve(
+            a_c, (xt_c - x0_c)[..., None])[..., 0])
+        out[stable] = (energy(x0_g, x0_c) - energy(xt_g, xt_c)
+                       + delta * (2.0 * (area_g - area_c) + delta * t_final))
+    return out
 
 
 def response_metrics(tr: StepTrace) -> ResponseMetrics:

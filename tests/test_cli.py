@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from mordrive.cli import main, read_tf_file
@@ -83,6 +84,25 @@ class TestReduceCommand:
             data["manifest"]["wall_time_s"] = 0.0
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_auto_on_hard_inputs_chooses_a_percent(self, tmp_path):
+        # pole spread 5e4 (the default step grid would need 5e6 samples),
+        # roots -1..-12, twelve poles spread over 3e4, and a triple pole
+        for name, num, poles in (
+                ("stiff", [1.0, 0.2], [-1.0, -3.0, -5e4]),
+                ("roots12", [1.0, 0.05], list(-np.arange(1.0, 13.0))),
+                ("stiff12", [1.0], list(-np.geomspace(1.0, 3e4, 12))),
+                ("triple", [1.0, 0.5], [-1.0, -1.0, -1.0, -8.0])):
+            den = np.real(np.poly(poles))[::-1]
+            tf = tmp_path / f"{name}.json"
+            tf.write_text(json.dumps({"num": num, "den": list(den / den[0])}))
+            out = tmp_path / f"{name}_red.json"
+            assert main(["reduce", "--tf", str(tf), "--order", "2",
+                         "--numerator-order", "1", "--adjust", "auto",
+                         "--out", str(out)]) == 0, name
+            report = json.loads(out.read_text())
+            assert report["diagnostics"]["chosen_n"] is not None, name
+            assert report["manifest"]["warnings"] == [], name
 
 
 class TestDesignCommand:
@@ -204,6 +224,15 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert "ValidationError" in err and "--ppd" in err
             assert not out.exists()
+
+    def test_wide_band_within_budget(self, tmp_path):
+        # 600 decades at 60 points each; the band's ratio overflows
+        tf = tmp_path / "g.json"
+        tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
+        out = tmp_path / "bode.csv"
+        assert main(["simulate", "bode", "--tf", str(tf), "--out", str(out),
+                     "--w-min", "1e-300", "--w-max", "1e300"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 36_001
 
     def test_malformed_tf_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mordrive import mor_engine
+from mordrive import mor_engine, sim_analysis
 from mordrive.errors import (
     BadOrder,
     MatchInfeasible,
@@ -213,19 +213,58 @@ class TestReducePipeline:
         assert res.warnings == ()
         assert is_stable(res.reduced.den)
 
-    def test_auto_simulates_full_model_once_per_dt(self, bench_loop,
-                                                    monkeypatch):
-        full_dts = []
+    def test_auto_scan_builds_full_model_once_without_stepping(
+            self, bench_loop, monkeypatch):
+        steps = []
+        built = []
+        scaled_ccf = sim_analysis._scaled_ccf
 
-        def recording(g, t_final=None, dt=None, amplitude=1.0):
-            if g is bench_loop:
-                full_dts.append(dt)
-            return step_response(g, t_final=t_final, dt=dt, amplitude=amplitude)
+        def counting(*args, **kwargs):
+            steps.append(args)
+            return step_response(*args, **kwargs)
 
-        monkeypatch.setattr(mor_engine, "step_response", recording)
-        reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1,
-                                           adjust_mode="auto"))
-        assert full_dts and len(full_dts) == len(set(full_dts))
+        def recording(num, den):
+            built.append(den.shape)
+            return scaled_ccf(num, den)
+
+        for module in (mor_engine, sim_analysis):
+            monkeypatch.setattr(module, "step_response", counting, raising=False)
+        monkeypatch.setattr(sim_analysis, "_scaled_ccf", recording)
+        res = reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1,
+                                                 adjust_mode="auto"))
+        assert res.chosen_n is not None
+        assert steps == []
+        # the full model once, then all 29 percents in one stack
+        assert built == [(4,), (29, 3)]
+
+    def test_auto_rejects_non_finite_and_negative_scores(self, bench_loop,
+                                                         monkeypatch):
+        cfg = ReductionConfig(target_order=2, numerator_order=1,
+                              adjust_mode="auto", auto_grid=(1.0, 5.0, 1.0))
+        for scores, want in (([np.nan, -1e-3, 0.2, np.inf, 0.1], 5.0),
+                             ([0.3, 0.1, 0.1, -np.inf, 0.2], 2.0),
+                             ([np.nan, -1.0, np.inf, -np.inf, np.nan], None)):
+            monkeypatch.setattr(mor_engine, "step_ise",
+                                lambda *args, s=scores: np.array(s))
+            res = reduce(bench_loop, cfg)
+            assert res.chosen_n == want
+            if want is None:
+                assert res.warnings and "failed for every percent" in res.warnings[0]
+                assert res.reduced.den.coeffs == reduce_denominator(
+                    Polynomial(bench_loop.den.coeffs), 2).coeffs
+            else:
+                assert res.warnings == ()
+
+    def test_auto_past_kronecker_budget_returns_note(self):
+        # degree 40: the full model's Lyapunov block alone has 40^4 entries
+        den = np.real(np.poly(-np.geomspace(1.0, 3.0, 40)))[::-1]
+        g = TransferFunction(Polynomial([1.0, 0.1]), Polynomial(den / den[0]))
+        res = reduce(g, ReductionConfig(target_order=2, numerator_order=1,
+                                        adjust_mode="auto"))
+        assert res.chosen_n is None
+        assert "failed for every percent" in res.warnings[0]
+        assert "2000000" in res.warnings[0]
+        assert res.reduced.den.coeffs == reduce_denominator(g.den, 2).coeffs
 
     def test_auto_prefers_smaller_ise(self, bench_loop):
         cfg = ReductionConfig(target_order=2, numerator_order=1,

@@ -14,12 +14,15 @@ from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, poly_roots
 from mordrive.sim_analysis import (
     _ccf_realization,
+    _expm,
     _rk4_step_matrices,
+    _sylvester,
     bode,
     characteristic_times,
     constant_trace,
     ise,
     response_metrics,
+    step_ise,
     step_response,
 )
 
@@ -167,6 +170,122 @@ class TestBlockPropagation:
             assert got.shape == want.shape
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _exact_step(num, poles, lead, t):
+    """Unit-step response of num(s) / (lead * prod (s - p)^m) at times t.
+
+    ``poles`` lists (pole, multiplicity); the partial fractions of
+    num / (s den) come from one linear solve on polynomial coefficients.
+    """
+    groups = list(poles) + [(0.0, 1)]
+    deg = sum(m for _, m in groups)
+    cols, terms = [], []
+    for p, m in groups:
+        for k in range(1, m + 1):
+            rest = [q for q, mq in groups if q != p for _ in range(mq)]
+            col = np.poly(np.array(rest + [p] * (m - k), dtype=complex))
+            cols.append(np.concatenate([np.zeros(deg - len(col)), col]))
+            terms.append((p, k))
+    rhs = np.zeros(deg, dtype=complex)
+    rhs[deg - len(num):] = np.asarray(num, dtype=float)[::-1] / lead
+    h = np.linalg.solve(np.array(cols).T, rhs)
+    y = np.zeros(t.shape, dtype=complex)
+    for (p, k), hk in zip(terms, h):
+        y += hk * t ** (k - 1) / math.factorial(k - 1) * np.exp(p * t)
+    return y.real
+
+
+def _fine_trapezoid(t_fast, t_final):
+    """Geometric grid: step about 1e-4 of t, so fast and slow modes are
+    both resolved, from 1e-4 of the fastest time constant to t_final."""
+    return np.concatenate([[0.0], np.geomspace(1e-4 * t_fast, t_final, 200_001)])
+
+
+def _hurwitz_family(rng, deg, spread):
+    """(pole, 1) pairs: real poles and damped pairs, magnitudes 1..spread."""
+    mags = np.geomspace(1.0, spread, deg) * rng.uniform(0.9, 1.1, deg)
+    poles, i = [], 0
+    while i < deg:
+        if i + 1 < deg and rng.random() < 0.4:
+            zeta = rng.uniform(0.2, 0.9)
+            w = mags[i] * complex(-zeta, math.sqrt(1.0 - zeta * zeta))
+            poles += [(w, 1), (w.conjugate(), 1)]
+            i += 2
+        else:
+            poles.append((-mags[i], 1))
+            i += 1
+    return poles
+
+
+_ISE_SYSTEMS = (
+    [("(s+1)^3 (s+8)", [(-1.0, 3), (-8.0, 1)], (1.0, 0.5)),
+     ("(1+2s)^2 (1+0.5s) (1+0.1s)", [(-0.5, 2), (-2.0, 1), (-10.0, 1)],
+      (1.0, 0.2)),
+     ("spread 5e4", [(-1.0, 1), (-3.0, 1), (-5e4, 1)], (1.0, 0.2))]
+    + [(f"degree {deg}, spread {spread:g}",
+        _hurwitz_family(np.random.default_rng(100 + deg), deg, spread),
+        (2.0, 0.3))
+       for deg, spread in zip(range(3, 13),
+                              (5, 100, 3000, 3e4, 5, 100, 3000, 3e4, 100, 3e4))]
+)
+
+
+class TestStepIse:
+    @pytest.mark.parametrize("name,poles,num", _ISE_SYSTEMS,
+                             ids=[name for name, _, _ in _ISE_SYSTEMS])
+    def test_matches_fine_trapezoid_of_exact_samples(self, name, poles, num):
+        roots = np.array([p for p, m in poles for _ in range(m)], dtype=complex)
+        den = np.real(np.poly(roots))[::-1]
+        lead = den[-1] / den[0]
+        g = TransferFunction.from_coeffs(list(num), list(den / den[0]))
+        tc_small, tc_large = characteristic_times(g)
+        horizon = 5.0 * tc_large
+        d_r = reduce(g, ReductionConfig(target_order=2, numerator_order=0)).reduced.den
+        base = np.array(d_r.coeffs)
+        # percent-adjusted candidates, a stiffer one and one whose DC
+        # gain differs from the full model's
+        dens = np.array([base * [1.0, 1.0 + n / 100.0, 1.0 - n / 100.0]
+                         for n in (1.0, 7.0, 15.0)]
+                        + [base * [1.0, 1.0, 1e-3], base * [1.25, 1.0, 1.0]])
+        cand_num = (num[0], 0.5 * base[1])
+        got = step_ise(g, cand_num, dens, horizon)
+        t = _fine_trapezoid(tc_small, horizon)
+        y_g = _exact_step(num, poles, lead, t)
+        tol = 1e-6 if len(roots) <= 10 else 1e-5
+        for value, d in zip(got, dens):
+            cand_poles = [(p, 1) for p in np.roots(d[::-1])]
+            err = y_g - _exact_step(cand_num, cand_poles, d[-1], t)
+            want = np.trapezoid(err * err, t)
+            assert abs(value - want) <= tol * want, (name, d)
+
+    def test_unstable_candidate_scores_nan(self, bench_loop):
+        horizon = 5.0 * characteristic_times(bench_loop)[1]
+        stable = [1.0, 0.13, 0.0024]
+        dens = np.array([stable, [1.0, -0.13, 0.0024], [1.0, 0.0, 0.0024]])
+        got = step_ise(bench_loop, (1.0, 0.03), dens, horizon)
+        alone = step_ise(bench_loop, (1.0, 0.03), np.array([stable]), horizon)
+        assert np.isnan(got[1:]).all()
+        assert got[0] == pytest.approx(alone[0], rel=1e-12)
+
+    def test_kernels_match_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 5, 8, 12):
+            scale = np.geomspace(1e-3, 1e3, 6)[:, None, None]
+            a = (rng.normal(size=(6, n, n)) - (2.0 + math.sqrt(n)) * np.eye(n)) * scale
+            got = _expm(a)
+            for i in range(len(a)):
+                want = linalg.expm(a[i])
+                assert np.allclose(got[i], want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
+            a2 = rng.normal(size=(6, 3, 3)) - 4.0 * np.eye(3)
+            q = rng.normal(size=(6, n, 3))
+            x = _sylvester(a, a2, q)
+            for i in range(len(a)):
+                want = linalg.solve_sylvester(a[i].T, a2[i], q[i])
+                assert np.allclose(x[i], want, rtol=1e-9,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestBode:
