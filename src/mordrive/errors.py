@@ -85,7 +85,8 @@ class NoRealGain(NumericError):
 
 
 class SimulationDiverged(NumericError):
-    """Fixed-step integration produced non-finite samples."""
+    """Step simulation produced non-finite samples (an unstable system
+    over a long horizon)."""
 
 
 class GridMismatch(ValidationError):
@@ -94,7 +95,3 @@ class GridMismatch(ValidationError):
 
 class NotSettled(NumericError):
     """Trace has not settled; response metrics are undefined."""
-
-
-class StiffnessWarning(UserWarning):
-    """Step size is coarse relative to the fastest time constant."""

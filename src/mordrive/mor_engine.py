@@ -127,14 +127,15 @@ def adjust_denominator(d_r: Polynomial, n: float) -> Polynomial:
 
 def _squared_ratio(g: TransferFunction, gr: TransferFunction,
                    omega: np.ndarray) -> np.ndarray:
-    """|G(jw)|^2 / |Gr(jw)|^2 evaluated directly on the grid."""
+    """|G(jw)|^2 / |Gr(jw)|^2 evaluated directly on the grid.
+
+    The complex ratio (N_g D_r) / (D_g N_r) is formed before its modulus
+    is squared, so no factor is squared on its own and overflows.
+    """
     s = 1j * omega
-
-    def mag2(p: Polynomial) -> np.ndarray:
-        return np.abs(poly_eval(p, s)) ** 2
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (mag2(g.num) * mag2(gr.den)) / (mag2(g.den) * mag2(gr.num))
+        return np.abs((poly_eval(g.num, s) * poly_eval(gr.den, s))
+                      / (poly_eval(g.den, s) * poly_eval(gr.num, s))) ** 2
 
 
 def residual_epsilon(g: TransferFunction, gr: TransferFunction,

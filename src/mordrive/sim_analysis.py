@@ -1,14 +1,16 @@
 """Time- and frequency-domain evaluation of transfer functions.
 
-Step responses integrate a controllable-canonical state-space
-realization with the classical fourth-order fixed-step scheme; Bode
-traces evaluate the rational function directly on a log grid.
+Step responses are exact samples, to rounding, of a pole-scaled
+controllable-canonical realization under a step input; Bode traces
+evaluate the rational function directly on a log grid.
 
-The scheme's one-step update x+ = M x + v is not applied step by step.
-The N steps are cut into blocks of about sqrt(N): the powers of M within
-a block come from doubling, the block-start states from the same update
-raised to a whole block, and all N outputs from one matrix product, so
-only the output, never the state, is kept per step.
+The one-step update x+ = M x + v comes from one matrix exponential,
+[[M, v], [0, 1]] = e^([[A, b], [0, 0]] dt) (Van Loan 1978), and is not
+applied step by step.  The N steps are cut into blocks of about sqrt(N):
+the powers of M within a block come from doubling, the block-start
+states from the same update raised to a whole block, and all N outputs
+from one matrix product, so only the output, never the state, is kept
+per step.
 
 ``step_ise`` needs no time grid: the exact step-error ISE over a finite
 horizon comes from a Lyapunov/Sylvester solve and a matrix exponential
@@ -17,7 +19,6 @@ of the error system, for a whole stack of candidate models at once.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +28,6 @@ from .errors import (
     GridMismatch,
     NotSettled,
     SimulationDiverged,
-    StiffnessWarning,
     ValidationError,
 )
 from .poly_tf import TransferFunction, poly_eval
@@ -118,15 +118,6 @@ def _ccf(num: np.ndarray, den: np.ndarray):
     return a, beta[..., :n] - d[..., None] * alpha, d
 
 
-def _ccf_realization(g: TransferFunction):
-    """Controllable canonical (A, B, C, D) for a proper SISO function."""
-    n = g.den.degree
-    a, c, d = _ccf(np.array(g.num.coeffs), np.array(g.den.coeffs))
-    b = np.zeros(n)
-    b[n - 1:] = 1.0
-    return a, b, c, d
-
-
 # Padé-13 coefficients and the 1-norm up to which they need no scaling
 # (Higham 2005, "The scaling and squaring method for the matrix
 # exponential revisited").
@@ -175,37 +166,25 @@ def _sylvester(a1: np.ndarray, a2: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _scaled_ccf(num: np.ndarray, den: np.ndarray):
-    """(A, c, x0, poles) of the step deviation from steady state, batched.
+    """(A, b, c, d, poles) of num/den in pole-scaled canonical form, batched.
 
-    The canonical realization is rescaled by D = diag(1, |p1|, |p1 p2|,
-    ...), poles by ascending magnitude, which keeps every entry of A
-    within the pole magnitudes however stiff the denominator is.  The
-    response minus its final value is c e^(At) x0, x0 = A^-1 b, which in
-    canonical form is -(lead / constant term) e_1 and is left unchanged
-    by D.
+    The controllable canonical realization is rescaled by D = diag(1,
+    |p1|, |p1 p2|, ...), poles by ascending magnitude with a zero
+    magnitude taken as 1, which keeps every entry of A within the pole
+    magnitudes however stiff the denominator is.  Any positive diagonal
+    D is an exact similarity, and this one leaves the first state alone,
+    so x0 = A^-1 b is still -(lead / constant term) e_1.
     """
-    a, c, _ = _ccf(num, den)
+    a, c, d = _ccf(num, den)
     poles = np.linalg.eigvals(a)
+    mags = np.sort(np.abs(poles), axis=-1)
     scale = np.ones(poles.shape)
-    np.cumprod(np.sort(np.abs(poles), axis=-1)[..., :-1], axis=-1,
+    np.cumprod(np.where(mags == 0.0, 1.0, mags)[..., :-1], axis=-1,
                out=scale[..., 1:])
-    x0 = np.zeros(poles.shape)
-    x0[..., 0] = -den[..., -1] / den[..., 0]
-    return (a * scale[..., None, :] / scale[..., :, None], c * scale, x0,
+    b = np.zeros(poles.shape)
+    b[..., -1:] = 1.0 / scale[..., -1:]
+    return (a * scale[..., None, :] / scale[..., :, None], b, c * scale, d,
             poles)
-
-
-def _rk4_step_matrices(a: np.ndarray, b: np.ndarray, dt: float, u: float):
-    """One-step update x+ = M x + v of classical RK4 for constant input."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    ah = a * dt
-    ah2 = ah @ ah
-    ah3 = ah2 @ ah
-    ah4 = ah3 @ ah
-    m = eye + ah + ah2 / 2.0 + ah3 / 6.0 + ah4 / 24.0
-    s = eye * dt + a * dt**2 / 2.0 + (a @ a) * dt**3 / 6.0 + (a @ a @ a) * dt**4 / 24.0
-    return m, (s @ b) * u
 
 
 def _propagate(m: np.ndarray, v: np.ndarray, c: np.ndarray,
@@ -243,20 +222,16 @@ def step_response(g: TransferFunction, t_final: float | None = None,
                   amplitude: float = 1.0) -> StepTrace:
     """Step response on a uniform grid starting at t = 0.
 
-    Defaults: ``dt`` = smallest time constant / 20 and ``t_final`` =
-    5 x largest time constant, both derived from the denominator
-    poles.  A ``StiffnessWarning`` fires when the chosen dt is coarser
-    than a tenth of the fastest time constant.  A grid of more than
-    ``MAX_STEP_SAMPLES`` steps is refused with ``ValidationError``.
+    The samples are exact to rounding whatever ``dt`` is, so ``dt`` sets
+    the resolution only.  Defaults: ``dt`` = smallest time constant / 20
+    and ``t_final`` = 5 x largest time constant, both derived from the
+    denominator poles; static, integrating and unstable systems need
+    both explicitly.  A grid of more than ``MAX_STEP_SAMPLES`` steps is
+    refused with ``ValidationError``, and non-finite samples raise
+    ``SimulationDiverged``.
     """
-    tc_small = None
-    if g.den.degree >= 1:
-        try:
-            tc_small, tc_large = characteristic_times(g)
-        except ValidationError:
-            if t_final is None or dt is None:
-                raise
-            tc_small = None
+    if g.den.degree >= 1 and (t_final is None or dt is None):
+        tc_small, tc_large = characteristic_times(g)
     elif t_final is None or dt is None:
         raise ValidationError("static system needs explicit t_final and dt")
 
@@ -274,23 +249,19 @@ def step_response(g: TransferFunction, t_final: float | None = None,
             f"step response needs {steps:.3g} steps (t_final = {t_final:g} s, "
             f"dt = {dt:g} s), more than the budget of {MAX_STEP_SAMPLES}; "
             "pass a larger dt or a shorter t_final (--dt / --t-final)")
-    if tc_small is not None and dt > tc_small / 10.0:
-        warnings.warn(
-            f"dt = {dt:g} is coarse next to the fastest time constant "
-            f"{tc_small:g}", StiffnessWarning, stacklevel=2)
 
-    a, b, c, d = _ccf_realization(g)
     n_steps = int(round(steps))
     t = np.arange(n_steps + 1) * dt
-    y = np.empty(n_steps + 1)
-    y[0] = d * amplitude
-    if a.shape[0] > 0:
-        m, v = _rk4_step_matrices(a, b, dt, amplitude)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y[1:] = _propagate(m, v, c[:, None], n_steps)[:, 0]
-            y[1:] += d * amplitude
-    else:
-        y[1:] = d * amplitude
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs),
+                                    np.array(g.den.coeffs))
+        y = np.full(n_steps + 1, d * amplitude)
+        n = len(b)
+        if n > 0:
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n], aug[:n, n] = a * dt, b * (amplitude * dt)
+            e = _expm(aug)
+            y[1:] += _propagate(e[:n, :n], e[:n, n], c[:, None], n_steps)[:, 0]
     if not np.all(np.isfinite(y)):
         raise SimulationDiverged("step response produced non-finite samples")
     return StepTrace(t=t, y=y, dt=dt, input_amplitude=amplitude)
@@ -370,9 +341,13 @@ def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
     num = np.asarray(num, dtype=float)
     out = np.full(m, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_g, c_g, x0_g, _ = _scaled_ccf(np.array(g.num.coeffs),
+        a_g, _, c_g, _, _ = _scaled_ccf(np.array(g.num.coeffs),
                                         np.array(g.den.coeffs))
-        a_c, c_c, x0_c, poles = _scaled_ccf(num, dens)
+        a_c, _, c_c, _, poles = _scaled_ccf(num, dens)
+        x0_g = np.zeros(n)
+        x0_g[0] = -g.den.coeffs[-1] / g.den.coeffs[0]
+        x0_c = np.zeros((m, r))
+        x0_c[:, 0] = -dens[:, -1] / dens[:, 0]
         stable = np.all(poles.real < 0.0, axis=-1)
         a_c, c_c, x0_c = a_c[stable], c_c[stable], x0_c[stable]
         xt_g = _expm(a_g * t_final) @ x0_g

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestDesignCommand:
         assert report["reduced"] is not None
 
     def test_missing_field_exits_2_naming_it(self, motor_file, tmp_path, capsys):
-        data = json.loads(open(motor_file).read())
+        data = json.loads(Path(motor_file).read_text())
         del data["kb_v_per_rad_s"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,8 +261,11 @@ class TestReducePipeline:
         # degree 40: the full model's Lyapunov block alone has 40^4 entries
         den = np.real(np.poly(-np.geomspace(1.0, 3.0, 40)))[::-1]
         g = TransferFunction(Polynomial([1.0, 0.1]), Polynomial(den / den[0]))
-        res = reduce(g, ReductionConfig(target_order=2, numerator_order=1,
-                                        adjust_mode="auto"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = reduce(g, ReductionConfig(target_order=2, numerator_order=1,
+                                            adjust_mode="auto"))
+        assert np.isfinite(res.residual_epsilon)
         assert res.chosen_n is None
         assert "failed for every percent" in res.warnings[0]
         assert "2000000" in res.warnings[0]

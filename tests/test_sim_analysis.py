@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from mordrive.controller_design import closed_current_loop
 from mordrive.errors import (
     GridMismatch,
     NotSettled,
     SimulationDiverged,
-    StiffnessWarning,
     ValidationError,
 )
 from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, poly_roots
 from mordrive.sim_analysis import (
-    _ccf_realization,
     _expm,
-    _rk4_step_matrices,
+    _scaled_ccf,
     _sylvester,
     bode,
     characteristic_times,
@@ -84,10 +83,32 @@ class TestStepResponse:
         g = TransferFunction.from_coeffs([1.0], [0.0, 1.0])
         with pytest.raises(ValidationError):
             step_response(g)
+        # with one, 1/s ramps as t and 1/(s(s+1)) as t - 1 + e^-t
+        tr = step_response(g, t_final=10.0, dt=0.01)
+        assert np.max(np.abs(tr.y - tr.t)) <= 1e-12 * tr.t[-1]
+        g = TransferFunction.from_coeffs([1.0], [0.0, 1.0, 1.0])
+        tr = step_response(g, t_final=10.0, dt=0.01)
+        want = tr.t - 1.0 + np.exp(-tr.t)
+        assert np.max(np.abs(tr.y - want)) <= 1e-12 * want[-1]
 
-    def test_stiffness_warning(self):
-        with pytest.warns(StiffnessWarning):
-            step_response(_lag(0.01), t_final=1.0, dt=0.005)
+    def test_matches_exact_samples(self, model):
+        # the closed current loop at three gains, whose reference takes
+        # double-precision poles, and the simple-pole kernel systems,
+        # whose reference takes the poles they were built from
+        cases = [(g, poly_roots(g.den)) for g in
+                 (closed_current_loop(model, kc) for kc in (3.1, 35.719, 50.0))]
+        cases += [(_from_poles(poles, num), poles) for poles, num in _KERNEL_SPECS
+                  if len(set(poles)) == len(poles)]
+        traces = [step_response(g) for g, _ in cases]
+        for (g, poles), tr in zip(cases, traces):
+            want = _exact_step(g.num.coeffs, [(p, 1) for p in poles],
+                               g.den.coeffs[-1], tr.t)
+            assert np.max(np.abs(tr.y - want)) <= 1e-9 * np.max(np.abs(want))
+        mpmath = pytest.importorskip("mpmath")
+        for (g, _), tr in zip(cases, traces):
+            idx = np.unique(np.geomspace(1, len(tr.t), 40).astype(int) - 1)
+            want = _mp_step(mpmath, g, tr.t[idx])
+            assert np.max(np.abs(tr.y[idx] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_divergence_detected(self):
         for den in ([1.0, -1.0],
@@ -134,10 +155,15 @@ class TestStepResponse:
 
 
 def _per_step_reference(g, n_steps, dt):
-    """The RK4 recurrence x+ = M x + v one step at a time, as y = c x + d."""
-    a, b, c, d = _ccf_realization(g)
-    m, v = _rk4_step_matrices(a, b, dt, 1.0)
-    x = np.zeros(len(v))
+    """x+ = M x + v one step at a time, as y = c x + d, with M and v the
+    blocks of e^([[A, b], [0, 0]] dt) on the pole-scaled realization."""
+    a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs), np.array(g.den.coeffs))
+    n = len(b)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[:n, n] = a, b
+    e = _expm(aug * dt)
+    m, v = e[:n, :n], e[:n, n]
+    x = np.zeros(n)
     y = [d]
     for _ in range(n_steps):
         x = m @ x + v
@@ -150,13 +176,14 @@ def _from_poles(poles, num=(1.0,)):
     return TransferFunction.from_coeffs(list(num), den / den[0])
 
 
-_KERNEL_SYSTEMS = (
-    [_from_poles([-(k + 1.0) for k in range(n)]) for n in range(1, 13)]
-    + [_from_poles([-(1.5 ** k) for k in range(n)], (1.0, 0.3))
-       for n in range(1, 13)]
-    + [_from_poles([-1.0, -1.0, -1.0, -8.0], (1.0, 0.5)),  # repeated pole
-       _from_poles([-1 + 5j, -1 - 5j, -2, -0.5 + 1j, -0.5 - 1j])]
+# (poles, ascending numerator)
+_KERNEL_SPECS = (
+    [([-(k + 1.0) for k in range(n)], (1.0,)) for n in range(1, 13)]
+    + [([-(1.5 ** k) for k in range(n)], (1.0, 0.3)) for n in range(1, 13)]
+    + [([-1.0, -1.0, -1.0, -8.0], (1.0, 0.5)),  # repeated pole
+       ([-1 + 5j, -1 - 5j, -2, -0.5 + 1j, -0.5 - 1j], (1.0,))]
 )
+_KERNEL_SYSTEMS = [_from_poles(poles, num) for poles, num in _KERNEL_SPECS]
 
 
 class TestBlockPropagation:
@@ -194,6 +221,21 @@ def _exact_step(num, poles, lead, t):
     for (p, k), hk in zip(terms, h):
         y += hk * t ** (k - 1) / math.factorial(k - 1) * np.exp(p * t)
     return y.real
+
+
+def _mp_step(mpmath, g, t):
+    """Unit-step response of g at times t from 40-digit partial fractions
+    over the simple poles of its denominator, as stored in binary."""
+    with mpmath.workdps(40):
+        num = [mpmath.mpf(x) for x in g.num.coeffs]
+        den = [mpmath.mpf(x) for x in g.den.coeffs]
+        slope = [k * x for k, x in enumerate(den)][1:]
+        poles = mpmath.polyroots(den[::-1], maxsteps=200, extraprec=200)
+        terms = [(mpmath.polyval(num[::-1], p)
+                  / (p * mpmath.polyval(slope[::-1], p)), p) for p in poles]
+        return np.array([float(mpmath.re(num[0] / den[0] + mpmath.fsum(
+            r * mpmath.exp(p * mpmath.mpf(ti)) for r, p in terms)))
+            for ti in t])
 
 
 def _fine_trapezoid(t_fast, t_final):
