@@ -20,7 +20,6 @@ from .errors import (
     NotNormalized,
     Unsupported,
     ValidationError,
-    ZeroConstantTerm,
 )
 from .poly_tf import (
     Polynomial,
@@ -28,7 +27,6 @@ from .poly_tf import (
     TransferFunction,
     combine_stability_parts,
     dc_gain,
-    even_odd_factor,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -103,11 +101,9 @@ def reduce_denominator(den: Polynomial, r: int) -> Polynomial:
     """
     if not 1 <= r < den.degree:
         raise BadOrder(f"reduced order must satisfy 1 <= r < {den.degree}")
-    fact = even_odd_factor(den)
-    kz = r // 2
-    kp = (r - 1) // 2
+    fact = den.factorization
     reduced = combine_stability_parts(
-        fact.e0, fact.e1, fact.z_sq[:kz], fact.p_sq[:kp])
+        fact.e0, fact.e1, fact.z_sq[:r // 2], fact.p_sq[:(r - 1) // 2])
     if reduced.degree != r:
         raise MorDriveError(f"reduced denominator degree {reduced.degree} != {r}")
     return reduced
@@ -125,24 +121,20 @@ def adjust_denominator(d_r: Polynomial, n: float) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _squared_ratio(g: TransferFunction, gr: TransferFunction,
-                   omega: np.ndarray) -> np.ndarray:
-    """|G(jw)|^2 / |Gr(jw)|^2 evaluated directly on the grid.
-
-    The complex ratio (N_g D_r) / (D_g N_r) is formed before its modulus
-    is squared, so no factor is squared on its own and overflows.
-    """
-    s = 1j * omega
+def _epsilon(ng_dr: np.ndarray, dg: np.ndarray, nr: np.ndarray) -> float:
+    """max | |(N_g D_r) / (D_g N_r)|^2 - 1 | from grid values; the complex
+    ratio is formed first, so no factor is squared on its own and overflows."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs((poly_eval(g.num, s) * poly_eval(gr.den, s))
-                      / (poly_eval(g.den, s) * poly_eval(gr.num, s))) ** 2
+        ratio = np.abs(ng_dr / (dg * nr)) ** 2
+    return float(np.max(np.abs(ratio - 1.0)))
 
 
 def residual_epsilon(g: TransferFunction, gr: TransferFunction,
                      omega: np.ndarray | None = None) -> float:
     """max over the grid of | |G/Gr|^2 - 1 |."""
-    grid = RESIDUAL_GRID if omega is None else omega
-    return float(np.max(np.abs(_squared_ratio(g, gr, grid) - 1.0)))
+    s = 1j * (RESIDUAL_GRID if omega is None else omega)
+    return _epsilon(poly_eval(g.num, s) * poly_eval(gr.den, s),
+                    poly_eval(g.den, s), poly_eval(gr.num, s))
 
 
 def matched_condition_pairs(g: TransferFunction, d_r: Polynomial,
@@ -159,10 +151,10 @@ def _check_normalized(p: Polynomial, what: str) -> None:
         raise NotNormalized(f"{what} must have unit constant term")
 
 
-def _candidate_numerators(g: TransferFunction, d_r: Polynomial,
+def _candidate_numerators(g: TransferFunction, big_l: Polynomial,
                           q: int) -> list[Polynomial]:
-    """All real numerators satisfying the first q matching conditions."""
-    big_l = spectral_square(poly_mul(g.num, d_r))
+    """All real numerators satisfying the first q matching conditions,
+    given L = spectral_square(g.num d_r)."""
     b = g.den.coeff
 
     if q == 1:
@@ -209,28 +201,38 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
     residual over the standard grid wins; ties go to coefficients
     whose signs match the original numerator.
     """
+    return _match(g, d_r, q)[0]
+
+
+def _match(g: TransferFunction, d_r: Polynomial, q: int
+           ) -> tuple[Polynomial, tuple[tuple[float, float], ...]]:
+    """``match_numerator`` plus the winner's matched condition pairs."""
     _check_normalized(g.num, "numerator")
     _check_normalized(g.den, "denominator")
     _check_normalized(d_r, "reduced denominator")
     if not 0 <= q <= d_r.degree:
         raise BadOrder(f"numerator order must satisfy 0 <= q <= {d_r.degree}")
     if q == 0:
-        return Polynomial([1.0])
+        return Polynomial([1.0]), ()
     if q > 2:
         raise Unsupported("numerator orders above 2 are not supported")
 
+    big_l = spectral_square(poly_mul(g.num, d_r))
+    s = 1j * RESIDUAL_GRID
+    ng_dr, dg = poly_eval(g.num, s) * poly_eval(d_r, s), poly_eval(g.den, s)
     candidates = []
-    for n_r in _candidate_numerators(g, d_r, q):
-        pairs = matched_condition_pairs(g, d_r, n_r, q)
+    for n_r in _candidate_numerators(g, big_l, q):
+        big_m = spectral_square(poly_mul(g.den, n_r))
+        pairs = tuple((big_l.coeff(x), big_m.coeff(x)) for x in range(1, q + 1))
         if any(abs(lv - mv) > _MATCH_CHECK_REL * (1.0 + abs(lv))
                for lv, mv in pairs):
             continue
-        candidates.append((residual_epsilon(g, TransferFunction(n_r, d_r)), n_r))
+        candidates.append((_epsilon(ng_dr, dg, poly_eval(n_r, s)), n_r, pairs))
     if not candidates:
         raise MatchInfeasible("no candidate satisfied the matching re-check")
 
-    best = min(res for res, _ in candidates)
-    tied = [n_r for res, n_r in candidates
+    best = min(res for res, _, _ in candidates)
+    tied = [(n_r, pairs) for res, n_r, pairs in candidates
             if res <= best + _TIE_REL * (1.0 + best)]
 
     def sign_matches(n_r: Polynomial) -> int:
@@ -240,7 +242,7 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
             and math.copysign(1.0, n_r.coeff(i)) == math.copysign(1.0, g.num.coeff(i))
         )
 
-    tied.sort(key=lambda n_r: (-sign_matches(n_r), tuple(-c for c in n_r.coeffs)))
+    tied.sort(key=lambda t: (-sign_matches(t[0]), tuple(-c for c in t[0].coeffs)))
     return tied[0]
 
 
@@ -285,23 +287,15 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
     A target order equal to the input degree keeps the denominator
     unchanged (identity reduction).
     """
-    if g.den.coeffs[0] == 0.0:
-        raise ZeroConstantTerm("denominator constant term is zero")
-    if g.num.coeffs[0] == 0.0:
-        raise ZeroConstantTerm(
-            "numerator constant term is zero; DC normalization impossible")
+    g_hat = g.dc_normalized
     k = dc_gain(g)
-    num_hat = Polynomial([c / g.num.coeffs[0] for c in g.num.coeffs])
-    den_hat = Polynomial([c / g.den.coeffs[0] for c in g.den.coeffs])
-    g_hat = TransferFunction(num_hat, den_hat)
-
-    fact = even_odd_factor(den_hat)
-    if cfg.target_order == den_hat.degree:
-        d_r = den_hat
-    else:
-        d_r = reduce_denominator(den_hat, cfg.target_order)
-    n_r = match_numerator(g_hat, d_r, cfg.q)
-    pairs = matched_condition_pairs(g_hat, d_r, n_r, cfg.q)
+    den_hat = g_hat.den
+    fact = den_hat.factorization
+    if cfg.target_order > den_hat.degree:
+        raise BadOrder(f"reduced order must satisfy 1 <= r <= {den_hat.degree}")
+    d_r = (den_hat if cfg.target_order == den_hat.degree
+           else reduce_denominator(den_hat, cfg.target_order))
+    n_r, pairs = _match(g_hat, d_r, cfg.q)
 
     chosen_n: float | None = None
     notes: tuple[str, ...] = ()

@@ -3,7 +3,9 @@
 Coefficients are stored in ascending powers of s everywhere in this
 package: ``coeffs[i]`` multiplies ``s**i``.  All values are immutable
 after construction and every operation is a pure function, so the types
-are safe to share between threads.
+are safe to share between threads.  ``Polynomial.roots``,
+``Polynomial.factorization`` and ``TransferFunction.dc_normalized`` are
+pure caches filled on first use, so a race at worst computes one twice.
 """
 from __future__ import annotations
 
@@ -59,6 +61,11 @@ class Polynomial:
         """``poly_roots(self)``, found on first access and kept; a failure
         is not kept and raises again on the next access."""
         return tuple(poly_roots(self))
+
+    @functools.cached_property
+    def factorization(self) -> "StabilityFactorization":
+        """``even_odd_factor(self)``, kept like ``roots``."""
+        return even_odd_factor(self)
 
     @property
     def is_zero(self) -> bool:
@@ -268,6 +275,18 @@ class TransferFunction:
 
     def __call__(self, s: complex) -> complex:
         return poly_eval(self.num, s) / poly_eval(self.den, s)
+
+    @functools.cached_property
+    def dc_normalized(self) -> "TransferFunction":
+        """num/num(0) over den/den(0), kept like ``Polynomial.roots``."""
+        n0, d0 = self.num.coeffs[0], self.den.coeffs[0]
+        if d0 == 0.0:
+            raise ZeroConstantTerm("denominator constant term is zero")
+        if n0 == 0.0:
+            raise ZeroConstantTerm(
+                "numerator constant term is zero; DC normalization impossible")
+        return TransferFunction(Polynomial([c / n0 for c in self.num.coeffs]),
+                                Polynomial([c / d0 for c in self.den.coeffs]))
 
 
 def close_loop(g: TransferFunction, h: TransferFunction) -> TransferFunction:

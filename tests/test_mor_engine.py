@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mordrive import mor_engine, sim_analysis
+from mordrive import mor_engine, poly_tf, sim_analysis
 from mordrive.errors import (
     BadOrder,
     MatchInfeasible,
+    MorDriveError,
     NotFactorable,
     Unsupported,
     ValidationError,
@@ -184,6 +185,12 @@ class TestReducePipeline:
         with pytest.raises(ZeroConstantTerm):
             reduce(g, ReductionConfig(target_order=1, numerator_order=0))
 
+    def test_order_above_degree_message_admits_identity(self):
+        # r == n is the identity reduction, so the bound is inclusive
+        g = TransferFunction(Polynomial([1.0]), Polynomial([1.0, 2.0]))
+        with pytest.raises(BadOrder, match=r"^reduced order must satisfy 1 <= r <= 1$"):
+            reduce(g, ReductionConfig(target_order=2, numerator_order=0))
+
     def test_zero_dc_numerator_rejected(self):
         g = TransferFunction(Polynomial([0.0, 1.0]),
                              Polynomial([1.0, 2.0, 1.0, 0.1]))
@@ -284,6 +291,125 @@ class TestReducePipeline:
                     Polynomial(bench_loop.den.coeffs), 2), n))
             scores[n] = ise(ref, step_response(cand, t_final=0.55, dt=1e-4))
         assert min(scores, key=scores.get) == res.chosen_n
+
+
+def _fresh(g: TransferFunction) -> TransferFunction:
+    """An equal transfer function that shares no cached state with ``g``."""
+    return TransferFunction(Polynomial(g.num.coeffs), Polynomial(g.den.coeffs))
+
+
+class TestFactorizationReuse:
+    @pytest.fixture()
+    def factored(self, monkeypatch):
+        """Polynomials handed to even_odd_factor while the test runs."""
+        seen = []
+        even_odd_factor = poly_tf.even_odd_factor
+
+        def counting(d):
+            seen.append(d)
+            return even_odd_factor(d)
+
+        # mor_engine too, so a direct call that bypasses the cache is counted
+        for module in (poly_tf, mor_engine):
+            monkeypatch.setattr(module, "even_odd_factor", counting, raising=False)
+        return seen
+
+    @pytest.fixture()
+    def squared(self, monkeypatch):
+        """Polynomials handed to mor_engine.spectral_square while the test runs."""
+        seen = []
+        spectral_square = mor_engine.spectral_square
+
+        def recording(p):
+            seen.append(p)
+            return spectral_square(p)
+
+        monkeypatch.setattr(mor_engine, "spectral_square", recording)
+        return seen
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_one_reduce_builds_each_intermediate_once(self, bench_loop, q,
+                                                      factored, squared):
+        g = _fresh(bench_loop)  # num(0) = den(0) = 1, so g_hat equals g
+        res = reduce(g, ReductionConfig(target_order=3 if q == 2 else 2,
+                                        numerator_order=q))
+        assert factored == [g.den]
+        # unadjusted, so the reduced denominator is d_r itself
+        big_l = poly_mul(g.num, res.reduced.den)
+        assert [p for p in squared if p == big_l] == [big_l]
+
+    def test_sweep_over_orders_factors_once(self, factored):
+        rng = np.random.default_rng(8)
+        g = TransferFunction(Polynomial([2.0, 0.3]),
+                             _random_stable_den(rng, 7).scaled(3.0))
+        done = 0
+        for r in range(1, g.den.degree):
+            for q in range(min(r, 3)):
+                try:
+                    reduce(g, ReductionConfig(target_order=r, numerator_order=q))
+                except MatchInfeasible:
+                    continue
+                done += 1
+        assert done > 10
+        assert len(factored) == 1
+
+    def test_constant_numerator_builds_no_spectral_square(self, bench_loop,
+                                                         squared):
+        for r in (1, 2, 3):
+            res = reduce(bench_loop, ReductionConfig(target_order=r,
+                                                     numerator_order=0))
+            assert res.matched_conditions == ()
+        assert squared == []
+
+    def test_shared_model_gives_what_fresh_models_give(self):
+        rng = np.random.default_rng(2024)
+        # its q = 1 discriminant is zero up to rounding (about -3.6e-15),
+        # so any change in the arithmetic would show
+        systems = [TransferFunction(
+            Polynomial([1.0]),
+            poly_mul(Polynomial([1.0, 1.0]), Polynomial([1.0, 0.4 / 0.3, 1.0 / 0.09])))]
+        for deg in [d for d in range(3, 11) for _ in range(2)]:
+            # real lags and damped quadratic factors, den(0) != 1
+            pairs = int(rng.integers(0, deg // 2 + 1))
+            den = _random_stable_den(rng, deg - 2 * pairs).scaled(
+                float(rng.uniform(0.5, 4.0)))
+            for w, z in zip(10.0 ** rng.uniform(-1.0, 3.0, size=pairs),
+                            rng.uniform(0.1, 0.9, size=pairs)):
+                den = poly_mul(den, Polynomial([1.0, 2.0 * z / w, 1.0 / w ** 2]))
+            num = Polynomial([float(rng.uniform(0.2, 50.0))])
+            for tau in 10.0 ** -rng.uniform(0.0, 3.0, size=int(rng.integers(0, 3))):
+                num = poly_mul(num, Polynomial([1.0, float(tau)]))
+            systems.append(TransferFunction(num, den))
+
+        def outcome(g, cfg):
+            try:
+                return repr(reduce(g, cfg))
+            except MorDriveError as exc:
+                return repr((type(exc), str(exc), getattr(exc, "discriminant", None)))
+
+        outcomes = []
+        for shared in systems:
+            for r in range(1, shared.den.degree + 1):
+                for q in range(min(r, 3)):
+                    for mode in ("none", "auto") if r == 2 else ("none",):
+                        cfg = ReductionConfig(target_order=r, numerator_order=q,
+                                              adjust_mode=mode)
+                        got = outcome(shared, cfg)
+                        assert got == outcome(_fresh(shared), cfg)
+                        outcomes.append(got)
+        infeasible = [o for o in outcomes if "MatchInfeasible" in o]
+        assert 0 < len(infeasible) < len(outcomes)
+        assert any("C1^2" in o for o in infeasible)  # carries a discriminant
+
+    def test_failure_not_cached(self, factored):
+        g = TransferFunction(
+            Polynomial([1.0]),
+            poly_mul(poly_mul(Polynomial([1.0, -1.0]), Polynomial([1.0, 0.5])),
+                     Polynomial([1.0, 0.1])))
+        for _ in range(3):
+            with pytest.raises(NotFactorable):
+                reduce(g, ReductionConfig(target_order=2))
+        assert factored == [g.den] * 3
 
 
 class TestReduceProperties:

@@ -168,6 +168,29 @@ class TestRootsCache:
         assert len(calls) == 2
 
 
+class TestFactorizationAndNormalizationCache:
+    def test_factorization_kept_like_roots(self, bench_den):
+        p = Polynomial(bench_den.coeffs)
+        assert p.factorization is p.factorization
+        assert p.factorization == even_odd_factor(p)
+        bad = Polynomial([1.0, 1.0, -2.0])
+        for _ in range(2):
+            with pytest.raises(NotFactorable):
+                bad.factorization
+
+    def test_dc_normalized_kept(self):
+        g = TransferFunction(Polynomial([2.0, 0.5]), Polynomial([4.0, 2.0, 1.0]))
+        g_hat = g.dc_normalized
+        assert g.dc_normalized is g_hat
+        assert g_hat.num.coeffs == (1.0, 0.25)
+        assert g_hat.den.coeffs == (1.0, 0.5, 0.25)
+        for num, den in (([0.0, 1.0], [1.0, 1.0]), ([1.0], [0.0, 1.0])):
+            g = TransferFunction(Polynomial(num), Polynomial(den))
+            for _ in range(2):
+                with pytest.raises(ZeroConstantTerm):
+                    g.dc_normalized
+
+
 class TestIsStable:
     def test_first_order_stable(self):
         assert is_stable(Polynomial([1.0, 1.0])) is True
