@@ -31,7 +31,7 @@ from .poly_tf import (
     is_stable,
     poly_roots,
 )
-from .sim_analysis import constant_trace, ise, response_metrics, step_response
+from .sim_analysis import ise, response_metrics, step_response
 
 # Largest number of gains one sweep may evaluate.
 MAX_SWEEP_STEPS = 2_000_000
@@ -194,7 +194,7 @@ def evaluate_gain(model: DerivedDriveModel, kc: float) -> SweepPoint:
     try:
         trace = step_response(closed)
         metrics = response_metrics(trace)
-        err = ise(trace, constant_trace(trace, trace.input_amplitude))
+        err = ise(trace, trace.input_amplitude)
     except NumericError:
         return SweepPoint(Kc=kc, stable=True, overshoot_pct=None,
                           settling_2pct_s=None, rise_10_90_s=None,

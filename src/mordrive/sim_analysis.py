@@ -10,7 +10,11 @@ applied step by step.  The N steps are cut into blocks of about sqrt(N):
 the powers of M within a block come from doubling, the block-start
 states from the same update raised to a whole block, and all N outputs
 from one matrix product, so only the output, never the state, is kept
-per step.
+per step.  That product also adds each output's constant part, c w_j +
+d u, through an offset row against a column of ones on the block-start
+states, and writes straight into the trace's one output buffer.  A
+trace stores no time grid: its samples sit at k dt, and metrics and ISE
+work from the index and dt.
 
 ``step_ise`` needs no time grid: the exact step-error ISE over a finite
 horizon comes from a Lyapunov/Sylvester solve and a matrix exponential
@@ -18,6 +22,7 @@ of the error system, for a whole stack of candidate models at once.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,9 +41,9 @@ DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
 
 # Largest number of time steps one step response may take.  Each float64
-# array over such a grid is 16 MB, and a response holds four at once (time,
-# output and two propagation temporaries); a wide pole spread under the
-# default dt and horizon would ask for far more.
+# array over such a grid is 16 MB, and a measured sweep point holds two at
+# once (the output and the metrics' deviation buffer); a wide pole spread
+# under the default dt and horizon would ask for far more.
 MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
@@ -53,12 +58,19 @@ MAX_KRONECKER_ENTRIES = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class StepTrace:
-    """Uniformly sampled step response."""
+    """Uniformly sampled step response: sample k sits at t = k dt.
 
-    t: np.ndarray
+    No time grid is stored; ``t`` builds it on first access and keeps it.
+    """
+
     y: np.ndarray
     dt: float
     input_amplitude: float
+
+    @functools.cached_property
+    def t(self) -> np.ndarray:
+        """Sample times, ``np.arange(len(y)) * dt``."""
+        return np.arange(len(self.y)) * self.dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +177,7 @@ def _sylvester(a1: np.ndarray, a2: np.ndarray, q: np.ndarray) -> np.ndarray:
     return x.reshape(q.shape)
 
 
-def _scaled_ccf(num: np.ndarray, den: np.ndarray):
+def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
     """(A, b, c, d, poles) of num/den in pole-scaled canonical form, batched.
 
     The controllable canonical realization is rescaled by D = diag(1,
@@ -173,10 +185,12 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray):
     magnitude taken as 1, which keeps every entry of A within the pole
     magnitudes however stiff the denominator is.  Any positive diagonal
     D is an exact similarity, and this one leaves the first state alone,
-    so x0 = A^-1 b is still -(lead / constant term) e_1.
+    so x0 = A^-1 b is still -(lead / constant term) e_1.  ``poles`` are
+    the roots of ``den`` where the caller has them already; otherwise
+    they come from the eigenvalues of A.
     """
     a, c, d = _ccf(num, den)
-    poles = np.linalg.eigvals(a)
+    poles = np.linalg.eigvals(a) if poles is None else np.asarray(poles)
     mags = np.sort(np.abs(poles), axis=-1)
     scale = np.ones(poles.shape)
     np.cumprod(np.where(mags == 0.0, 1.0, mags)[..., :-1], axis=-1,
@@ -187,17 +201,20 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray):
             poles)
 
 
-def _propagate(m: np.ndarray, v: np.ndarray, c: np.ndarray,
+def _propagate(m: np.ndarray, v: np.ndarray, c: np.ndarray, d: np.ndarray,
                n_steps: int) -> np.ndarray:
-    """Projections c^T x_k, k = 1..n_steps, of x+ = M x + v from x_0 = 0.
+    """Outputs c^T x_k + d, k = 0..n_steps, of x+ = M x + v from x_0 = 0.
 
-    ``c`` is (dim, p) and the result (n_steps, p).  For j up to the block
-    size B = ceil(sqrt(n_steps)), M^j and w_j = (I + ... + M^(j-1)) v come
-    from doubling, w_(a+b) = M^a w_b + w_a; the block-start states x_(iB)
-    from a call on (M^B, w_B) with c = I; output iB + j is
-    c^T M^j x_(iB) + c^T w_j.
+    ``c`` is (dim, p), ``d`` (p,) and the result an (n_steps + 1, p) view
+    of one buffer.  For j up to the block size B = ceil(sqrt(n_steps)),
+    M^j and w_j = (I + ... + M^(j-1)) v come from doubling, w_(a+b) =
+    M^a w_b + w_a; the block-start states x_(iB) from a call on (M^B,
+    w_B) with c = I and d = 0.  Output iB + j is c^T M^j x_(iB) + (c^T
+    w_j + d): one product of the block-start states, with a column of
+    ones appended, against the c^T M^j columns over an offset row, which
+    writes all of rows 1.. in place.
     """
-    dim = v.shape[0]
+    dim, p = c.shape
     block = math.isqrt(n_steps - 1) + 1
     n_blocks = (n_steps + block - 1) // block
     mp = np.empty((block, dim, dim))
@@ -209,12 +226,18 @@ def _propagate(m: np.ndarray, v: np.ndarray, c: np.ndarray,
         mp[have:have + k] = mp[:k] @ mp[have - 1]
         w[have:have + k] = mp[:k] @ w[have - 1] + w[:k]
         have += k
-    starts = np.zeros((n_blocks, dim))
+    starts = np.zeros((n_blocks, dim + 1))
+    starts[:, dim] = 1.0
     if n_blocks > 1:
-        starts[1:] = _propagate(mp[-1], w[-1], np.eye(dim), n_blocks - 1)
-    out = starts @ (c.T @ mp).reshape(-1, dim).T
-    out += (w @ c).reshape(1, -1)
-    return out.reshape(n_blocks * block, -1)[:n_steps]
+        starts[1:, :dim] = _propagate(mp[-1], w[-1], np.eye(dim), np.zeros(dim),
+                                      n_blocks - 1)[1:]
+    rhs = np.empty((dim + 1, block * p))
+    rhs[:dim] = (c.T @ mp).reshape(block * p, dim).T
+    rhs[dim] = (w @ c + d).reshape(-1)
+    out = np.empty((n_blocks * block + 1, p))
+    out[0] = d
+    np.matmul(starts, rhs, out=out[1:].reshape(n_blocks, block * p))
+    return out[:n_steps + 1]
 
 
 def step_response(g: TransferFunction, t_final: float | None = None,
@@ -226,9 +249,10 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     the resolution only.  Defaults: ``dt`` = smallest time constant / 20
     and ``t_final`` = 5 x largest time constant, both derived from the
     denominator poles; static, integrating and unstable systems need
-    both explicitly.  A grid of more than ``MAX_STEP_SAMPLES`` steps is
-    refused with ``ValidationError``, and non-finite samples raise
-    ``SimulationDiverged``.
+    both explicitly.  The realization is scaled by the denominator's
+    cached roots, ``g.den.roots``.  A grid of more than
+    ``MAX_STEP_SAMPLES`` steps is refused with ``ValidationError``, and
+    non-finite samples raise ``SimulationDiverged``.
     """
     if g.den.degree >= 1 and (t_final is None or dt is None):
         tc_small, tc_large = characteristic_times(g)
@@ -251,20 +275,21 @@ def step_response(g: TransferFunction, t_final: float | None = None,
             "pass a larger dt or a shorter t_final (--dt / --t-final)")
 
     n_steps = int(round(steps))
-    t = np.arange(n_steps + 1) * dt
+    n = g.den.degree
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs),
-                                    np.array(g.den.coeffs))
-        y = np.full(n_steps + 1, d * amplitude)
-        n = len(b)
-        if n > 0:
-            aug = np.zeros((n + 1, n + 1))
-            aug[:n, :n], aug[:n, n] = a * dt, b * (amplitude * dt)
-            e = _expm(aug)
-            y[1:] += _propagate(e[:n, :n], e[:n, n], c[:, None], n_steps)[:, 0]
-    if not np.all(np.isfinite(y)):
+                                    np.array(g.den.coeffs),
+                                    g.den.roots if n else ())
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n], aug[:n, n] = a * dt, b * (amplitude * dt)
+        e = _expm(aug)
+        y = _propagate(e[:n, :n], e[:n, n], c[:, None],
+                       np.array([d * amplitude]), n_steps)[:, 0]
+    # min and max carry any NaN through, so these two passes see every
+    # non-finite sample.
+    if not (math.isfinite(y.min()) and math.isfinite(y.max())):
         raise SimulationDiverged("step response produced non-finite samples")
-    return StepTrace(t=t, y=y, dt=dt, input_amplitude=amplitude)
+    return StepTrace(y=y, dt=dt, input_amplitude=amplitude)
 
 
 def bode(g: TransferFunction, omega_min: float, omega_max: float,
@@ -300,17 +325,20 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
                      contains_nonfinite=bool(flag))
 
 
-def ise(a: StepTrace, b: StepTrace) -> float:
-    """Trapezoidal integral of the squared sample difference.
+def ise(a: StepTrace, b: StepTrace | float) -> float:
+    """Trapezoidal integral of the squared difference between trace ``a``
+    and either a trace on the same grid or a constant level ``b``.
 
-    A trace's grid is k * dt, so the trapezoid is dt times the sum less
-    half the end samples, taken over one temporary.
+    A trace's grid is k * dt, so two grids match exactly when their
+    lengths and dt do, and the trapezoid is dt times the sum of squares
+    less half the squared end samples, over one temporary.
     """
-    if a.t.shape != b.t.shape or not np.array_equal(a.t, b.t):
-        raise GridMismatch("traces do not share a time grid")
-    d = a.y - b.y
-    d *= d
-    return float(a.dt * (d.sum() - (d[0] + d[-1]) / 2.0))
+    if isinstance(b, StepTrace):
+        if len(a.y) != len(b.y) or a.dt != b.dt:
+            raise GridMismatch("traces do not share a time grid")
+        b = b.y
+    d = a.y - b
+    return float(a.dt * (np.dot(d, d) - (d[0] * d[0] + d[-1] * d[-1]) / 2.0))
 
 
 def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
@@ -376,36 +404,39 @@ def response_metrics(tr: StepTrace) -> ResponseMetrics:
     The final value is the mean of the last 5% of samples; the trace
     counts as settled only if that whole tail stays within 2% of it.
     """
-    y = tr.y
-    t = tr.t
+    y, dt = tr.y, tr.dt
     k = max(1, int(round(0.05 * len(y))))
     final = float(np.mean(y[-k:]))
     if final <= 0.0:
         raise NotSettled("final value is not positive; metrics undefined")
     band = 0.02 * abs(final)
-    if np.any(np.abs(y[-k:] - final) > band):
+    dev = np.subtract(y, final)
+    np.abs(dev, out=dev)
+    if np.any(dev[-k:] > band):
         raise NotSettled("trace has not settled within its horizon")
 
-    peak = float(np.max(y))
+    ipeak = int(np.argmax(y))
+    peak = float(y[ipeak])
     overshoot = max(0.0, (peak - final) / final * 100.0)
 
-    outside = np.flatnonzero(np.abs(y - final) > band)
-    settling = float(t[outside[-1] + 1]) if outside.size else 0.0
+    # The first out-of-band sample of the reversed trace is the last one
+    # of the trace; settling is the time of the sample after it.
+    last = int(np.argmax(dev[::-1] > band))
+    settling = float((len(y) - last) * dt) if dev[-1 - last] > band else 0.0
+
+    # Both levels lie below the peak (peak >= tail mean = final > 0.9
+    # final), so each is first reached at or before it.
+    head = y[:ipeak + 1]
 
     def crossing(level: float) -> float:
-        idx = int(np.argmax(y >= level))
+        idx = int(np.argmax(head >= level))
         if y[0] >= level:
             return 0.0
         y0, y1 = y[idx - 1], y[idx]
         frac = (level - y0) / (y1 - y0)
-        return float(t[idx - 1] + frac * tr.dt)
+        return float((idx - 1) * dt + frac * dt)
 
     rise = crossing(0.9 * final) - crossing(0.1 * final)
     return ResponseMetrics(overshoot_pct=overshoot, settling_2pct_s=settling,
                            rise_10_90_s=rise, final_value=final)
 
-
-def constant_trace(like: StepTrace, value: float) -> StepTrace:
-    """Trace holding a constant value on the same grid as ``like``."""
-    return StepTrace(t=like.t, y=np.full_like(like.y, value), dt=like.dt,
-                     input_amplitude=like.input_amplitude)

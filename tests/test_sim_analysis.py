@@ -13,12 +13,12 @@ from mordrive.errors import (
 from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, poly_roots
 from mordrive.sim_analysis import (
+    ResponseMetrics,
     _expm,
     _scaled_ccf,
     _sylvester,
     bode,
     characteristic_times,
-    constant_trace,
     ise,
     response_metrics,
     step_ise,
@@ -156,8 +156,10 @@ class TestStepResponse:
 
 def _per_step_reference(g, n_steps, dt):
     """x+ = M x + v one step at a time, as y = c x + d, with M and v the
-    blocks of e^([[A, b], [0, 0]] dt) on the pole-scaled realization."""
-    a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs), np.array(g.den.coeffs))
+    blocks of e^([[A, b], [0, 0]] dt) on the pole-scaled realization,
+    scaled by the same poles ``step_response`` takes, ``g.den.roots``."""
+    a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs), np.array(g.den.coeffs),
+                                g.den.roots)
     n = len(b)
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n], aug[:n, n] = a, b
@@ -197,6 +199,32 @@ class TestBlockPropagation:
             assert got.shape == want.shape
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    # the output product folds d * amplitude into its offset row, so
+    # take systems with d != 0 and amplitudes other than 1
+    @pytest.mark.parametrize("amplitude", [-2.5, 1e3])
+    @pytest.mark.parametrize("n_steps", [10, 11, 1025, 10007])
+    def test_biproper_offset_row(self, n_steps, amplitude):
+        for g in _BIPROPER_SYSTEMS:
+            assert g.num.degree == g.den.degree
+            dt = characteristic_times(g)[0] / 20.0
+            got = step_response(g, t_final=n_steps * dt, dt=dt,
+                                amplitude=amplitude).y
+            want = amplitude * _per_step_reference(g, n_steps, dt)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+# biproper (num degree = den degree): lead-lag, lag-lead, a repeated
+# pole and a lightly damped pair, degree 1 to 5
+_BIPROPER_SYSTEMS = [
+    _from_poles([-10.0], (1.0, 0.5)),
+    _from_poles([-1.0, -3.0], (2.0, -0.5, 0.25)),
+    _from_poles([-1.0, -1.0, -1.0, -8.0], (1.0, 0.5, 0.3, 0.2, 0.05)),
+    _from_poles([-1 + 5j, -1 - 5j, -2, -0.5 + 1j, -0.5 - 1j],
+                (1.0, 0.4, 0.3, 0.2, 0.1, 0.02)),
+]
 
 
 def _exact_step(num, poles, lead, t):
@@ -397,6 +425,17 @@ class TestIse:
         with pytest.raises(GridMismatch):
             ise(a, b)
 
+    def test_grid_mismatch_same_length_or_same_dt(self):
+        a = step_response(_lag(1.0), t_final=10.0, dt=1e-3)
+        other_dt = step_response(_lag(1.0), t_final=20.0, dt=2e-3)
+        other_len = step_response(_lag(1.0), t_final=11.0, dt=1e-3)
+        assert len(other_dt.y) == len(a.y) and other_len.dt == a.dt
+        for b in (other_dt, other_len):
+            with pytest.raises(GridMismatch):
+                ise(a, b)
+            with pytest.raises(GridMismatch):
+                ise(b, a)
+
     def test_dt_halving_convergence(self):
         vals = []
         for dt in (2e-3, 1e-3):
@@ -431,11 +470,104 @@ class TestResponseMetrics:
         with pytest.raises(NotSettled):
             response_metrics(tr)
 
+    @pytest.mark.parametrize("case", ["monotone lag", "underdamped loop",
+                                      "peak at the end", "high start"])
+    def test_matches_full_array_formulation(self, model, case):
+        g, t_final, dt = {
+            "monotone lag": (_lag(1.0), 10.0, 1e-3),
+            "underdamped loop": (closed_current_loop(model, 35.719), None, None),
+            # overdamped, still rising at the last sample
+            "peak at the end": (_from_poles([-1.0, -5.0]), 8.0, 1e-3),
+            # y[0] = 0.3 >= 0.1 final, so the 10% crossing is at t = 0
+            "high start": (TransferFunction.from_coeffs([1.0, 0.3], [1.0, 1.0]),
+                           8.0, 1e-3),
+        }[case]
+        tr = step_response(g, t_final=t_final, dt=dt)
+        want = _full_array_metrics(tr)
+        assert response_metrics(tr) == want
+        ipeak = int(np.argmax(tr.y))
+        if case == "underdamped loop":
+            assert want.overshoot_pct > 1.0 and ipeak < len(tr.y) // 10
+        if case == "peak at the end":
+            assert ipeak == len(tr.y) - 1
+        if case == "high start":
+            assert 0.1 * want.final_value <= tr.y[0] < 0.9 * want.final_value
+        old_ise = _constant_trace_ise(tr, 1.0)
+        assert abs(ise(tr, 1.0) - old_ise) <= 1e-15 * old_ise
+
+    def test_not_settled_like_full_array_formulation(self):
+        for g, t_final in ((TransferFunction.from_coeffs([-1.0], [1.0, 1.0]), 10.0),
+                           (_lag(1.0), 0.2),
+                           (TransferFunction.from_coeffs([1.0], [1.0, -1.0]), 20.0)):
+            tr = step_response(g, t_final=t_final, dt=1e-3)
+            with pytest.raises(NotSettled):
+                _full_array_metrics(tr)
+            with pytest.raises(NotSettled):
+                response_metrics(tr)
+
     def test_constant_reference_trace(self):
         tr = step_response(_lag(1.0), t_final=10.0, dt=1e-2)
-        ref = constant_trace(tr, 1.0)
+        # a unit static gain holds the level 1.0 on the same grid
+        ref = step_response(TransferFunction.from_coeffs([1.0], [1.0]),
+                            t_final=10.0, dt=1e-2)
         assert np.all(ref.y == 1.0)
-        assert ise(ref, ref) == 0.0
+        assert ise(ref, 1.0) == 0.0
+        assert ise(tr, 1.0) == ise(tr, ref)
+
+
+def _full_array_metrics(tr):
+    """``response_metrics`` as formulated over whole arrays and a stored
+    time grid: the reference the fewer-pass version must equal."""
+    y = tr.y
+    t = np.arange(len(y)) * tr.dt
+    k = max(1, int(round(0.05 * len(y))))
+    final = float(np.mean(y[-k:]))
+    if final <= 0.0:
+        raise NotSettled("final value is not positive; metrics undefined")
+    band = 0.02 * abs(final)
+    if np.any(np.abs(y[-k:] - final) > band):
+        raise NotSettled("trace has not settled within its horizon")
+    peak = float(np.max(y))
+    overshoot = max(0.0, (peak - final) / final * 100.0)
+    outside = np.flatnonzero(np.abs(y - final) > band)
+    settling = float(t[outside[-1] + 1]) if outside.size else 0.0
+
+    def crossing(level):
+        idx = int(np.argmax(y >= level))
+        if y[0] >= level:
+            return 0.0
+        y0, y1 = y[idx - 1], y[idx]
+        frac = (level - y0) / (y1 - y0)
+        return float(t[idx - 1] + frac * tr.dt)
+
+    rise = crossing(0.9 * final) - crossing(0.1 * final)
+    return ResponseMetrics(overshoot, settling, rise, final)
+
+
+def _constant_trace_ise(tr, level):
+    """ISE against a constant level as a whole trace of that level."""
+    d = tr.y - np.full_like(tr.y, level)
+    d *= d
+    return float(tr.dt * (d.sum() - (d[0] + d[-1]) / 2.0))
+
+
+class TestStepTraceRobustness:
+    def test_diverging_to_minus_infinity(self):
+        g = TransferFunction.from_coeffs([-1.0], [1.0, -1.0])
+        with pytest.raises(SimulationDiverged):
+            step_response(g, t_final=1000.0, dt=0.05)
+
+    def test_nan_samples(self):
+        with pytest.raises(SimulationDiverged):
+            step_response(_lag(1.0), t_final=1.0, dt=0.01, amplitude=math.nan)
+
+    def test_time_grid_is_index_times_dt(self, model):
+        for tr in (step_response(_lag(0.5), t_final=2.0, dt=1e-3),
+                   step_response(closed_current_loop(model, 35.719))):
+            grid = np.arange(len(tr.y)) * tr.dt
+            assert tr.t.dtype == grid.dtype
+            assert tr.t.tobytes() == grid.tobytes()
+            assert tr.t is tr.t  # built once, then kept
 
 
 class TestCharacteristicTimes:
