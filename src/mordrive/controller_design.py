@@ -173,8 +173,8 @@ def design_via_mor(model: DerivedDriveModel,
 
 def closed_current_loop(model: DerivedDriveModel, kc: float) -> TransferFunction:
     """Unity closure of the full type-1 loop gain at controller gain Kc."""
-    if kc <= 0.0:
-        raise ValidationError("controller gain must be positive")
+    if not 0.0 < kc < math.inf:
+        raise ValidationError("controller gain must be positive and finite")
     scaled = TransferFunction(model.loop_gain_full.num.scaled(kc),
                               model.loop_gain_full.den)
     return close_loop(scaled, UNITY)
@@ -210,11 +210,12 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
     """Step-response metrics over a linear grid of controller gains.
 
     Unstable closures are flagged rather than aborting the sweep, and
-    per-point simulation failures leave that point's metrics empty.  More
-    than ``MAX_SWEEP_STEPS`` steps are refused with ``ValidationError``.
+    per-point simulation failures leave that point's metrics empty.  A
+    non-finite gain or more than ``MAX_SWEEP_STEPS`` steps is refused with
+    ``ValidationError``.
     """
-    if not 0.0 < kc_min < kc_max:
-        raise ValidationError("need 0 < kc_min < kc_max")
+    if not 0.0 < kc_min < kc_max < math.inf:
+        raise ValidationError("need 0 < kc_min < kc_max < inf")
     if steps < 2:
         raise ValidationError("need at least 2 sweep steps")
     if steps > MAX_SWEEP_STEPS:

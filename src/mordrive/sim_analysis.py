@@ -4,17 +4,17 @@ Step responses are exact samples, to rounding, of a pole-scaled
 controllable-canonical realization under a step input; Bode traces
 evaluate the rational function directly on a log grid.
 
-The one-step update x+ = M x + v comes from one matrix exponential,
-[[M, v], [0, 1]] = e^([[A, b], [0, 0]] dt) (Van Loan 1978), and is not
-applied step by step.  The N steps are cut into blocks of about sqrt(N):
-the powers of M within a block come from doubling, the block-start
-states from the same update raised to a whole block, and all N outputs
-from one matrix product, so only the output, never the state, is kept
-per step.  That product also adds each output's constant part, c w_j +
-d u, through an offset row against a column of ones on the block-start
-states, and writes straight into the trace's one output buffer.  A
-trace stores no time grid: its samples sit at k dt, and metrics and ISE
-work from the index and dt.
+The one-step update is one matrix exponential, E = [[M, v], [0, 1]] =
+e^([[A, b u], [0, 0]] dt) (Van Loan 1978), on the state with a constant
+1 appended, and E itself is propagated: sample k is (c, d u) E^k e_last.
+E's last row is set to exactly (0, ..., 0, 1), since as computed it is
+off by rounding and that error would grow with k.  The N steps are cut
+into blocks of about sqrt(N): the rows (c, d u) E^j within a block come
+from doubling, the block starts from the same routine on E raised to a
+whole block, and all outputs from one 2-D product written straight into
+the trace's one output buffer, so no state is kept per step.  A trace
+stores no time grid: its samples sit at k dt, and metrics and ISE work
+from the index and dt.
 
 ``step_ise`` needs no time grid: the exact step-error ISE over a finite
 horizon comes from a Lyapunov/Sylvester solve and a matrix exponential
@@ -201,42 +201,35 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
             poles)
 
 
-def _propagate(m: np.ndarray, v: np.ndarray, c: np.ndarray, d: np.ndarray,
-               n_steps: int) -> np.ndarray:
-    """Outputs c^T x_k + d, k = 0..n_steps, of x+ = M x + v from x_0 = 0.
+def _propagate(e: np.ndarray, c: np.ndarray, n_steps: int) -> np.ndarray:
+    """Outputs c^T E^k e_last, k = 0..n_steps, as an (n_steps + 1, p) view
+    of one buffer; ``c`` is (dim, p).
 
-    ``c`` is (dim, p), ``d`` (p,) and the result an (n_steps + 1, p) view
-    of one buffer.  For j up to the block size B = ceil(sqrt(n_steps)),
-    M^j and w_j = (I + ... + M^(j-1)) v come from doubling, w_(a+b) =
-    M^a w_b + w_a; the block-start states x_(iB) from a call on (M^B,
-    w_B) with c = I and d = 0.  Output iB + j is c^T M^j x_(iB) + (c^T
-    w_j + d): one product of the block-start states, with a column of
-    ones appended, against the c^T M^j columns over an offset row, which
-    writes all of rows 1.. in place.
+    ``e`` is an augmented exponential [[M, v], [0, 1]] whose last row is
+    exactly (0, ..., 0, 1), so E^k e_last is x_k of x+ = M x + v from x_0
+    = 0 with a constant 1 appended, and c's last row weights that 1: no
+    offset row or offset recurrence is needed.  The block size B is the
+    power of two >= sqrt(n_steps + 1).  The rows c^T E^j, j < B, come
+    from log2 B doublings, each the rows so far times E^h and then E^h
+    squared, all 2-D products; the block starts E^(iB) e_last from a call
+    on (E^B, I); and output iB + j from one product of the starts against
+    those rows.
     """
+    if n_steps == 0:
+        return c[-1:]
     dim, p = c.shape
-    block = math.isqrt(n_steps - 1) + 1
-    n_blocks = (n_steps + block - 1) // block
-    mp = np.empty((block, dim, dim))
-    w = np.empty((block, dim))
-    mp[0], w[0] = m, v
-    have = 1
-    while have < block:
-        k = min(have, block - have)
-        mp[have:have + k] = mp[:k] @ mp[have - 1]
-        w[have:have + k] = mp[:k] @ w[have - 1] + w[:k]
-        have += k
-    starts = np.zeros((n_blocks, dim + 1))
-    starts[:, dim] = 1.0
-    if n_blocks > 1:
-        starts[1:, :dim] = _propagate(mp[-1], w[-1], np.eye(dim), np.zeros(dim),
-                                      n_blocks - 1)[1:]
-    rhs = np.empty((dim + 1, block * p))
-    rhs[:dim] = (c.T @ mp).reshape(block * p, dim).T
-    rhs[dim] = (w @ c + d).reshape(-1)
-    out = np.empty((n_blocks * block + 1, p))
-    out[0] = d
-    np.matmul(starts, rhs, out=out[1:].reshape(n_blocks, block * p))
+    block = 1 << math.isqrt(n_steps).bit_length()
+    n_blocks = n_steps // block + 1
+    rows = np.empty((block * p, dim))
+    rows[:p] = c.T
+    h = 1
+    while h < block:
+        np.matmul(rows[:h * p], e, out=rows[h * p:2 * h * p])
+        e = e @ e
+        h *= 2
+    starts = _propagate(e, np.eye(dim), n_blocks - 1)
+    out = np.empty((n_blocks * block, p))
+    np.matmul(starts, rows.T, out=out.reshape(n_blocks, block * p))
     return out[:n_steps + 1]
 
 
@@ -283,8 +276,10 @@ def step_response(g: TransferFunction, t_final: float | None = None,
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n], aug[:n, n] = a * dt, b * (amplitude * dt)
         e = _expm(aug)
-        y = _propagate(e[:n, :n], e[:n, n], c[:, None],
-                       np.array([d * amplitude]), n_steps)[:, 0]
+        # The last row is (0, ..., 0, 1) only to rounding; pinned exactly,
+        # so that the constant input does not drift over the steps.
+        e[n, :n], e[n, n] = 0.0, 1.0
+        y = _propagate(e, np.append(c, d * amplitude)[:, None], n_steps)[:, 0]
     # min and max carry any NaN through, so these two passes see every
     # non-finite sample.
     if not (math.isfinite(y.min()) and math.isfinite(y.max())):

@@ -270,6 +270,16 @@ class TestSweepCommand:
         assert "ValidationError" in err and "--steps" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kc_max", ["inf", "nan"])
+    def test_non_finite_gain_exits_2(self, motor_file, tmp_path, capsys,
+                                     kc_max):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--motor", motor_file, "--kc-min", "3.1",
+                     "--kc-max", kc_max, "--steps", "3",
+                     "--out", str(out)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unstable_rows_have_empty_metrics(self, tmp_path):
         import dataclasses
         data = {k: v for k, v in dataclasses.asdict(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestGainSweep:
         with pytest.raises(ValidationError):
             sweep_gain(model, 1.0, 2.0, 1)
 
+    @pytest.mark.parametrize("kc_min,kc_max", [(3.1, math.inf),
+                                               (math.inf, math.inf),
+                                               (math.nan, 5.0)])
+    def test_non_finite_gains_refused(self, model, kc_min, kc_max):
+        with pytest.raises(ValidationError):
+            sweep_gain(model, kc_min, kc_max, 3)
+
     def test_deterministic(self, model):
         a = sweep_gain(model, 3.0, 6.0, 3)
         b = sweep_gain(model, 3.0, 6.0, 3)
@@ -189,3 +197,10 @@ class TestClosedLoop:
     def test_positive_gain_required(self, model):
         with pytest.raises(ValidationError):
             closed_current_loop(model, 0.0)
+
+    @pytest.mark.parametrize("kc", [math.inf, math.nan])
+    def test_finite_gain_required(self, model, kc):
+        with pytest.raises(ValidationError):
+            closed_current_loop(model, kc)
+        with pytest.raises(ValidationError):
+            evaluate_gain(model, kc)

@@ -13,6 +13,7 @@ from mordrive.errors import (
 from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, poly_roots
 from mordrive.sim_analysis import (
+    MAX_STEP_SAMPLES,
     ResponseMetrics,
     _expm,
     _scaled_ccf,
@@ -110,6 +111,14 @@ class TestStepResponse:
             want = _mp_step(mpmath, g, tr.t[idx])
             assert np.max(np.abs(tr.y[idx] - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_long_horizon_does_not_drift(self):
+        # the whole step budget at a fine dt: an error in the constant row
+        # of the propagated exponential would grow linearly with k
+        tr = step_response(_lag(1.0), t_final=20.0, dt=1e-5)
+        assert len(tr.y) == MAX_STEP_SAMPLES + 1
+        want = -np.expm1(-tr.t)
+        assert np.max(np.abs(tr.y - want)) <= 5e-11 * np.max(np.abs(tr.y))
+
     def test_divergence_detected(self):
         for den in ([1.0, -1.0],
                     [2.0, -2.0, 1.0],  # growing oscillation, poles 1 +- 1j
@@ -189,8 +198,10 @@ _KERNEL_SYSTEMS = [_from_poles(poles, num) for poles, num in _KERNEL_SPECS]
 
 
 class TestBlockPropagation:
-    # 32^2, 32^2 + 1, primes, and counts the block size does not divide
-    @pytest.mark.parametrize("n_steps", [10, 11, 1024, 1025, 997, 1000, 10007])
+    # 32^2, 32^2 + 1, primes, counts the block size does not divide, and
+    # 4095..4097, where n_steps + 1 crosses 64^2 and the block size doubles
+    @pytest.mark.parametrize("n_steps", [10, 11, 1024, 1025, 997, 1000, 10007,
+                                         4095, 4096, 4097])
     def test_matches_per_step_recurrence(self, n_steps):
         for g in _KERNEL_SYSTEMS:
             dt = characteristic_times(g)[0] / 20.0
@@ -200,8 +211,8 @@ class TestBlockPropagation:
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
-    # the output product folds d * amplitude into its offset row, so
-    # take systems with d != 0 and amplitudes other than 1
+    # d * amplitude is the output weight of the propagated constant 1,
+    # so take systems with d != 0 and amplitudes other than 1
     @pytest.mark.parametrize("amplitude", [-2.5, 1e3])
     @pytest.mark.parametrize("n_steps", [10, 11, 1025, 10007])
     def test_biproper_offset_row(self, n_steps, amplitude):
