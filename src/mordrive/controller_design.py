@@ -195,7 +195,7 @@ def evaluate_gain(model: DerivedDriveModel, kc: float) -> SweepPoint:
         trace = step_response(closed)
         metrics = response_metrics(trace)
         err = ise(trace, trace.input_amplitude)
-    except NumericError:
+    except (NumericError, ValidationError):  # ValidationError: step budget
         return SweepPoint(Kc=kc, stable=True, overshoot_pct=None,
                           settling_2pct_s=None, rise_10_90_s=None,
                           ise_vs_reference=None)

@@ -253,27 +253,22 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
     All percents are scored at once by the exact step-error ISE over
     5 x the slowest time constant of the full model (``step_ise``, no
     time grid).  Unstable candidates and non-finite or negative scores
-    are rejected; ties go to the smaller percent.  A model too large for
-    the exact ISE ends in the same note as a scan where every percent
-    fails, with the reason appended.
+    are rejected; ties go to the smaller percent.
     """
     lo, hi, step = cfg.auto_grid
     grid = np.arange(lo, hi + step / 2.0, step)
     horizon = 5.0 * characteristic_times(g)[1]
     scores = np.full(len(grid), np.nan)
-    failed = "auto adjustment failed for every percent"
     if d_r.degree >= 2:  # adjust_denominator refuses lower degrees
         # adjust_denominator's arithmetic, for every percent at once
         dens = np.tile(d_r.coeffs, (len(grid), 1))
         dens[:, 1] *= 1.0 + grid / 100.0
         dens[:, 2] *= 1.0 - grid / 100.0
-        try:
-            scores = step_ise(g, n_r.scaled(k).coeffs, dens, horizon)
-        except ValidationError as exc:  # too large for the exact ISE
-            failed += f" ({exc})"
+        scores = step_ise(g, n_r.scaled(k).coeffs, dens, horizon)
     ok = np.isfinite(scores) & (scores >= 0.0)
     if not np.any(ok):
-        return None, d_r, (f"{failed}; returning the unadjusted denominator",)
+        return None, d_r, ("auto adjustment failed for every percent; "
+                           "returning the unadjusted denominator",)
     best = int(np.argmin(np.where(ok, scores, np.inf)))
     return float(grid[best]), Polynomial(dens[best]), ()
 

@@ -17,8 +17,9 @@ stores no time grid: its samples sit at k dt, and metrics and ISE work
 from the index and dt.
 
 ``step_ise`` needs no time grid: the exact step-error ISE over a finite
-horizon comes from a Lyapunov/Sylvester solve and a matrix exponential
-of the error system, for a whole stack of candidate models at once.
+horizon is a Gramian of the error system, from the same exponential
+applied to Van Loan's block matrix and doubled up to the horizon, for a
+whole stack of candidate models at once.
 """
 from __future__ import annotations
 
@@ -48,12 +49,6 @@ MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
 MAX_BODE_POINTS = 2_000_000
-
-# Largest stacked Kronecker system ``step_ise`` may build, in matrix
-# entries (16 MB of float64, held about three times over while it is
-# formed).  A full model of degree n needs n^4 entries, so full models
-# up to degree 37 fit.
-MAX_KRONECKER_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,20 +156,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for k in range(int(np.max(s, initial=0))):
         r = np.where((k < s)[..., None, None], r @ r, r)
     return r
-
-
-def _sylvester(a1: np.ndarray, a2: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """X with A1^T X + X A2 = Q, batched over leading axes.
-
-    Solved in Kronecker form, (A1^T (x) I + I (x) A2^T) vec(X) = vec(Q)
-    with row-major vec, so it suits the small orders met here.
-    """
-    n1, n2 = a1.shape[-1], a2.shape[-1]
-    k = (np.einsum("...ji,kl->...ikjl", a1, np.eye(n2))
-         + np.einsum("ij,...lk->...ikjl", np.eye(n1), a2))
-    k = k.reshape(k.shape[:-4] + (n1 * n2, n1 * n2))
-    x = np.linalg.solve(k, q.reshape(q.shape[:-2] + (n1 * n2, 1)))
-    return x.reshape(q.shape)
 
 
 def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
@@ -343,53 +324,49 @@ def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
     ``g`` must be stable.  ``dens`` is an (m, r + 1) array of ascending
     denominators of one degree r >= 1 and ``num`` their shared
     numerator, of degree at most r.  A candidate with a pole at or right
-    of the imaginary axis scores NaN.  Each response is its final value
-    plus c e^(At) x0, so the error of the block-diagonal error system is
-    delta + C e^(At) x0, and its integral up to T is
-    x0^T (P - e^(A^T T) P e^(AT)) x0 + 2 delta C A^-1 (e^(AT) - I) x0
-    + delta^2 T, where A^T P + P A = -C^T C.  The full model's blocks
-    are built once; each candidate adds its r x r blocks and its n x r
-    cross block, all candidates in stacked solves.  Sizes whose
-    Kronecker systems exceed ``MAX_KRONECKER_ENTRIES`` are refused with
-    ``ValidationError``.
+    of the imaginary axis scores NaN.  The error y_g - y_i is the output
+    c e^(At) e_last of the system on (x_g, x_i, 1) with A = [[A_g, 0,
+    b_g], [0, A_i, b_i], [0, 0, 0]] and c = (c_g, -c_i, d_g - d_i), so
+    the ISE is the last diagonal entry of the Gramian W(T) = int_0^T
+    e^(A^T t) c^T c e^(At) dt.  W(h) for h = T / 2^s is F22^T F12 of one
+    exponential F of [[-A^T, c^T c], [0, A]] h (Van Loan 1978), s chosen
+    from ||A||_1 T alone so that e^(Ah) is not rounded to I, and s
+    doublings W <- W + E^T W E, E <- E^2 with E = e^(Ah) reach T.  W is
+    linear in c^T c, so c is scaled to unit max-abs and the result
+    scaled back.  All candidates share one stacked exponential.
     """
     dens = np.asarray(dens, dtype=float)
     n, m, r = g.den.degree, len(dens), dens.shape[1] - 1
-    entries = max(n ** 4, m * (n * r) ** 2, m * r ** 4)
-    if entries > MAX_KRONECKER_ENTRIES:
-        raise ValidationError(
-            f"exact ISE of a degree-{n} model against {m} candidates of "
-            f"degree {r} needs {entries} Kronecker entries, more than the "
-            f"budget of {MAX_KRONECKER_ENTRIES}")
-    num = np.asarray(num, dtype=float)
     out = np.full(m, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_g, _, c_g, _, _ = _scaled_ccf(np.array(g.num.coeffs),
-                                        np.array(g.den.coeffs))
-        a_c, _, c_c, _, poles = _scaled_ccf(num, dens)
-        x0_g = np.zeros(n)
-        x0_g[0] = -g.den.coeffs[-1] / g.den.coeffs[0]
-        x0_c = np.zeros((m, r))
-        x0_c[:, 0] = -dens[:, -1] / dens[:, 0]
+        a_g, b_g, c_g, d_g, _ = _scaled_ccf(np.array(g.num.coeffs),
+                                            np.array(g.den.coeffs),
+                                            g.den.roots)
+        a_i, b_i, c_i, d_i, poles = _scaled_ccf(np.asarray(num, dtype=float),
+                                                dens)
         stable = np.all(poles.real < 0.0, axis=-1)
-        a_c, c_c, x0_c = a_c[stable], c_c[stable], x0_c[stable]
-        xt_g = _expm(a_g * t_final) @ x0_g
-        xt_c = (_expm(a_c * t_final) @ x0_c[..., None])[..., 0]
-        p_gg = _sylvester(a_g, a_g, -np.outer(c_g, c_g))
-        p_gc = _sylvester(a_g, a_c, c_g[:, None] * c_c[:, None, :])
-        p_cc = _sylvester(a_c, a_c, -c_c[:, :, None] * c_c[:, None, :])
-
-        def energy(x_g, x_c):
-            return (x_g @ p_gg @ x_g
-                    + 2.0 * np.einsum("i,mij,mj->m", x_g, p_gc, x_c)
-                    + np.einsum("mi,mij,mj->m", x_c, p_cc, x_c))
-
-        delta = g.num.coeffs[0] / g.den.coeffs[0] - num[0] / dens[stable, 0]
-        area_g = c_g @ np.linalg.solve(a_g, xt_g - x0_g)
-        area_c = np.einsum("mi,mi->m", c_c, np.linalg.solve(
-            a_c, (xt_c - x0_c)[..., None])[..., 0])
-        out[stable] = (energy(x0_g, x0_c) - energy(xt_g, xt_c)
-                       + delta * (2.0 * (area_g - area_c) + delta * t_final))
+        k, dim = int(stable.sum()), n + r + 1
+        a = np.zeros((k, dim, dim))
+        a[:, :n, :n], a[:, :n, -1] = a_g, b_g
+        a[:, n:-1, n:-1], a[:, n:-1, -1] = a_i[stable], b_i[stable]
+        c = np.empty((k, dim))
+        c[:, :n], c[:, n:-1], c[:, -1] = c_g, -c_i[stable], d_g - d_i[stable]
+        c_max = np.abs(c).max(axis=-1)
+        c /= c_max[:, None]
+        s = max(np.frexp(np.abs(a).sum(axis=-2).max(initial=0.0)
+                         * t_final / _THETA13)[1], 0)
+        h = t_final / 2.0 ** s
+        vl = np.zeros((k, 2 * dim, 2 * dim))
+        vl[:, :dim, :dim] = -h * a.swapaxes(-1, -2)
+        vl[:, :dim, dim:] = h * c[:, :, None] * c[:, None, :]
+        vl[:, dim:, dim:] = h * a
+        f = _expm(vl)
+        e = f[:, dim:, dim:]
+        w = e.swapaxes(-1, -2) @ f[:, :dim, dim:]
+        for _ in range(s):
+            w = w + e.swapaxes(-1, -2) @ w @ e
+            e = e @ e
+        out[stable] = w[:, -1, -1] * c_max * c_max
     return out
 
 

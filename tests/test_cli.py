@@ -270,6 +270,17 @@ class TestSweepCommand:
         assert "ValidationError" in err and "--steps" in err
         assert not out.exists()
 
+    def test_gain_past_step_budget_has_empty_metrics(self, motor_file,
+                                                     tmp_path):
+        # at Kc = 1e6 the closed loop needs more steps than the budget
+        out = tmp_path / "hi.csv"
+        assert main(["sweep", "--motor", motor_file, "--kc-min", "3.1",
+                     "--kc-max", "1e6", "--steps", "3",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert rows[-1][1:] == ["", "", "", "", "true"]
+
     @pytest.mark.parametrize("kc_max", ["inf", "nan"])
     def test_non_finite_gain_exits_2(self, motor_file, tmp_path, capsys,
                                      kc_max):

@@ -232,9 +232,9 @@ class TestReducePipeline:
             steps.append(args)
             return step_response(*args, **kwargs)
 
-        def recording(num, den):
+        def recording(num, den, poles=None):
             built.append(den.shape)
-            return scaled_ccf(num, den)
+            return scaled_ccf(num, den, poles)
 
         for module in (mor_engine, sim_analysis):
             monkeypatch.setattr(module, "step_response", counting, raising=False)
@@ -264,19 +264,32 @@ class TestReducePipeline:
             else:
                 assert res.warnings == ()
 
-    def test_auto_past_kronecker_budget_returns_note(self):
-        # degree 40: the full model's Lyapunov block alone has 40^4 entries
+    def test_auto_degree_40_picks_fine_trapezoid_minimum(self):
         den = np.real(np.poly(-np.geomspace(1.0, 3.0, 40)))[::-1]
         g = TransferFunction(Polynomial([1.0, 0.1]), Polynomial(den / den[0]))
+        cfg = ReductionConfig(target_order=2, numerator_order=1,
+                              adjust_mode="auto")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = reduce(g, ReductionConfig(target_order=2, numerator_order=1,
-                                            adjust_mode="auto"))
-        assert np.isfinite(res.residual_epsilon)
-        assert res.chosen_n is None
-        assert "failed for every percent" in res.warnings[0]
-        assert "2000000" in res.warnings[0]
-        assert res.reduced.den.coeffs == reduce_denominator(g.den, 2).coeffs
+            res = reduce(g, cfg)
+        assert res.chosen_n is not None
+        # Richardson-extrapolated trapezoid of exact samples, over the
+        # horizon the scan uses, for the chosen percent and its neighbours
+        horizon = 5.0 * sim_analysis.characteristic_times(g)[1]
+        d_r = reduce_denominator(g.den, 2)
+        step = cfg.auto_grid[2]
+
+        def fine_ise(n):
+            cand = TransferFunction(res.reduced.num, adjust_denominator(d_r, n))
+            coarse, fine = (ise(step_response(g, horizon, horizon / k),
+                                step_response(cand, horizon, horizon / k))
+                            for k in (2e5, 4e5))
+            return (4.0 * fine - coarse) / 3.0
+
+        best = fine_ise(res.chosen_n)
+        for n in (res.chosen_n - step, res.chosen_n + step):
+            if cfg.auto_grid[0] <= n <= cfg.auto_grid[1]:
+                assert best <= fine_ise(n) * (1.0 + 1e-6), n
 
     def test_auto_prefers_smaller_ise(self, bench_loop):
         cfg = ReductionConfig(target_order=2, numerator_order=1,

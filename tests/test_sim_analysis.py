@@ -17,7 +17,6 @@ from mordrive.sim_analysis import (
     ResponseMetrics,
     _expm,
     _scaled_ccf,
-    _sylvester,
     bode,
     characteristic_times,
     ise,
@@ -360,13 +359,64 @@ class TestStepIse:
                 want = linalg.expm(a[i])
                 assert np.allclose(got[i], want, rtol=1e-10,
                                    atol=1e-12 * np.abs(want).max())
-            a2 = rng.normal(size=(6, 3, 3)) - 4.0 * np.eye(3)
-            q = rng.normal(size=(6, n, 3))
-            x = _sylvester(a, a2, q)
-            for i in range(len(a)):
-                want = linalg.solve_sylvester(a[i].T, a2[i], q[i])
-                assert np.allclose(x[i], want, rtol=1e-9,
-                                   atol=1e-12 * np.abs(want).max())
+        # step_ise against the finite-horizon Lyapunov formula on plain
+        # companion forms: random stable g and candidates, double poles
+        # among both
+        for poles_g in ([(-1.0, 2), (-3.0, 1)], _hurwitz_family(rng, 1, 1.0),
+                        _hurwitz_family(rng, 4, 30.0),
+                        _hurwitz_family(rng, 7, 300.0)):
+            den_g = _real_poly(poles_g)
+            num_g = rng.uniform(0.5, 2.0, size=2)
+            dens = np.array([_real_poly([(-1.5, 2)])]
+                            + [_real_poly(_hurwitz_family(rng, 2, 5.0))
+                               for _ in range(4)])
+            num = rng.uniform(0.5, 2.0, size=3)
+            g = TransferFunction.from_coeffs(list(num_g), list(den_g))
+            t_final = 5.0 * characteristic_times(g)[1]
+            got = step_ise(g, num, dens, t_final)
+            for value, den in zip(got, dens):
+                want = _lyapunov_ise(linalg, num_g, den_g, num, den, t_final)
+                assert value == pytest.approx(want, rel=1e-9)
+
+
+def _real_poly(poles):
+    """Ascending real coefficients of prod (s - p)^m over (pole, m) pairs."""
+    roots = np.array([p for p, m in poles for _ in range(m)], dtype=complex)
+    return np.real(np.poly(roots))[::-1]
+
+
+def _companion(num, den):
+    """(A, b, c, d) of num/den in plain controllable canonical form."""
+    num, den = np.asarray(num) / den[-1], np.asarray(den) / den[-1]
+    n = len(den) - 1
+    beta = np.zeros(n + 1)
+    beta[:len(num)] = num
+    a = np.eye(n, k=1)
+    a[-1] = -den[:-1]
+    return a, np.eye(n)[-1], beta[:n] - beta[n] * den[:-1], beta[n]
+
+
+def _lyapunov_ise(linalg, num_g, den_g, num_i, den_i, t_final):
+    """ISE of the step error of two systems over [0, T] in closed form.
+
+    Each step response is its final value plus c e^(At) x0 with x0 =
+    A^-1 b, so on the block-diagonal error system the error is delta +
+    C e^(At) x0 and its integral is x0^T (P - e^(A^T T) P e^(AT)) x0 +
+    2 delta C A^-1 (e^(AT) - I) x0 + delta^2 T, where A^T P + P A =
+    -C^T C.
+    """
+    a_g, b_g, c_g, d_g = _companion(num_g, den_g)
+    a_i, b_i, c_i, d_i = _companion(num_i, den_i)
+    a = linalg.block_diag(a_g, a_i)
+    c = np.concatenate([c_g, -c_i])
+    x0 = np.linalg.solve(a, np.concatenate([b_g, b_i]))
+    delta = d_g - d_i - c @ x0
+    p = linalg.solve_continuous_lyapunov(a.T, -np.outer(c, c))
+    e = linalg.expm(a * t_final)
+    xt = e @ x0
+    return (x0 @ p @ x0 - xt @ p @ xt
+            + 2.0 * delta * c @ np.linalg.solve(a, xt - x0)
+            + delta * delta * t_final)
 
 
 class TestBode:
