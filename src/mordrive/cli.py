@@ -140,9 +140,7 @@ def _parse_adjust(text: str) -> tuple[str, float | None]:
     except ValueError as exc:
         raise ValidationError("--adjust must be 'none', 'auto' or a percent "
                               "in (0, 15]") from exc
-    if not 0.0 < pct <= 15.0:
-        raise ValidationError("--adjust percent must lie in (0, 15]")
-    return "fixed", pct
+    return "fixed", pct  # ReductionConfig checks the range
 
 
 def cmd_reduce(args: argparse.Namespace, t0: float) -> int:
@@ -221,30 +219,28 @@ def cmd_design(args: argparse.Namespace, t0: float) -> int:
     model = derive_model(params)
     zeta = args.zeta if args.zeta is not None else params.zeta
 
-    if args.method == "conventional":
-        report = design_conventional(model, zeta=zeta)
-        _write_json(args.report, _report_payload(report, zeta, [], raw, t0))
-        return 0
-
-    cfg = ReductionConfig(target_order=2, numerator_order=args.q)
+    notes = [] if args.method == "conventional" else [_REFERENCE_GAIN_NOTE]
     try:
-        report = design_via_mor(model, cfg=cfg, zeta=zeta)
+        if args.method == "conventional":
+            report = design_conventional(model, zeta=zeta)
+        else:
+            cfg = ReductionConfig(target_order=2, numerator_order=args.q)
+            report = design_via_mor(model, cfg=cfg, zeta=zeta)
     except (NoRealGain, NoPositiveGain) as exc:
         payload = {
-            "method": "mor",
+            "method": args.method,
             "zeta_requested": zeta,
             "error": type(exc).__name__,
             "message": str(exc),
             "discriminant": getattr(exc, "discriminant", None),
             "gain_quadratic": list(getattr(exc, "quadratic", ())) or None,
-            "notes": [_REFERENCE_GAIN_NOTE],
+            "notes": notes,
             "manifest": _manifest("design", raw, t0, []),
         }
         _write_json(args.report, payload)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_json(args.report,
-                _report_payload(report, zeta, [_REFERENCE_GAIN_NOTE], raw, t0))
+    _write_json(args.report, _report_payload(report, zeta, notes, raw, t0))
     return 0
 
 

@@ -1,9 +1,9 @@
 """Current-controller gain selection and gain sweeps.
 
-Two design routes compute the loop gain K that places the closed-loop
-characteristic equation at a target damping ratio: the conventional
-chain of small-time-constant approximations, and the reduced-order
-route that works on the second-order model produced by ``mor_engine``.
+Two design routes place the closed-loop characteristic equation at a
+target damping ratio through one solve, ``solve_damping_gain``: the
+conventional route on the two-pole approximation of the loop, and the
+reduced-order route on the second-order model from ``mor_engine``.
 A gain sweep simulates the full type-1 loop closure over a grid of
 controller gains and extracts step-response metrics.
 """
@@ -29,7 +29,6 @@ from .poly_tf import (
     UNITY,
     close_loop,
     is_stable,
-    poly_roots,
 )
 from .sim_analysis import ise, response_metrics, step_response
 
@@ -54,22 +53,15 @@ class DesignReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Step-response metrics of the closed current loop at one gain."""
+    """Step-response metrics of the closed current loop at one gain; the
+    metrics stay None where the closure is unstable or not measurable."""
 
     Kc: float
     stable: bool
-    overshoot_pct: float | None
-    settling_2pct_s: float | None
-    rise_10_90_s: float | None
-    ise_vs_reference: float | None
-
-
-def _zeta_omega_from_quadratic(char: Polynomial) -> tuple[tuple[complex, ...], float, float]:
-    """Poles plus damping ratio / natural frequency of a quadratic."""
-    poles = tuple(poly_roots(char))
-    wn = math.sqrt(abs(poles[0]) * abs(poles[1]))
-    zeta = -(poles[0].real + poles[1].real) / (2.0 * wn)
-    return poles, zeta, wn
+    overshoot_pct: float | None = None
+    settling_2pct_s: float | None = None
+    rise_10_90_s: float | None = None
+    ise_vs_reference: float | None = None
 
 
 def design_conventional(model: DerivedDriveModel,
@@ -77,23 +69,11 @@ def design_conventional(model: DerivedDriveModel,
     """Gain from the two-pole approximation of the current loop.
 
     After cancelling the mid time constant, the characteristic
-    equation (1+sT1)(1+sTr) + K = 0 is matched to the standard
-    second-order form at the requested damping ratio, giving
-    K = (T1+Tr)^2 / (4 zeta^2 T1 Tr) - 1.
+    equation (1+sT1)(1+sTr) + K = 0 is placed at the requested damping
+    ratio by ``solve_damping_gain`` with a unit numerator, which there
+    reduces to K = (T1+Tr)^2 / (4 zeta^2 T1 Tr) - 1.
     """
-    z = model.params.zeta if zeta is None else zeta
-    if not 0.0 < z <= 1.0:
-        raise ValidationError("zeta must lie in (0, 1]")
-    t1, tr = model.T1, model.params.tr_s
-    k = (t1 + tr) ** 2 / (4.0 * z * z * t1 * tr) - 1.0
-    if k <= 0.0:
-        raise NoPositiveGain(f"damping target {z} asks for K = {k:.4g} <= 0")
-    kc = kc_from_K(model, k)
-    char = Polynomial([1.0 + k, t1 + tr, t1 * tr])
-    poles, zeta_got, wn = _zeta_omega_from_quadratic(char)
-    return DesignReport(method="conventional", K=k, Kc=kc, Tc=model.params.tc_s,
-                        reduced_model=None, closed_loop_poles=poles,
-                        achieved_zeta=zeta_got, natural_frequency=wn)
+    return _design(model, zeta, None)
 
 
 def solve_damping_gain(den: Polynomial, num: Polynomial, zeta: float) -> float:
@@ -149,24 +129,34 @@ def design_via_mor(model: DerivedDriveModel,
     ``(d2 + K c2) s^2 + (d1 + K c1) s + (d0 + K)`` whose damping-ratio
     condition is solved by ``solve_damping_gain``.
     """
+    return _design(model, zeta,
+                   ReductionConfig(target_order=2) if cfg is None else cfg)
+
+
+def _design(model: DerivedDriveModel, zeta: float | None,
+            cfg: ReductionConfig | None) -> DesignReport:
+    """Report of the gain placing ``den + K * num`` at the damping ratio:
+    on the two-pole approximation when ``cfg`` is None, else on the
+    order-2 reduction of the design loop shape."""
     z = model.params.zeta if zeta is None else zeta
     if not 0.0 < z <= 1.0:
         raise ValidationError("zeta must lie in (0, 1]")
     if cfg is None:
-        cfg = ReductionConfig(target_order=2)
-    if cfg.target_order != 2:
-        raise BadOrder("gain design needs a reduction to order 2")
+        red = None
+        t1, tr = model.T1, model.params.tr_s
+        den, num = Polynomial([1.0, t1 + tr, t1 * tr]), Polynomial([1.0])
+    else:
+        if cfg.target_order != 2:
+            raise BadOrder("gain design needs a reduction to order 2")
+        red = reduce(model.loop_gain_design, cfg)
+        den, num = red.reduced.den, red.reduced.num
 
-    red = reduce(model.loop_gain_design, cfg)
-    k = solve_damping_gain(red.reduced.den, red.reduced.num, z)
-    d0, d1, d2 = (red.reduced.den.coeff(i) for i in range(3))
-    c1 = red.reduced.num.coeff(1)
-    c2 = red.reduced.num.coeff(2)
-
-    kc = kc_from_K(model, k)
-    char = Polynomial([d0 + k, d1 + k * c1, d2 + k * c2])
-    poles, zeta_got, wn = _zeta_omega_from_quadratic(char)
-    return DesignReport(method="mor", K=k, Kc=kc, Tc=model.params.tc_s,
+    k = solve_damping_gain(den, num, z)
+    poles = (den + num.scaled(k)).roots
+    wn = math.sqrt(abs(poles[0]) * abs(poles[1]))
+    zeta_got = -(poles[0].real + poles[1].real) / (2.0 * wn)
+    return DesignReport(method="conventional" if red is None else "mor",
+                        K=k, Kc=kc_from_K(model, k), Tc=model.params.tc_s,
                         reduced_model=red, closed_loop_poles=poles,
                         achieved_zeta=zeta_got, natural_frequency=wn)
 
@@ -188,17 +178,13 @@ def evaluate_gain(model: DerivedDriveModel, kc: float) -> SweepPoint:
     except NumericError:
         stable = False
     if not stable:
-        return SweepPoint(Kc=kc, stable=False, overshoot_pct=None,
-                          settling_2pct_s=None, rise_10_90_s=None,
-                          ise_vs_reference=None)
+        return SweepPoint(Kc=kc, stable=False)
     try:
         trace = step_response(closed)
         metrics = response_metrics(trace)
         err = ise(trace, trace.input_amplitude)
     except (NumericError, ValidationError):  # ValidationError: step budget
-        return SweepPoint(Kc=kc, stable=True, overshoot_pct=None,
-                          settling_2pct_s=None, rise_10_90_s=None,
-                          ise_vs_reference=None)
+        return SweepPoint(Kc=kc, stable=True)
     return SweepPoint(Kc=kc, stable=True, overshoot_pct=metrics.overshoot_pct,
                       settling_2pct_s=metrics.settling_2pct_s,
                       rise_10_90_s=metrics.rise_10_90_s,

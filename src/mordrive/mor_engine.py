@@ -32,7 +32,8 @@ from .poly_tf import (
     poly_roots,
     spectral_square,
 )
-from .sim_analysis import characteristic_times, step_ise
+from .sim_analysis import (DEFAULT_HORIZON_FACTOR, characteristic_times,
+                           step_ise)
 
 # Log grid used for the squared-magnitude residual and for picking
 # between candidate numerators: 60 points/decade over 1e-1..1e4 rad/s.
@@ -115,10 +116,16 @@ def adjust_denominator(d_r: Polynomial, n: float) -> Polynomial:
         raise BadOrder("adjustment needs denominator degree >= 2")
     if not 0.0 < n <= 15.0:
         raise ValidationError("adjust percent must be in (0, 15]")
-    coeffs = list(d_r.coeffs)
-    coeffs[1] *= 1.0 + n / 100.0
-    coeffs[2] *= 1.0 - n / 100.0
-    return Polynomial(coeffs)
+    return Polynomial(_adjusted(d_r.coeffs, n)[0])
+
+
+def _adjusted(coeffs: tuple[float, ...], n: float | np.ndarray) -> np.ndarray:
+    """One row of ``coeffs`` per percent in ``n``, with the s coefficient
+    times (1 + n/100) and the s^2 coefficient times (1 - n/100)."""
+    rows = np.tile(coeffs, (np.size(n), 1))
+    rows[:, 1] *= 1.0 + n / 100.0
+    rows[:, 2] *= 1.0 - n / 100.0
+    return rows
 
 
 def _epsilon(ng_dr: np.ndarray, dg: np.ndarray, nr: np.ndarray) -> float:
@@ -257,13 +264,10 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
     """
     lo, hi, step = cfg.auto_grid
     grid = np.arange(lo, hi + step / 2.0, step)
-    horizon = 5.0 * characteristic_times(g)[1]
+    horizon = DEFAULT_HORIZON_FACTOR * characteristic_times(g)[1]
     scores = np.full(len(grid), np.nan)
     if d_r.degree >= 2:  # adjust_denominator refuses lower degrees
-        # adjust_denominator's arithmetic, for every percent at once
-        dens = np.tile(d_r.coeffs, (len(grid), 1))
-        dens[:, 1] *= 1.0 + grid / 100.0
-        dens[:, 2] *= 1.0 - grid / 100.0
+        dens = _adjusted(d_r.coeffs, grid)
         scores = step_ise(g, n_r.scaled(k).coeffs, dens, horizon)
     ok = np.isfinite(scores) & (scores >= 0.0)
     if not np.any(ok):

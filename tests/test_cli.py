@@ -7,6 +7,7 @@ import pytest
 
 from mordrive.cli import main, read_tf_file
 from mordrive.drive_model import worked_example_params
+from mordrive.errors import NoPositiveGain
 
 
 @pytest.fixture()
@@ -70,10 +71,13 @@ class TestReduceCommand:
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
 
-    def test_bad_adjust_percent_exits_2(self, loop_file, tmp_path):
+    @pytest.mark.parametrize("percent", ["0", "40", "-1", "nan", "inf"])
+    def test_bad_adjust_percent_exits_2(self, loop_file, tmp_path, percent):
+        out = tmp_path / "x.json"
         code = main(["reduce", "--tf", loop_file, "--order", "2",
-                     "--adjust", "40", "--out", str(tmp_path / "x.json")])
+                     "--adjust", percent, "--out", str(out)])
         assert code == 2
+        assert not out.exists()
 
     def test_deterministic_except_wall_time(self, loop_file, tmp_path):
         outs = []
@@ -129,6 +133,22 @@ class TestDesignCommand:
         # the unexplained published figures are quoted, not reproduced
         notes = " ".join(report["notes"])
         assert "357.192" in notes and "35.719" in notes
+
+    def test_conventional_no_gain_writes_error_report(self, motor_file, tmp_path,
+                                                     monkeypatch):
+        # unreachable while T1 > Tr; forced here to check the shared error path
+        def no_gain(model, zeta=None):
+            raise NoPositiveGain("damping condition roots [0.0] contain no "
+                                 "positive gain")
+        monkeypatch.setattr("mordrive.cli.design_conventional", no_gain)
+        out = tmp_path / "conv.json"
+        code = main(["design", "--motor", motor_file,
+                     "--method", "conventional", "--report", str(out)])
+        assert code == 3
+        report = json.loads(out.read_text())
+        assert report["method"] == "conventional"
+        assert report["error"] == "NoPositiveGain"
+        assert report["discriminant"] is None and report["notes"] == []
 
     def test_mor_q0_succeeds(self, motor_file, tmp_path):
         out = tmp_path / "mor0.json"

@@ -28,6 +28,28 @@ def _loop_gain(model, kc):
     return kc * model.K1 * model.Hc * model.Kr * model.Tm / model.params.tc_s
 
 
+def _seeded_nameplates(count=30):
+    """(params, derived model) for seeded variations of the worked example."""
+    rng = np.random.default_rng(6021)
+    base = worked_example_params()
+    out = []
+    while len(out) < count:
+        params = dataclasses.replace(
+            base,
+            la_h=base.la_h * float(rng.uniform(0.6, 1.6)),
+            j_kgm2=base.j_kgm2 * float(rng.uniform(0.6, 1.6)),
+            ra_ohm=base.ra_ohm * float(rng.uniform(0.7, 1.4)),
+            bt_nm_per_rad_s=base.bt_nm_per_rad_s * float(rng.uniform(0.7, 1.4)),
+            tr_s=base.tr_s * float(rng.uniform(0.5, 1.5)),
+            zeta=float(rng.uniform(0.4, 1.0)),
+        )
+        try:
+            out.append((params, derive_model(params)))
+        except ValidationError:
+            continue
+    return out
+
+
 class TestConventionalDesign:
     def test_benchmark_gains(self, model):
         rep = design_conventional(model)
@@ -47,26 +69,16 @@ class TestConventionalDesign:
         assert all(p.real < 0.0 for p in rep.closed_loop_poles)
 
     def test_achieved_zeta_matches_request_property(self):
-        rng = np.random.default_rng(6021)
-        base = worked_example_params()
-        checked = 0
-        while checked < 30:
-            params = dataclasses.replace(
-                base,
-                la_h=base.la_h * float(rng.uniform(0.6, 1.6)),
-                j_kgm2=base.j_kgm2 * float(rng.uniform(0.6, 1.6)),
-                ra_ohm=base.ra_ohm * float(rng.uniform(0.7, 1.4)),
-                bt_nm_per_rad_s=base.bt_nm_per_rad_s * float(rng.uniform(0.7, 1.4)),
-                tr_s=base.tr_s * float(rng.uniform(0.5, 1.5)),
-                zeta=float(rng.uniform(0.4, 1.0)),
-            )
-            try:
-                m = derive_model(params)
-            except ValidationError:
-                continue
+        for params, m in _seeded_nameplates():
             rep = design_conventional(m)
             assert rep.achieved_zeta == pytest.approx(params.zeta, abs=1e-6)
-            checked += 1
+
+    @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.707, 0.9, 1.0])
+    def test_gain_matches_two_pole_closed_form(self, zeta):
+        for _, m in _seeded_nameplates():
+            t1, tr = m.T1, m.params.tr_s
+            k = (t1 + tr) ** 2 / (4.0 * zeta * zeta * t1 * tr) - 1.0
+            assert design_conventional(m, zeta=zeta).K == pytest.approx(k, rel=1e-12)
 
     def test_gain_round_trip(self, model):
         rep = design_conventional(model)
