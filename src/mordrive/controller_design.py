@@ -30,7 +30,7 @@ from .poly_tf import (
     close_loop,
     is_stable,
 )
-from .sim_analysis import ise, response_metrics, step_response
+from .sim_analysis import _unit_step_measures
 
 # Largest number of gains one sweep may evaluate.
 MAX_SWEEP_STEPS = 2_000_000
@@ -171,7 +171,9 @@ def closed_current_loop(model: DerivedDriveModel, kc: float) -> TransferFunction
 
 
 def evaluate_gain(model: DerivedDriveModel, kc: float) -> SweepPoint:
-    """Close the loop at one gain, simulate a unit step and measure it."""
+    """Close the loop at one gain and measure its unit-step response on
+    the default grid, as ``response_metrics`` and ``ise`` against 1 would
+    on the whole trace."""
     closed = closed_current_loop(model, kc)
     try:
         stable = is_stable(closed.den)
@@ -180,9 +182,7 @@ def evaluate_gain(model: DerivedDriveModel, kc: float) -> SweepPoint:
     if not stable:
         return SweepPoint(Kc=kc, stable=False)
     try:
-        trace = step_response(closed)
-        metrics = response_metrics(trace)
-        err = ise(trace, trace.input_amplitude)
+        metrics, err = _unit_step_measures(closed)
     except (NumericError, ValidationError):  # ValidationError: step budget
         return SweepPoint(Kc=kc, stable=True)
     return SweepPoint(Kc=kc, stable=True, overshoot_pct=metrics.overshoot_pct,

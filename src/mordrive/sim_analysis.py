@@ -16,10 +16,16 @@ the trace's one output buffer, so no state is kept per step.  A trace
 stores no time grid: its samples sit at k dt, and metrics and ISE work
 from the index and dt.
 
-``step_ise`` needs no time grid: the exact step-error ISE over a finite
-horizon is a Gramian of the error system, from the same exponential
-applied to Van Loan's block matrix and doubled up to the horizon, for a
-whole stack of candidate models at once.
+A gain-sweep point needs no whole trace: the final value and the ISE
+against 1 are sums over all k of terms in E^k, which doubling (Smith
+1968) over a ladder of E^(2^j) gives in closed form, and the peak,
+settling and crossings are read from the first few hundred to thousand
+samples once the poles' modal envelope shows that no later sample
+changes them.  ``step_ise`` needs no time grid either: the exact
+step-error ISE over a finite horizon is a Gramian of the error system,
+from the same exponential applied to Van Loan's block matrix and
+doubled up to the horizon, for a whole stack of candidate models at
+once.
 """
 from __future__ import annotations
 
@@ -42,9 +48,10 @@ DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
 
 # Largest number of time steps one step response may take.  Each float64
-# array over such a grid is 16 MB, and a measured sweep point holds two at
-# once (the output and the metrics' deviation buffer); a wide pole spread
-# under the default dt and horizon would ask for far more.
+# array over such a grid is 16 MB, and a trace measured whole holds two at
+# once (the output and the metrics' deviation buffer), as does a sweep
+# point whose head window never certifies; a wide pole spread under the
+# default dt and horizon would ask for far more.
 MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
@@ -228,6 +235,15 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     ``MAX_STEP_SAMPLES`` steps is refused with ``ValidationError``, and
     non-finite samples raise ``SimulationDiverged``.
     """
+    dt, n_steps = _step_grid(g, t_final, dt)
+    e, c = _step_exponential(g, dt, amplitude)
+    return _trace(e, c, n_steps, dt, amplitude)
+
+
+def _step_grid(g: TransferFunction, t_final: float | None,
+               dt: float | None) -> tuple[float, int]:
+    """(dt, number of steps) of ``step_response``'s grid, defaults filled
+    in and the sample budget enforced."""
     if g.den.degree >= 1 and (t_final is None or dt is None):
         tc_small, tc_large = characteristic_times(g)
     elif t_final is None or dt is None:
@@ -247,8 +263,14 @@ def step_response(g: TransferFunction, t_final: float | None = None,
             f"step response needs {steps:.3g} steps (t_final = {t_final:g} s, "
             f"dt = {dt:g} s), more than the budget of {MAX_STEP_SAMPLES}; "
             "pass a larger dt or a shorter t_final (--dt / --t-final)")
+    return dt, int(round(steps))
 
-    n_steps = int(round(steps))
+
+def _step_exponential(g: TransferFunction, dt: float,
+                      amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, c): the augmented one-step exponential of g under a step of
+    ``amplitude`` and the (n + 1, 1) output column, sample k = c^T E^k
+    e_last."""
     n = g.den.degree
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs),
@@ -257,10 +279,18 @@ def step_response(g: TransferFunction, t_final: float | None = None,
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n], aug[:n, n] = a * dt, b * (amplitude * dt)
         e = _expm(aug)
-        # The last row is (0, ..., 0, 1) only to rounding; pinned exactly,
-        # so that the constant input does not drift over the steps.
-        e[n, :n], e[n, n] = 0.0, 1.0
-        y = _propagate(e, np.append(c, d * amplitude)[:, None], n_steps)[:, 0]
+    # The last row is (0, ..., 0, 1) only to rounding; pinned exactly,
+    # so that the constant input does not drift over the steps.
+    e[n, :n], e[n, n] = 0.0, 1.0
+    return e, np.append(c, d * amplitude)[:, None]
+
+
+def _trace(e: np.ndarray, c: np.ndarray, n_steps: int, dt: float,
+           amplitude: float) -> StepTrace:
+    """The whole trace of samples 0..n_steps; non-finite samples raise
+    ``SimulationDiverged``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = _propagate(e, c, n_steps)[:, 0]
     # min and max carry any NaN through, so these two passes see every
     # non-finite sample.
     if not (math.isfinite(y.min()) and math.isfinite(y.max())):
@@ -353,8 +383,8 @@ def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
         c[:, :n], c[:, n:-1], c[:, -1] = c_g, -c_i[stable], d_g - d_i[stable]
         c_max = np.abs(c).max(axis=-1)
         c /= c_max[:, None]
-        s = max(np.frexp(np.abs(a).sum(axis=-2).max(initial=0.0)
-                         * t_final / _THETA13)[1], 0)
+        s = max(int(np.frexp(np.abs(a).sum(axis=-2).max(initial=0.0)
+                             * t_final / _THETA13)[1]), 0)
         h = t_final / 2.0 ** s
         vl = np.zeros((k, 2 * dim, 2 * dim))
         vl[:, :dim, :dim] = -h * a.swapaxes(-1, -2)
@@ -362,12 +392,39 @@ def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
         vl[:, dim:, dim:] = h * a
         f = _expm(vl)
         e = f[:, dim:, dim:]
-        w = e.swapaxes(-1, -2) @ f[:, :dim, dim:]
-        for _ in range(s):
-            w = w + e.swapaxes(-1, -2) @ w @ e
-            e = e @ e
+        w = _doubling_sum(e.swapaxes(-1, -2) @ f[:, :dim, dim:],
+                          _ladder(e, 1 << s), 1 << s)
         out[stable] = w[:, -1, -1] * c_max * c_max
     return out
+
+
+def _ladder(e: np.ndarray, count: int) -> list[np.ndarray]:
+    """E^(2^j) for j < count.bit_length(), by repeated squaring, batched."""
+    ladder = [e]
+    for _ in range(count.bit_length() - 1):
+        ladder.append(ladder[-1] @ ladder[-1])
+    return ladder
+
+
+def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
+                  count: int) -> np.ndarray:
+    """Sum of (E^k)^T W E^k over 0 <= k < count, count >= 1, batched,
+    from a ladder ``ladder[j]`` = E^(2^j) covering count's bits.
+
+    Doubling (Smith 1968): W runs through the sums over k < 2^j, W <- W +
+    E_j^T W E_j with E_j = E^(2^j), and each set bit j of count, lowest
+    first, puts a block of 2^j terms ahead of those summed so far, total
+    <- W + E_j^T total E_j.
+    """
+    total = None
+    for j in range(count.bit_length()):
+        e = ladder[j]
+        et = e.swapaxes(-1, -2)
+        if count >> j & 1:
+            total = w if total is None else w + et @ total @ e
+        if count >> j > 1:
+            w = w + et @ w @ e
+    return total
 
 
 def response_metrics(tr: StepTrace) -> ResponseMetrics:
@@ -376,23 +433,30 @@ def response_metrics(tr: StepTrace) -> ResponseMetrics:
     The final value is the mean of the last 5% of samples; the trace
     counts as settled only if that whole tail stays within 2% of it.
     """
-    y, dt = tr.y, tr.dt
+    y = tr.y
     k = max(1, int(round(0.05 * len(y))))
     final = float(np.mean(y[-k:]))
     if final <= 0.0:
         raise NotSettled("final value is not positive; metrics undefined")
     band = 0.02 * abs(final)
-    dev = np.subtract(y, final)
-    np.abs(dev, out=dev)
-    if np.any(dev[-k:] > band):
+    if np.any(np.abs(y[-k:] - final) > band):
         raise NotSettled("trace has not settled within its horizon")
+    return _metrics_from_head(y, tr.dt, final, band)
 
+
+def _metrics_from_head(y: np.ndarray, dt: float, final: float,
+                       band: float) -> ResponseMetrics:
+    """Metrics of a settled trace from its first samples ``y``: those
+    must hold the peak and every sample more than ``band`` from
+    ``final``."""
     ipeak = int(np.argmax(y))
     peak = float(y[ipeak])
     overshoot = max(0.0, (peak - final) / final * 100.0)
 
-    # The first out-of-band sample of the reversed trace is the last one
+    # The first out-of-band sample of the reversed head is the last one
     # of the trace; settling is the time of the sample after it.
+    dev = np.subtract(y, final)
+    np.abs(dev, out=dev)
     last = int(np.argmax(dev[::-1] > band))
     settling = float((len(y) - last) * dt) if dev[-1 - last] > band else 0.0
 
@@ -412,3 +476,73 @@ def response_metrics(tr: StepTrace) -> ResponseMetrics:
     return ResponseMetrics(overshoot_pct=overshoot, settling_2pct_s=settling,
                            rise_10_90_s=rise, final_value=final)
 
+
+def _unit_step_measures(g: TransferFunction) -> tuple[ResponseMetrics, float]:
+    """``response_metrics`` and ``ise`` against 1 of the unit-step
+    response of a stable ``g`` on ``step_response``'s default grid,
+    mostly without sampling it.
+
+    With E and c from ``_step_exponential``, count = N + 1 samples and a
+    tail of k: the tail mean is the last entry of the sum of (E^j)^T
+    (c_a e_last^T) E^j over j < k with c_a = (E^(count - k))^T c, since
+    every power of E keeps the last row e_last^T; the ISE's sum of
+    squares is the last diagonal entry of the sum of (E^j)^T c' c'^T E^j
+    over j < count with c' = c - e_last.  Both come from
+    ``_doubling_sum`` over one ladder of E^(2^j).  The peak, settling and
+    crossings are read from a head window of w samples, w from
+    ``_propagate``'s block size doubling, once the modal envelope
+    env(w) = sum |rho_i| e^(Re p_i w dt) of the step residues rho_i =
+    num(p_i) / (p_i den'(p_i)) bounds every later sample: within the
+    band around the tail mean, strictly below the window's peak, and
+    with the tail past the window.  Clustered poles give huge residues
+    and never certify; then, as when no window up to count - k does,
+    the whole trace is measured.
+    """
+    dt, n_steps = _step_grid(g, None, None)
+    e, c = _step_exponential(g, dt, 1.0)
+    count = n_steps + 1
+    k = max(1, int(round(0.05 * count)))
+    head = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ladder = _ladder(e, count)
+        c_tail = _times_power(c.T, ladder, count - k)
+        tail = np.zeros_like(e)
+        tail[:, -1] = c_tail[0]
+        final = float(_doubling_sum(tail, ladder, k)[-1, -1] / k)
+        if final <= 0.0:
+            raise NotSettled("final value is not positive; metrics undefined")
+        band = 0.02 * final
+        poles = np.array(g.den.roots)
+        num, den = np.array(g.num.coeffs), np.array(g.den.coeffs)
+        slope = np.arange(1, len(den)) * den[1:]
+        rho = np.abs(np.polyval(num[::-1], poles)
+                     / (poles * np.polyval(slope[::-1], poles)))
+        y_inf = num[0] / den[0]
+        w = 1 << math.isqrt(n_steps).bit_length()
+        while head is None and w <= count - k:
+            env = float(rho @ np.exp(poles.real * (w * dt)))
+            if env + abs(y_inf - final) < band:
+                y = _propagate(e, c, w - 1)[:, 0]
+                if y_inf + env < y.max():
+                    head = y
+            w *= 2
+    if head is None:
+        trace = _trace(e, c, n_steps, dt, 1.0)
+        return response_metrics(trace), ise(trace, 1.0)
+    err = c.copy()
+    err[-1] -= 1.0
+    sq = _doubling_sum(err @ err.T, ladder, count)[-1, -1]
+    y_end = _times_power(c_tail, ladder, k - 1)[0, -1]
+    ends = (c[-1, 0] - 1.0) ** 2 + (y_end - 1.0) ** 2
+    return (_metrics_from_head(head, dt, final, band),
+            float(dt * (sq - ends / 2.0)))
+
+
+def _times_power(v: np.ndarray, ladder: list[np.ndarray],
+                 count: int) -> np.ndarray:
+    """Rows ``v`` times E^count, from the ladder entries at count's set
+    bits."""
+    for j in range(count.bit_length()):
+        if count >> j & 1:
+            v = v @ ladder[j]
+    return v

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mordrive import sim_analysis
 from mordrive.controller_design import (
     closed_current_loop,
     design_conventional,
@@ -17,10 +18,26 @@ from mordrive.errors import (
     BadOrder,
     NoPositiveGain,
     NoRealGain,
+    NumericError,
     ValidationError,
 )
 from mordrive.mor_engine import ReductionConfig
-from mordrive.poly_tf import Polynomial, dc_gain, is_stable
+from mordrive.poly_tf import (
+    Polynomial,
+    TransferFunction,
+    UNITY,
+    close_loop,
+    dc_gain,
+    is_stable,
+)
+from mordrive.sim_analysis import (
+    DEFAULT_DT_DIVISOR,
+    DEFAULT_HORIZON_FACTOR,
+    characteristic_times,
+    ise,
+    response_metrics,
+    step_response,
+)
 
 
 def _loop_gain(model, kc):
@@ -198,6 +215,116 @@ class TestGainSweep:
         a = sweep_gain(model, 3.0, 6.0, 3)
         b = sweep_gain(model, 3.0, 6.0, 3)
         assert a == b
+
+
+def _nameplate_variants(count):
+    """Derived models of the worked example with its motor constants and
+    PI time constant varied by up to +-6 %."""
+    rng = np.random.default_rng(1206)
+    base = worked_example_params()
+    out = []
+    while len(out) < count:
+        params = dataclasses.replace(base, **{
+            key: getattr(base, key) * math.exp(float(rng.uniform(-0.06, 0.06)))
+            for key in ("ra_ohm", "la_h", "j_kgm2", "bt_nm_per_rad_s",
+                        "kb_v_per_rad_s", "tc_s")})
+        try:
+            out.append(derive_model(params))
+        except ValidationError:
+            continue
+    return out
+
+
+def _outcome(measure, g):
+    """The measured values, or the class of the error that stopped them."""
+    try:
+        return measure(g)
+    except (NumericError, ValidationError) as err:
+        return type(err)
+
+
+def _from_full_trace(g):
+    trace = step_response(g)
+    return response_metrics(trace), ise(trace, 1.0)
+
+
+def _default_steps(g):
+    small, large = characteristic_times(g)
+    return int(round(DEFAULT_HORIZON_FACTOR * large
+                     / (small / DEFAULT_DT_DIVISOR)))
+
+
+def _assert_same_measures(g):
+    """The sweep-point measures of g equal those of its whole trace, or
+    fail with the same error; returns them."""
+    want = _outcome(_from_full_trace, g)
+    got = _outcome(sim_analysis._unit_step_measures, g)
+    if isinstance(want, type):
+        assert got is want
+        return got
+    (m_want, ise_want), (m_got, ise_got) = want, got
+    assert m_got.settling_2pct_s == m_want.settling_2pct_s
+    for field in ("overshoot_pct", "rise_10_90_s", "final_value"):
+        a, b = getattr(m_got, field), getattr(m_want, field)
+        assert abs(a - b) <= max(1e-10 * abs(b), 1e-12), field
+    assert abs(ise_got - ise_want) <= 1e-10 * ise_want
+    return got
+
+
+@pytest.fixture
+def propagate_steps(monkeypatch):
+    """Step counts of every ``sim_analysis._propagate`` call, the
+    recursive ones included."""
+    steps = []
+    propagate = sim_analysis._propagate
+
+    def recording(e, c, n_steps):
+        steps.append(n_steps)
+        return propagate(e, c, n_steps)
+
+    monkeypatch.setattr(sim_analysis, "_propagate", recording)
+    return steps
+
+
+class TestSweepMeasures:
+    """Sweep points are measured from a certified head window and
+    closed-form sums; they must agree with the whole trace."""
+
+    _GAINS = [0.02, 0.1, 1.0, *np.linspace(3.1, 50.0, 15), 300.0]
+
+    def test_matches_whole_trace_on_nameplate_variants(self, model):
+        for m in [model, *_nameplate_variants(6)]:
+            for kc in self._GAINS:
+                _assert_same_measures(closed_current_loop(m, float(kc)))
+
+    @pytest.mark.parametrize("g", [
+        # negative final value
+        TransferFunction.from_coeffs([-1.0], [1.0, 1.0]),
+        # y = 1 - 100 e^-t has not settled within 5 time constants
+        TransferFunction.from_coeffs([1.0, -99.0], [1.0, 1.0]),
+        # a pole spread past the step budget
+        TransferFunction.from_coeffs([1.0], [1.0, 1.0 + 1e-5, 1e-5]),
+    ], ids=["negative final", "not settled", "past budget"])
+    def test_failures_match_whole_trace(self, g):
+        assert isinstance(_outcome(_from_full_trace, g), type)
+        _assert_same_measures(g)
+
+    def test_double_pole_falls_back_to_whole_trace(self, propagate_steps):
+        # unity closure of 100 / (s (s^2 + 102 s + 201)): poles -1, -1, -100
+        closed = close_loop(
+            TransferFunction.from_coeffs([100.0], [0.0, 201.0, 102.0, 1.0]),
+            UNITY)
+        metrics, _ = _assert_same_measures(closed)
+        assert metrics.settling_2pct_s > 0.0
+        assert _default_steps(closed) in propagate_steps
+
+    def test_worked_sweep_reads_no_long_trace(self, model, propagate_steps):
+        for kc in np.linspace(3.1, 50.0, 15):
+            propagate_steps.clear()
+            pt = evaluate_gain(model, float(kc))
+            assert pt.settling_2pct_s is not None
+            n = _default_steps(closed_current_loop(model, float(kc)))
+            assert 0 < max(propagate_steps) <= n / 10
 
 
 class TestClosedLoop:

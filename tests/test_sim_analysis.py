@@ -15,7 +15,9 @@ from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, po
 from mordrive.sim_analysis import (
     MAX_STEP_SAMPLES,
     ResponseMetrics,
+    _doubling_sum,
     _expm,
+    _ladder,
     _scaled_ccf,
     bode,
     characteristic_times,
@@ -347,6 +349,17 @@ class TestStepIse:
         alone = step_ise(bench_loop, (1.0, 0.03), np.array([stable]), horizon)
         assert np.isnan(got[1:]).all()
         assert got[0] == pytest.approx(alone[0], rel=1e-12)
+
+    def test_doubling_sum_matches_term_by_term_sum(self):
+        rng = np.random.default_rng(12)
+        e = 0.3 * rng.normal(size=(3, 4, 4))
+        w = rng.normal(size=(3, 4, 4))
+        want, term = np.zeros_like(w), w
+        for count in range(1, 70):
+            want += term
+            term = e.swapaxes(-1, -2) @ term @ e
+            got = _doubling_sum(w, _ladder(e, count), count)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_kernels_match_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
