@@ -22,22 +22,20 @@ from .errors import (
     ValidationError,
 )
 from .poly_tf import (
+    RESIDUAL_GRID,
     Polynomial,
     StabilityFactorization,
     TransferFunction,
     combine_stability_parts,
     dc_gain,
+    padded_sum,
     poly_eval,
     poly_mul,
     poly_roots,
-    spectral_square,
+    spectral_square_head,
 )
 from .sim_analysis import (DEFAULT_HORIZON_FACTOR, characteristic_times,
                            step_ise)
-
-# Log grid used for the squared-magnitude residual and for picking
-# between candidate numerators: 60 points/decade over 1e-1..1e4 rad/s.
-RESIDUAL_GRID = np.logspace(-1.0, 4.0, 60 * 5 + 1)
 
 _TIE_REL = 1e-9
 _MATCH_CHECK_REL = 1e-9
@@ -136,10 +134,23 @@ def _epsilon(ng_dr: np.ndarray, dg: np.ndarray, nr: np.ndarray) -> float:
     return float(np.max(np.abs(ratio - 1.0)))
 
 
+def _on_grid(p: Polynomial) -> np.ndarray:
+    return poly_eval(p, 1j * RESIDUAL_GRID)
+
+
+def _grid_residual(g: TransferFunction, dr: np.ndarray, n: Polynomial) -> float:
+    """``residual_epsilon(g, n/d)`` on RESIDUAL_GRID, given d's values
+    there; g's come from its cache."""
+    ng, dg = g.on_residual_grid
+    return _epsilon(ng * dr, dg, _on_grid(n))
+
+
 def residual_epsilon(g: TransferFunction, gr: TransferFunction,
                      omega: np.ndarray | None = None) -> float:
     """max over the grid of | |G/Gr|^2 - 1 |."""
-    s = 1j * (RESIDUAL_GRID if omega is None else omega)
+    if omega is None:
+        return _grid_residual(g, _on_grid(gr.den), gr.num)
+    s = 1j * omega
     return _epsilon(poly_eval(g.num, s) * poly_eval(gr.den, s),
                     poly_eval(g.den, s), poly_eval(gr.num, s))
 
@@ -148,9 +159,9 @@ def matched_condition_pairs(g: TransferFunction, d_r: Polynomial,
                             n_r: Polynomial,
                             q: int) -> tuple[tuple[float, float], ...]:
     """Recomputed (L_2x, M_2x) pairs for x = 1..q."""
-    big_l = spectral_square(poly_mul(g.num, d_r))
-    big_m = spectral_square(poly_mul(g.den, n_r))
-    return tuple((big_l.coeff(x), big_m.coeff(x)) for x in range(1, q + 1))
+    big_l = spectral_square_head(poly_mul(g.num, d_r), q)
+    big_m = spectral_square_head(poly_mul(g.den, n_r), q)
+    return tuple(zip(big_l[1:], big_m[1:]))
 
 
 def _check_normalized(p: Polynomial, what: str) -> None:
@@ -158,15 +169,15 @@ def _check_normalized(p: Polynomial, what: str) -> None:
         raise NotNormalized(f"{what} must have unit constant term")
 
 
-def _candidate_numerators(g: TransferFunction, big_l: Polynomial,
+def _candidate_numerators(g: TransferFunction, big_l: tuple[float, ...],
                           q: int) -> list[Polynomial]:
     """All real numerators satisfying the first q matching conditions,
-    given L = spectral_square(g.num d_r)."""
+    given L = spectral_square_head(g.num d_r, q)."""
     b = g.den.coeff
 
     if q == 1:
         # With l = D*(1 + C1 s): M2 = 2 B2 - B1^2 - C1^2.
-        rhs = 2.0 * b(2) - b(1) ** 2 - big_l.coeff(1)
+        rhs = 2.0 * b(2) - b(1) ** 2 - big_l[1]
         if rhs < 0.0:
             raise MatchInfeasible(
                 f"first matching condition needs C1^2 = {rhs:.6e} < 0",
@@ -178,16 +189,16 @@ def _candidate_numerators(g: TransferFunction, big_l: Polynomial,
 
     # q == 2: the first condition gives C2 = (gamma + C1^2)/2; feeding
     # that into the second leaves a quartic in t = C1.  Each l_k below
-    # is written as a polynomial in t.
-    gamma = big_l.coeff(1) - 2.0 * b(2) + b(1) ** 2
-    l1 = Polynomial([b(1), 1.0])
-    l2 = Polynomial([b(2) + gamma / 2.0, b(1), 0.5])
-    l3 = Polynomial([b(3) + b(1) * gamma / 2.0, b(2), b(1) / 2.0])
-    l4 = Polynomial([b(4) + b(2) * gamma / 2.0, b(3), b(2) / 2.0])
-    m4 = l4.scaled(2.0) + poly_mul(l1, l3).scaled(-2.0) + poly_mul(l2, l2)
-    quartic = m4 - Polynomial([big_l.coeff(2)])
+    # is written as an ascending coefficient array in t.
+    gamma = big_l[1] - 2.0 * b(2) + b(1) ** 2
+    l1 = [b(1), 1.0]
+    l2 = [b(2) + gamma / 2.0, b(1), 0.5]
+    l3 = [b(3) + b(1) * gamma / 2.0, b(2), b(1) / 2.0]
+    l4 = np.array([b(4) + b(2) * gamma / 2.0, b(3), b(2) / 2.0])
+    m4 = padded_sum(padded_sum(2.0 * l4, -2.0 * np.convolve(l1, l3)),
+                    np.convolve(l2, l2))
     out: list[Polynomial] = []
-    for root in poly_roots(quartic):
+    for root in poly_roots(Polynomial(padded_sum(m4, [-big_l[2]]))):
         if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
             continue
         t = root.real
@@ -208,12 +219,13 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
     residual over the standard grid wins; ties go to coefficients
     whose signs match the original numerator.
     """
-    return _match(g, d_r, q)[0]
+    return _match(g, d_r, q, _on_grid(d_r))[0]
 
 
-def _match(g: TransferFunction, d_r: Polynomial, q: int
+def _match(g: TransferFunction, d_r: Polynomial, q: int, dr: np.ndarray
            ) -> tuple[Polynomial, tuple[tuple[float, float], ...]]:
-    """``match_numerator`` plus the winner's matched condition pairs."""
+    """``match_numerator`` plus the winner's matched condition pairs,
+    given d_r's values on RESIDUAL_GRID."""
     _check_normalized(g.num, "numerator")
     _check_normalized(g.den, "denominator")
     _check_normalized(d_r, "reduced denominator")
@@ -224,17 +236,15 @@ def _match(g: TransferFunction, d_r: Polynomial, q: int
     if q > 2:
         raise Unsupported("numerator orders above 2 are not supported")
 
-    big_l = spectral_square(poly_mul(g.num, d_r))
-    s = 1j * RESIDUAL_GRID
-    ng_dr, dg = poly_eval(g.num, s) * poly_eval(d_r, s), poly_eval(g.den, s)
+    big_l = spectral_square_head(poly_mul(g.num, d_r), q)
     candidates = []
     for n_r in _candidate_numerators(g, big_l, q):
-        big_m = spectral_square(poly_mul(g.den, n_r))
-        pairs = tuple((big_l.coeff(x), big_m.coeff(x)) for x in range(1, q + 1))
+        big_m = spectral_square_head(poly_mul(g.den, n_r), q)
+        pairs = tuple(zip(big_l[1:], big_m[1:]))
         if any(abs(lv - mv) > _MATCH_CHECK_REL * (1.0 + abs(lv))
                for lv, mv in pairs):
             continue
-        candidates.append((_epsilon(ng_dr, dg, poly_eval(n_r, s)), n_r, pairs))
+        candidates.append((_grid_residual(g, dr, n_r), n_r, pairs))
     if not candidates:
         raise MatchInfeasible("no candidate satisfied the matching re-check")
 
@@ -294,7 +304,8 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
         raise BadOrder(f"reduced order must satisfy 1 <= r <= {den_hat.degree}")
     d_r = (den_hat if cfg.target_order == den_hat.degree
            else reduce_denominator(den_hat, cfg.target_order))
-    n_r, pairs = _match(g_hat, d_r, cfg.q)
+    dr = _on_grid(d_r)
+    n_r, pairs = _match(g_hat, d_r, cfg.q, dr)
 
     chosen_n: float | None = None
     notes: tuple[str, ...] = ()
@@ -306,7 +317,10 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
         chosen_n, d_final, notes = _auto_adjust(g, k, n_r, d_r, cfg)
 
     reduced = TransferFunction(n_r.scaled(k), d_final)
-    eps = residual_epsilon(g, reduced)
+    # residual_epsilon(g, reduced), reusing d_r's values when unadjusted;
+    # the reduced model caches nothing, so results stay small
+    eps = _grid_residual(g, dr if d_final is d_r else _on_grid(d_final),
+                         reduced.num)
     return ReductionResult(reduced=reduced, factorization=fact,
                            matched_conditions=pairs, residual_epsilon=eps,
                            chosen_n=chosen_n, warnings=notes)

@@ -4,8 +4,9 @@ Coefficients are stored in ascending powers of s everywhere in this
 package: ``coeffs[i]`` multiplies ``s**i``.  All values are immutable
 after construction and every operation is a pure function, so the types
 are safe to share between threads.  ``Polynomial.roots``,
-``Polynomial.factorization`` and ``TransferFunction.dc_normalized`` are
-pure caches filled on first use, so a race at worst computes one twice.
+``Polynomial.factorization``, ``TransferFunction.dc_normalized`` and
+``TransferFunction.on_residual_grid`` are pure caches filled on first
+use, so a race at worst computes one twice.
 """
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ _ROOT_RESIDUAL_REL = 1e-10
 # Imaginary parts below this (relative) size count as zero when a real
 # root is required.
 _REAL_IMAG_TOL = 1e-8
+
+# Log grid used for the squared-magnitude residual and for picking
+# between candidate numerators: 60 points/decade over 1e-1..1e4 rad/s.
+RESIDUAL_GRID = np.logspace(-1.0, 4.0, 60 * 5 + 1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,15 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    n = max(len(a.coeffs), len(b.coeffs))
-    return Polynomial([a.coeff(i) + b.coeff(i) for i in range(n)])
+    return Polynomial(padded_sum(a.coeffs, b.coeffs))
+
+
+def padded_sum(a: Sequence[float], b: Sequence[float]) -> list[float]:
+    """Ascending coefficient sequences added term by term, the shorter
+    one padded with zeros: ``poly_add`` on plain sequences."""
+    na, nb = len(a), len(b)
+    return [(a[i] if i < na else 0.0) + (b[i] if i < nb else 0.0)
+            for i in range(max(na, nb))]
 
 
 def poly_eval(p: Polynomial, s: complex | np.ndarray) -> complex | np.ndarray:
@@ -116,8 +128,10 @@ def poly_roots(p: Polynomial) -> list[complex]:
 
     Every root of the returned multiset satisfies
     ``|p(root)| <= max(1e-10 * max|coeff|, 4 n eps sum|c_i||root|^i)``;
-    otherwise ``NonConvergence`` is raised.  Roots are sorted by
-    ascending (real, imag).
+    otherwise ``NonConvergence`` is raised.  A companion root over that
+    bound gets one Newton step, kept only if its residual is finite and
+    smaller; roots within the bound are returned as NumPy found them.
+    Roots are sorted by ascending (real, imag).
     """
     if p.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
@@ -128,6 +142,11 @@ def poly_roots(p: Polynomial) -> list[complex]:
     # indistinguishable from zero in double precision.
     bound = _ROOT_RESIDUAL_REL * float(np.max(np.abs(orig)))
     eps = np.finfo(float).eps
+
+    def limit_at(z: np.ndarray) -> np.ndarray:
+        return np.maximum(
+            bound, 4.0 * n * eps * np.polyval(np.abs(orig[::-1]), np.abs(z)))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             z = np.roots(orig[::-1])
@@ -135,12 +154,27 @@ def poly_roots(p: Polynomial) -> list[complex]:
             raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
         if not np.all(np.isfinite(z)):
             raise NonConvergence("companion eigenvalues are non-finite")
-        residual = np.abs(poly_eval(p, z))
-        floor = 4.0 * n * eps * np.polyval(np.abs(orig[::-1]), np.abs(z))
-    limit = np.maximum(bound, floor)
-    for res, lim in zip(residual, limit):
-        if res > lim:
-            raise NonConvergence(f"root residual {res:.3e} exceeds {lim:.3e}")
+        pz = poly_eval(p, z)
+        residual = np.abs(pz)
+        limit = limit_at(z)
+        over = residual > limit
+        if over.any():
+            # Companion roots of polynomials whose coefficients span many
+            # decades can miss the bound by a small factor.  A Newton step
+            # can diverge at a multiple root, so it is kept per root only
+            # where it lowers the residual.
+            z = z.astype(complex)
+            newton = z[over] - pz[over] / np.polyval(np.polyder(orig[::-1]), z[over])
+            res_newton = np.abs(poly_eval(p, newton))
+            keep = np.isfinite(res_newton) & (res_newton < residual[over])
+            z[over] = np.where(keep, newton, z[over])
+            residual[over] = np.where(keep, res_newton, residual[over])
+            limit[over] = limit_at(z[over])
+            over = residual > limit
+            if over.any():
+                i = int(np.argmax(over))
+                raise NonConvergence(
+                    f"root residual {residual[i]:.3e} exceeds {limit[i]:.3e}")
     roots = [complex(r) for r in z]
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots
@@ -223,13 +257,13 @@ def combine_stability_parts(e0: float, e1: float,
                             z_sq: Sequence[float],
                             p_sq: Sequence[float]) -> Polynomial:
     """Rebuild ``e0*prod(1+s^2/z^2) + e1*s*prod(1+s^2/p^2)``."""
-    even = Polynomial([e0])
+    even = np.array([e0], dtype=float)
     for z2 in z_sq:
-        even = even * Polynomial([1.0, 0.0, 1.0 / z2])
-    odd = Polynomial([0.0, e1])
+        even = np.convolve(even, [1.0, 0.0, 1.0 / z2])
+    odd = np.array([0.0, e1])
     for p2 in p_sq:
-        odd = odd * Polynomial([1.0, 0.0, 1.0 / p2])
-    return even + odd
+        odd = np.convolve(odd, [1.0, 0.0, 1.0 / p2])
+    return Polynomial(padded_sum(even, odd))
 
 
 def spectral_square(p: Polynomial) -> Polynomial:
@@ -240,17 +274,26 @@ def spectral_square(p: Polynomial) -> Polynomial:
     ``s**(2x)``, built from the closed-form sum
     ``sum_i (-1)^i 2 m_i m_{2x-i} + (-1)^x m_x^2``.
     """
+    return Polynomial(spectral_square_head(p, p.degree))
+
+
+def spectral_square_head(p: Polynomial, q: int) -> tuple[float, ...]:
+    """``spectral_square(p).coeff(x)`` for x = 0..q, computed alone.
+
+    Each coefficient costs O(x), so the q + 1 leading ones that
+    numerator matching reads cost O(q^2) instead of O(deg(p)^2).  Past
+    the degree of p every sum is +0.0, as ``coeff`` gives there.
+    """
     if p.coeffs[0] != 1.0:
         raise NotNormalized("spectral square expects unit constant term")
     m = p.coeff
-    u = p.degree
     out = [1.0]
-    for x in range(1, u + 1):
+    for x in range(1, q + 1):
         acc = (-1.0) ** x * m(x) ** 2
         for i in range(x):
             acc += (-1.0) ** i * 2.0 * m(i) * m(2 * x - i)
         out.append(acc)
-    return Polynomial(out)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -287,6 +330,17 @@ class TransferFunction:
                 "numerator constant term is zero; DC normalization impossible")
         return TransferFunction(Polynomial([c / n0 for c in self.num.coeffs]),
                                 Polynomial([c / d0 for c in self.den.coeffs]))
+
+    @functools.cached_property
+    def on_residual_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """num and den at s = 1j * RESIDUAL_GRID, read-only and kept like
+        ``dc_normalized``, so a model reduced to several orders is
+        evaluated there once."""
+        s = 1j * RESIDUAL_GRID
+        out = poly_eval(self.num, s), poly_eval(self.den, s)
+        for values in out:
+            values.flags.writeable = False
+        return out
 
 
 def close_loop(g: TransferFunction, h: TransferFunction) -> TransferFunction:

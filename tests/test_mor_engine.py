@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -329,16 +330,44 @@ class TestFactorizationReuse:
 
     @pytest.fixture()
     def squared(self, monkeypatch):
-        """Polynomials handed to mor_engine.spectral_square while the test runs."""
+        """(polynomial, q) handed to mor_engine.spectral_square_head while
+        the test runs."""
         seen = []
-        spectral_square = mor_engine.spectral_square
+        spectral_square_head = mor_engine.spectral_square_head
 
-        def recording(p):
-            seen.append(p)
-            return spectral_square(p)
+        def recording(p, q):
+            seen.append((p, q))
+            return spectral_square_head(p, q)
 
-        monkeypatch.setattr(mor_engine, "spectral_square", recording)
+        monkeypatch.setattr(mor_engine, "spectral_square_head", recording)
         return seen
+
+    @pytest.fixture()
+    def evaluated(self, monkeypatch):
+        """Polynomials handed to poly_eval while the test runs."""
+        seen = []
+        poly_eval = poly_tf.poly_eval
+
+        def recording(p, s):
+            seen.append(p)
+            return poly_eval(p, s)
+
+        for module in (poly_tf, mor_engine):
+            monkeypatch.setattr(module, "poly_eval", recording)
+        return seen
+
+    @staticmethod
+    def _sweep_orders(g: TransferFunction) -> list:
+        """Unadjusted reductions of ``g`` at every r < n and q < min(r, 3)."""
+        out = []
+        for r in range(1, g.den.degree):
+            for q in range(min(r, 3)):
+                try:
+                    out.append(reduce(g, ReductionConfig(target_order=r,
+                                                         numerator_order=q)))
+                except MatchInfeasible:
+                    continue
+        return out
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_one_reduce_builds_each_intermediate_once(self, bench_loop, q,
@@ -349,22 +378,31 @@ class TestFactorizationReuse:
         assert factored == [g.den]
         # unadjusted, so the reduced denominator is d_r itself
         big_l = poly_mul(g.num, res.reduced.den)
-        assert [p for p in squared if p == big_l] == [big_l]
+        assert [p for p, _ in squared if p == big_l] == [big_l]
+        # only the q matched coefficients of each square are built
+        assert {n for _, n in squared} == {q}
 
     def test_sweep_over_orders_factors_once(self, factored):
         rng = np.random.default_rng(8)
         g = TransferFunction(Polynomial([2.0, 0.3]),
                              _random_stable_den(rng, 7).scaled(3.0))
-        done = 0
-        for r in range(1, g.den.degree):
-            for q in range(min(r, 3)):
-                try:
-                    reduce(g, ReductionConfig(target_order=r, numerator_order=q))
-                except MatchInfeasible:
-                    continue
-                done += 1
-        assert done > 10
+        assert len(self._sweep_orders(g)) > 10
         assert len(factored) == 1
+
+    def test_sweep_over_orders_evaluates_on_grid_once(self, evaluated):
+        rng = np.random.default_rng(8)
+        g = TransferFunction(Polynomial([2.0, 0.3]),
+                             _random_stable_den(rng, 7).scaled(3.0))
+        done = self._sweep_orders(g)
+        assert len(done) > 10
+        g_hat = g.dc_normalized
+        # the model's num and den, as given and DC-normalized, once each
+        for p in (g.num, g.den, g_hat.num, g_hat.den):
+            assert sum(1 for e in evaluated if e is p) == 1
+        # each unadjusted reduced denominator once: matching and the
+        # final residual share its values
+        for res in done:
+            assert sum(1 for e in evaluated if e is res.reduced.den) == 1
 
     def test_constant_numerator_builds_no_spectral_square(self, bench_loop,
                                                          squared):
@@ -481,6 +519,25 @@ class TestReduceProperties:
             eps0 = residual_epsilon(g, res.reduced,
                                     np.array([RESIDUAL_GRID[0]]))
             assert eps0 <= 1e-6
+
+    def test_stiff_hurwitz_models_reduce(self):
+        # Damped quadratic factors with natural frequencies spread over
+        # 1..1e6 rad/s: the even and odd parts' coefficients in s^2 span
+        # up to ~60 decades, and their companion roots can miss the
+        # residual bound by a small factor until poly_roots polishes them.
+        rng = np.random.default_rng(20261018)
+        for deg in (14, 16, 20):
+            for _ in range(40):
+                wn = np.exp(rng.uniform(0.0, math.log(1e6), size=deg // 2))
+                wn[0], wn[-1] = 1.0, 1e6
+                zeta = rng.uniform(0.05, 0.95, size=deg // 2)
+                den = Polynomial([1.0])
+                for w, z in zip(wn, zeta):
+                    den = poly_mul(den, Polynomial([1.0, 2.0 * z / w, 1.0 / w ** 2]))
+                g = TransferFunction(Polynomial([1.0, 0.1]), den)
+                res = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
+                assert res.reduced.den.degree == 2
+                assert dc_gain(res.reduced) == dc_gain(g)
 
 
 class TestReductionConfig:

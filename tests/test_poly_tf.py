@@ -26,7 +26,13 @@ from mordrive.poly_tf import (
     poly_mul,
     poly_roots,
     spectral_square,
+    spectral_square_head,
 )
+
+
+def _bits(values) -> list[str]:
+    """Exact bit patterns, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
 
 
 def _match_roots(got, expected, rel=1e-8):
@@ -113,6 +119,19 @@ class TestPolyRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValidationError):
             poly_roots(Polynomial([3.0]))
+
+    def test_roots_within_bound_are_numpys(self):
+        # only roots over the residual bound are polished; the rest are
+        # the companion eigenvalues bit for bit
+        rng = np.random.default_rng(5150)
+        for _ in range(60):
+            coeffs = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 12)))
+            p = Polynomial(coeffs.tolist())
+            want = sorted((complex(r) for r in np.roots(coeffs[::-1])),
+                          key=lambda r: (r.real, r.imag))
+            got = poly_roots(p)
+            assert _bits(r.real for r in got) == _bits(r.real for r in want)
+            assert _bits(r.imag for r in got) == _bits(r.imag for r in want)
 
     def test_round_trip_property(self):
         # coefficients from numpy, roots from the finder under test
@@ -265,6 +284,27 @@ class TestEvenOddFactor:
                 assert c_out == pytest.approx(c_in, rel=1e-8)
             checked += 1
 
+    def test_recombination_matches_polynomial_chain_bitwise(self):
+        def reference(e0, e1, z_sq, p_sq):
+            even = Polynomial([e0])
+            for z2 in z_sq:
+                even = poly_mul(even, Polynomial([1.0, 0.0, 1.0 / z2]))
+            odd = Polynomial([0.0, e1])
+            for p2 in p_sq:
+                odd = poly_mul(odd, Polynomial([1.0, 0.0, 1.0 / p2]))
+            n = max(even.degree, odd.degree) + 1
+            return Polynomial([even.coeff(i) + odd.coeff(i) for i in range(n)])
+
+        rng = np.random.default_rng(6061)
+        for _ in range(200):
+            k = int(rng.integers(0, 8))
+            e0, e1 = rng.uniform(0.1, 10.0, size=2) * rng.choice([-1.0, 1.0])
+            z_sq = tuple(10.0 ** rng.uniform(-3.0, 6.0, size=k + int(rng.integers(0, 2))))
+            p_sq = tuple(10.0 ** rng.uniform(-3.0, 6.0, size=k))
+            got = combine_stability_parts(float(e0), float(e1), z_sq, p_sq)
+            want = reference(float(e0), float(e1), z_sq, p_sq)
+            assert _bits(got.coeffs) == _bits(want.coeffs)
+
 
 class TestSpectralSquare:
     def test_quadratic_closed_form(self):
@@ -282,6 +322,32 @@ class TestSpectralSquare:
     def test_requires_unit_constant(self):
         with pytest.raises(NotNormalized):
             spectral_square(Polynomial([2.0, 1.0]))
+
+    def test_head_is_leading_coefficients_bitwise(self):
+        def reference(p):
+            # the closed-form sum over every x, coefficient by coefficient
+            m, u = p.coeff, p.degree
+            out = [1.0]
+            for x in range(1, u + 1):
+                acc = (-1.0) ** x * m(x) ** 2
+                for i in range(x):
+                    acc += (-1.0) ** i * 2.0 * m(i) * m(2 * x - i)
+                out.append(acc)
+            return tuple(out)
+
+        rng = np.random.default_rng(3301)
+        for _ in range(80):
+            deg = int(rng.integers(1, 13))
+            p = Polynomial([1.0] + (rng.uniform(-1.0, 1.0, size=deg)
+                                    * 10.0 ** rng.uniform(-4.0, 2.0, size=deg)
+                                    ).tolist())
+            full = reference(p)
+            assert _bits(spectral_square(p).coeffs) == _bits(full)
+            for q in range(deg + 1):
+                assert _bits(spectral_square_head(p, q)) == _bits(full[:q + 1])
+            # past the degree, zeros as spectral_square(p).coeff gives them
+            assert (_bits(spectral_square_head(p, deg + 2))
+                    == _bits(full + (0.0, 0.0)))
 
     def test_matches_squared_magnitude_property(self):
         rng = np.random.default_rng(8452)
