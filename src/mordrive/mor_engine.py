@@ -126,33 +126,24 @@ def _adjusted(coeffs: tuple[float, ...], n: float | np.ndarray) -> np.ndarray:
     return rows
 
 
-def _epsilon(ng_dr: np.ndarray, dg: np.ndarray, nr: np.ndarray) -> float:
-    """max | |(N_g D_r) / (D_g N_r)|^2 - 1 | from grid values; the complex
-    ratio is formed first, so no factor is squared on its own and overflows."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(ng_dr / (dg * nr)) ** 2
-    return float(np.max(np.abs(ratio - 1.0)))
-
-
 def _on_grid(p: Polynomial) -> np.ndarray:
     return poly_eval(p, 1j * RESIDUAL_GRID)
 
 
 def _grid_residual(g: TransferFunction, dr: np.ndarray, n: Polynomial) -> float:
-    """``residual_epsilon(g, n/d)`` on RESIDUAL_GRID, given d's values
-    there; g's come from its cache."""
+    """``residual_epsilon(g, n/d)``, given d's values on RESIDUAL_GRID; g's
+    come from its cache.  The complex ratio (N_g D_r) / (D_g N_r) is
+    formed first, so no factor is squared on its own and overflows."""
     ng, dg = g.on_residual_grid
-    return _epsilon(ng * dr, dg, _on_grid(n))
+    ng_dr, nr = ng * dr, _on_grid(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(ng_dr / (dg * nr)) ** 2
+    return float(np.max(np.abs(ratio - 1.0)))
 
 
-def residual_epsilon(g: TransferFunction, gr: TransferFunction,
-                     omega: np.ndarray | None = None) -> float:
-    """max over the grid of | |G/Gr|^2 - 1 |."""
-    if omega is None:
-        return _grid_residual(g, _on_grid(gr.den), gr.num)
-    s = 1j * omega
-    return _epsilon(poly_eval(g.num, s) * poly_eval(gr.den, s),
-                    poly_eval(g.den, s), poly_eval(gr.num, s))
+def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
+    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |."""
+    return _grid_residual(g, _on_grid(gr.den), gr.num)
 
 
 def matched_condition_pairs(g: TransferFunction, d_r: Polynomial,

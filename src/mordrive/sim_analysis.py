@@ -1,27 +1,27 @@
 """Time- and frequency-domain evaluation of transfer functions.
 
 Step responses are exact samples, to rounding, of a pole-scaled
-controllable-canonical realization under a step input; Bode traces
+controllable-canonical realization under a unit step; Bode traces
 evaluate the rational function directly on a log grid.
 
 The one-step update is one matrix exponential, E = [[M, v], [0, 1]] =
-e^([[A, b u], [0, 0]] dt) (Van Loan 1978), on the state with a constant
-1 appended, and E itself is propagated: sample k is (c, d u) E^k e_last.
+e^([[A, b], [0, 0]] dt) (Van Loan 1978), on the state with a constant
+1 appended, and E itself is propagated: sample k is (c, d) E^k e_last.
 E's last row is set to exactly (0, ..., 0, 1), since as computed it is
 off by rounding and that error would grow with k.  The N steps are cut
-into blocks of about sqrt(N): the rows (c, d u) E^j within a block come
-from doubling, the block starts from the same routine on E raised to a
-whole block, and all outputs from one 2-D product written straight into
-the trace's one output buffer, so no state is kept per step.  A trace
-stores no time grid: its samples sit at k dt, and metrics and ISE work
-from the index and dt.
+into blocks of about sqrt(N): the rows (c, d) E^j within a block come
+from doubling over one ladder of E^(2^j), the block starts from the
+same routine on the ladder's tail, E^B's own ladder, and all outputs
+from one 2-D product written straight into the trace's one output
+buffer, so no state is kept per step.  A trace stores no time grid: its
+samples sit at k dt, and metrics and ISE work from the index and dt.
 
 A gain-sweep point needs no whole trace: the final value and the ISE
 against 1 are sums over all k of terms in E^k, which doubling (Smith
-1968) over a ladder of E^(2^j) gives in closed form, and the peak,
-settling and crossings are read from the first few hundred to thousand
-samples once the poles' modal envelope shows that no later sample
-changes them.  ``step_ise`` needs no time grid either: the exact
+1968) over the same ladder gives in closed form, and the peak, settling
+and crossings are read from the first few hundred to thousand samples
+once the poles' modal envelope shows that no later sample changes
+them.  ``step_ise`` needs no time grid either: the exact
 step-error ISE over a finite horizon is a Gramian of the error system,
 from the same exponential applied to Van Loan's block matrix and
 doubled up to the horizon, for a whole stack of candidate models at
@@ -67,7 +67,6 @@ class StepTrace:
 
     y: np.ndarray
     dt: float
-    input_amplitude: float
 
     @functools.cached_property
     def t(self) -> np.ndarray:
@@ -102,7 +101,8 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
     horizons.
     """
     if g.den.degree < 1:
-        raise ValidationError("static system has no time constants")
+        raise ValidationError("static system has no time constants; pass "
+                              "t_final and dt explicitly")
     poles = g.den.roots
     fastest = max(abs(p) for p in poles)
     slowest_decay = min(-p.real for p in poles)
@@ -189,42 +189,42 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
             poles)
 
 
-def _propagate(e: np.ndarray, c: np.ndarray, n_steps: int) -> np.ndarray:
+def _propagate(ladder: list[np.ndarray], c: np.ndarray,
+               n_steps: int) -> np.ndarray:
     """Outputs c^T E^k e_last, k = 0..n_steps, as an (n_steps + 1, p) view
-    of one buffer; ``c`` is (dim, p).
+    of one buffer; ``c`` is (dim, p) and ``ladder`` is ``_ladder(E,
+    n_steps + 1)`` or longer.
 
-    ``e`` is an augmented exponential [[M, v], [0, 1]] whose last row is
+    E is an augmented exponential [[M, v], [0, 1]] whose last row is
     exactly (0, ..., 0, 1), so E^k e_last is x_k of x+ = M x + v from x_0
     = 0 with a constant 1 appended, and c's last row weights that 1: no
-    offset row or offset recurrence is needed.  The block size B is the
-    power of two >= sqrt(n_steps + 1).  The rows c^T E^j, j < B, come
-    from log2 B doublings, each the rows so far times E^h and then E^h
-    squared, all 2-D products; the block starts E^(iB) e_last from a call
-    on (E^B, I); and output iB + j from one product of the starts against
-    those rows.
+    offset row or offset recurrence is needed.  The block size B = 2^b is
+    the power of two >= sqrt(n_steps + 1).  The rows c^T E^j, j < B, come
+    from b doublings, each the rows so far times E^(2^j), all 2-D
+    products; the block starts E^(iB) e_last from a call on (E^B's
+    ladder, ``ladder[b:]``, I); and output iB + j from one product of the
+    starts against those rows.
     """
     if n_steps == 0:
         return c[-1:]
     dim, p = c.shape
-    block = 1 << math.isqrt(n_steps).bit_length()
+    bits = math.isqrt(n_steps).bit_length()
+    block = 1 << bits
     n_blocks = n_steps // block + 1
     rows = np.empty((block * p, dim))
     rows[:p] = c.T
-    h = 1
-    while h < block:
-        np.matmul(rows[:h * p], e, out=rows[h * p:2 * h * p])
-        e = e @ e
-        h *= 2
-    starts = _propagate(e, np.eye(dim), n_blocks - 1)
+    for j in range(bits):
+        h = p << j
+        np.matmul(rows[:h], ladder[j], out=rows[h:2 * h])
+    starts = _propagate(ladder[bits:], np.eye(dim), n_blocks - 1)
     out = np.empty((n_blocks * block, p))
     np.matmul(starts, rows.T, out=out.reshape(n_blocks, block * p))
     return out[:n_steps + 1]
 
 
 def step_response(g: TransferFunction, t_final: float | None = None,
-                  dt: float | None = None,
-                  amplitude: float = 1.0) -> StepTrace:
-    """Step response on a uniform grid starting at t = 0.
+                  dt: float | None = None) -> StepTrace:
+    """Unit-step response on a uniform grid starting at t = 0.
 
     The samples are exact to rounding whatever ``dt`` is, so ``dt`` sets
     the resolution only.  Defaults: ``dt`` = smallest time constant / 20
@@ -236,18 +236,19 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     non-finite samples raise ``SimulationDiverged``.
     """
     dt, n_steps = _step_grid(g, t_final, dt)
-    e, c = _step_exponential(g, dt, amplitude)
-    return _trace(e, c, n_steps, dt, amplitude)
+    e, c = _step_exponential(g, dt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = _propagate(_ladder(e, n_steps + 1), c, n_steps)[:, 0]
+    _check_finite(y)
+    return StepTrace(y=y, dt=dt)
 
 
 def _step_grid(g: TransferFunction, t_final: float | None,
                dt: float | None) -> tuple[float, int]:
     """(dt, number of steps) of ``step_response``'s grid, defaults filled
     in and the sample budget enforced."""
-    if g.den.degree >= 1 and (t_final is None or dt is None):
+    if t_final is None or dt is None:
         tc_small, tc_large = characteristic_times(g)
-    elif t_final is None or dt is None:
-        raise ValidationError("static system needs explicit t_final and dt")
 
     if dt is None:
         dt = tc_small / DEFAULT_DT_DIVISOR
@@ -266,36 +267,29 @@ def _step_grid(g: TransferFunction, t_final: float | None,
     return dt, int(round(steps))
 
 
-def _step_exponential(g: TransferFunction, dt: float,
-                      amplitude: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E, c): the augmented one-step exponential of g under a step of
-    ``amplitude`` and the (n + 1, 1) output column, sample k = c^T E^k
-    e_last."""
+def _step_exponential(g: TransferFunction,
+                      dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, c): the augmented one-step exponential of g under a unit step
+    and the (n + 1, 1) output column, sample k = c^T E^k e_last."""
     n = g.den.degree
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs),
                                     np.array(g.den.coeffs),
                                     g.den.roots if n else ())
         aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n], aug[:n, n] = a * dt, b * (amplitude * dt)
+        aug[:n, :n], aug[:n, n] = a * dt, b * dt
         e = _expm(aug)
     # The last row is (0, ..., 0, 1) only to rounding; pinned exactly,
     # so that the constant input does not drift over the steps.
     e[n, :n], e[n, n] = 0.0, 1.0
-    return e, np.append(c, d * amplitude)[:, None]
+    return e, np.append(c, d)[:, None]
 
 
-def _trace(e: np.ndarray, c: np.ndarray, n_steps: int, dt: float,
-           amplitude: float) -> StepTrace:
-    """The whole trace of samples 0..n_steps; non-finite samples raise
-    ``SimulationDiverged``."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = _propagate(e, c, n_steps)[:, 0]
-    # min and max carry any NaN through, so these two passes see every
-    # non-finite sample.
+def _check_finite(y: np.ndarray) -> None:
+    """Raise ``SimulationDiverged`` if any sample is not finite; min and
+    max carry any NaN through, so their two passes see every one."""
     if not (math.isfinite(y.min()) and math.isfinite(y.max())):
         raise SimulationDiverged("step response produced non-finite samples")
-    return StepTrace(y=y, dt=dt, input_amplitude=amplitude)
 
 
 def bode(g: TransferFunction, omega_min: float, omega_max: float,
@@ -488,18 +482,19 @@ def _unit_step_measures(g: TransferFunction) -> tuple[ResponseMetrics, float]:
     every power of E keeps the last row e_last^T; the ISE's sum of
     squares is the last diagonal entry of the sum of (E^j)^T c' c'^T E^j
     over j < count with c' = c - e_last.  Both come from
-    ``_doubling_sum`` over one ladder of E^(2^j).  The peak, settling and
-    crossings are read from a head window of w samples, w from
-    ``_propagate``'s block size doubling, once the modal envelope
-    env(w) = sum |rho_i| e^(Re p_i w dt) of the step residues rho_i =
-    num(p_i) / (p_i den'(p_i)) bounds every later sample: within the
-    band around the tail mean, strictly below the window's peak, and
-    with the tail past the window.  Clustered poles give huge residues
-    and never certify; then, as when no window up to count - k does,
-    the whole trace is measured.
+    ``_doubling_sum`` over one ladder of E^(2^j), which also feeds every
+    ``_propagate`` call.  The peak, settling and crossings are read from
+    a head window of w samples, w from ``_propagate``'s block size
+    doubling, once the modal envelope env(w) = sum |rho_i| e^(Re p_i w
+    dt) of the step residues rho_i = num(p_i) / (p_i den'(p_i)) bounds
+    every later sample: within the band around the tail mean, strictly
+    below the window's peak, and with the tail past the window.
+    Clustered poles give huge residues and never certify; then, as when
+    no window up to count - k does, the head is the whole trace, whose
+    tail must stay in the band.
     """
     dt, n_steps = _step_grid(g, None, None)
-    e, c = _step_exponential(g, dt, 1.0)
+    e, c = _step_exponential(g, dt)
     count = n_steps + 1
     k = max(1, int(round(0.05 * count)))
     head = None
@@ -522,13 +517,15 @@ def _unit_step_measures(g: TransferFunction) -> tuple[ResponseMetrics, float]:
         while head is None and w <= count - k:
             env = float(rho @ np.exp(poles.real * (w * dt)))
             if env + abs(y_inf - final) < band:
-                y = _propagate(e, c, w - 1)[:, 0]
+                y = _propagate(ladder, c, w - 1)[:, 0]
                 if y_inf + env < y.max():
                     head = y
             w *= 2
-    if head is None:
-        trace = _trace(e, c, n_steps, dt, 1.0)
-        return response_metrics(trace), ise(trace, 1.0)
+        if head is None:
+            head = _propagate(ladder, c, n_steps)[:, 0]
+            _check_finite(head)
+            if not np.all(np.abs(head[-k:] - final) <= band):
+                raise NotSettled("trace has not settled within its horizon")
     err = c.copy()
     err[-1] -= 1.0
     sq = _doubling_sum(err @ err.T, ladder, count)[-1, -1]

@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mordrive
 from mordrive.cli import main, read_tf_file
 from mordrive.drive_model import worked_example_params
 from mordrive.errors import NoPositiveGain
@@ -368,3 +372,33 @@ class TestRobustness:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+_IMPORT_CHECK = """
+import sys
+import mordrive.cli
+from mordrive import (ReductionConfig, TransferFunction, bode, derive_model,
+                      reduce, step_response, sweep_gain,
+                      worked_example_params)
+sweep_gain(derive_model(worked_example_params()), 3.1, 50.0, 3)
+loop = TransferFunction.from_coeffs([1.0, 0.03],
+                                    [1.0, 0.12988, 0.00241749, 3.0914208e-06])
+reduce(loop, ReductionConfig(target_order=2, numerator_order=1,
+                             adjust_mode="auto"))
+step_response(loop)
+bode(loop, 0.1, 1e4)
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "mpmath")
+             or m.startswith(("numpy.polynomial", "numpy.random"))))
+"""
+
+
+def test_commands_load_numpy_core_only():
+    # NumPy is the only dependency, and each import of a heavier module
+    # adds to every CLI process's start-up
+    src = str(Path(mordrive.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

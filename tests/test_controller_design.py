@@ -273,17 +273,26 @@ def _assert_same_measures(g):
 
 @pytest.fixture
 def propagate_steps(monkeypatch):
-    """Step counts of every ``sim_analysis._propagate`` call, the
+    """(ladder, c, n_steps) of every ``sim_analysis._propagate`` call, the
     recursive ones included."""
-    steps = []
+    calls = []
     propagate = sim_analysis._propagate
 
-    def recording(e, c, n_steps):
-        steps.append(n_steps)
-        return propagate(e, c, n_steps)
+    def recording(ladder, c, n_steps):
+        calls.append((ladder, c, n_steps))
+        return propagate(ladder, c, n_steps)
 
     monkeypatch.setattr(sim_analysis, "_propagate", recording)
-    return steps
+    return calls
+
+
+def _steps(calls):
+    return [n_steps for _, _, n_steps in calls]
+
+
+# unity closure of 100 / (s (s^2 + 102 s + 201)): poles -1, -1, -100
+_DOUBLE_POLE = close_loop(
+    TransferFunction.from_coeffs([100.0], [0.0, 201.0, 102.0, 1.0]), UNITY)
 
 
 class TestSweepMeasures:
@@ -310,13 +319,9 @@ class TestSweepMeasures:
         _assert_same_measures(g)
 
     def test_double_pole_falls_back_to_whole_trace(self, propagate_steps):
-        # unity closure of 100 / (s (s^2 + 102 s + 201)): poles -1, -1, -100
-        closed = close_loop(
-            TransferFunction.from_coeffs([100.0], [0.0, 201.0, 102.0, 1.0]),
-            UNITY)
-        metrics, _ = _assert_same_measures(closed)
+        metrics, _ = _assert_same_measures(_DOUBLE_POLE)
         assert metrics.settling_2pct_s > 0.0
-        assert _default_steps(closed) in propagate_steps
+        assert _default_steps(_DOUBLE_POLE) in _steps(propagate_steps)
 
     def test_worked_sweep_reads_no_long_trace(self, model, propagate_steps):
         for kc in np.linspace(3.1, 50.0, 15):
@@ -324,7 +329,30 @@ class TestSweepMeasures:
             pt = evaluate_gain(model, float(kc))
             assert pt.settling_2pct_s is not None
             n = _default_steps(closed_current_loop(model, float(kc)))
-            assert 0 < max(propagate_steps) <= n / 10
+            assert 0 < max(_steps(propagate_steps)) <= n / 10
+
+    @pytest.mark.parametrize("kc", [35.719, 1.0, None],
+                             ids=["certified", "creeping", "double pole"])
+    def test_one_ladder_per_point(self, model, monkeypatch, propagate_steps,
+                                  kc):
+        built = []
+        ladder = sim_analysis._ladder
+
+        def recording(e, count):
+            built.append(ladder(e, count))
+            return built[-1]
+
+        monkeypatch.setattr(sim_analysis, "_ladder", recording)
+        g = _DOUBLE_POLE if kc is None else closed_current_loop(model, kc)
+        sim_analysis._unit_step_measures(g)
+        n = _default_steps(g)
+        # Kc = 1 creeps up to its final value, so no window certifies
+        assert (max(_steps(propagate_steps)) == n) == (kc != 35.719)
+        [whole] = built
+        for part, _, _ in propagate_steps:
+            start = len(whole) - len(part)
+            assert start >= 0
+            assert all(a is b for a, b in zip(part, whole[start:]))
 
 
 class TestClosedLoop:

@@ -516,9 +516,9 @@ class TestReduceProperties:
             assert den.degree == deg
             g = TransferFunction(Polynomial([1.0]), den)
             res = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
-            eps0 = residual_epsilon(g, res.reduced,
-                                    np.array([RESIDUAL_GRID[0]]))
-            assert eps0 <= 1e-6
+            s0 = 1j * RESIDUAL_GRID[0]
+            assert abs(abs(g(s0) / res.reduced(s0)) ** 2 - 1.0) <= 1e-6
+            assert residual_epsilon(g, res.reduced) == res.residual_epsilon
 
     def test_stiff_hurwitz_models_reduce(self):
         # Damped quadratic factors with natural frequencies spread over
