@@ -4,8 +4,12 @@ Two design routes place the closed-loop characteristic equation at a
 target damping ratio through one solve, ``solve_damping_gain``: the
 conventional route on the two-pole approximation of the loop, and the
 reduced-order route on the second-order model from ``mor_engine``.
-A gain sweep simulates the full type-1 loop closure over a grid of
-controller gains and extracts step-response metrics.
+A gain sweep closes the full type-1 loop over a grid of controller
+gains and measures each closure's step response.  The gains are
+measured as stacks of closed loops, which share one degree: one root
+solve and one ``sim_analysis._unit_step_measures`` call per stack of up
+to ``_STACK_ROWS`` gains, and ``evaluate_gain`` is the same path on a
+stack of one.
 """
 from __future__ import annotations
 
@@ -27,13 +31,19 @@ from .poly_tf import (
     Polynomial,
     TransferFunction,
     UNITY,
+    _roots_of_rows,
     close_loop,
-    is_stable,
 )
 from .sim_analysis import _unit_step_measures
 
 # Largest number of gains one sweep may evaluate.
 MAX_SWEEP_STEPS = 2_000_000
+
+# Largest number of gains measured as one stack.  A row's stacked state
+# is a few kilobytes (its ladder of up to 21 powers of a 5 x 5 exponential
+# is 4.2 KB, and each doubling sum or exponential temporary is one more
+# matrix), so a stack stays near a megabyte however long the sweep is.
+_STACK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -163,32 +173,24 @@ def _design(model: DerivedDriveModel, zeta: float | None,
 
 def closed_current_loop(model: DerivedDriveModel, kc: float) -> TransferFunction:
     """Unity closure of the full type-1 loop gain at controller gain Kc."""
-    if not 0.0 < kc < math.inf:
-        raise ValidationError("controller gain must be positive and finite")
+    _check_gain(kc)
     scaled = TransferFunction(model.loop_gain_full.num.scaled(kc),
                               model.loop_gain_full.den)
     return close_loop(scaled, UNITY)
 
 
+def _check_gain(kc: float) -> None:
+    if not 0.0 < kc < math.inf:
+        raise ValidationError("controller gain must be positive and finite")
+
+
 def evaluate_gain(model: DerivedDriveModel, kc: float) -> SweepPoint:
     """Close the loop at one gain and measure its unit-step response on
     the default grid, as ``response_metrics`` and ``ise`` against 1 would
-    on the whole trace."""
-    closed = closed_current_loop(model, kc)
-    try:
-        stable = is_stable(closed.den)
-    except NumericError:
-        stable = False
-    if not stable:
-        return SweepPoint(Kc=kc, stable=False)
-    try:
-        metrics, err = _unit_step_measures(closed)
-    except (NumericError, ValidationError):  # ValidationError: step budget
-        return SweepPoint(Kc=kc, stable=True)
-    return SweepPoint(Kc=kc, stable=True, overshoot_pct=metrics.overshoot_pct,
-                      settling_2pct_s=metrics.settling_2pct_s,
-                      rise_10_90_s=metrics.rise_10_90_s,
-                      ise_vs_reference=err)
+    on the whole trace: ``sweep_gain``'s path on a stack of one."""
+    _check_gain(kc)
+    [point] = _measure_gains(model, np.array([kc], dtype=float))
+    return point
 
 
 def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
@@ -198,7 +200,8 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
     Unstable closures are flagged rather than aborting the sweep, and
     per-point simulation failures leave that point's metrics empty.  A
     non-finite gain or more than ``MAX_SWEEP_STEPS`` steps is refused with
-    ``ValidationError``.
+    ``ValidationError``.  The gains are measured in stacks of up to
+    ``_STACK_ROWS``, each point as ``evaluate_gain`` gives it.
     """
     if not 0.0 < kc_min < kc_max < math.inf:
         raise ValidationError("need 0 < kc_min < kc_max < inf")
@@ -208,5 +211,40 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
         raise ValidationError(
             f"sweep of {steps} steps exceeds the budget of {MAX_SWEEP_STEPS}; "
             "pass fewer --steps")
-    return [evaluate_gain(model, float(kc))
-            for kc in np.linspace(kc_min, kc_max, steps)]
+    gains = np.linspace(kc_min, kc_max, steps)
+    return [point for start in range(0, steps, _STACK_ROWS)
+            for point in _measure_gains(model,
+                                        gains[start:start + _STACK_ROWS])]
+
+
+def _measure_gains(model: DerivedDriveModel,
+                   gains: np.ndarray) -> list[SweepPoint]:
+    """The sweep point of each gain, its loop closed as
+    ``closed_current_loop`` does and measured with the others as one
+    stack: one root solve and one ``_unit_step_measures`` call.  Every
+    closure den + Kc num has the loop's degree, since num's is lower.
+
+    A closure whose roots do not converge counts as unstable, as one with
+    a root at or right of the imaginary axis does; a stable one that
+    cannot be measured keeps empty metrics.
+    """
+    loop = model.loop_gain_full
+    num, den = np.array(loop.num.coeffs), np.array(loop.den.coeffs)
+    nums = gains[:, None] * num
+    dens = den + np.pad(nums, ((0, 0), (0, len(den) - len(num))))
+    poles = _roots_of_rows(dens)
+    stable = np.all(poles.real < 0.0, axis=-1)
+    measured = iter(_unit_step_measures(nums[stable], dens[stable],
+                                        poles[stable]))
+    points = []
+    for kc, ok in zip(gains.tolist(), stable.tolist()):
+        got = next(measured) if ok else None
+        if not ok or isinstance(got, Exception):
+            points.append(SweepPoint(Kc=kc, stable=ok))
+            continue
+        metrics, err = got
+        points.append(SweepPoint(
+            Kc=kc, stable=True, overshoot_pct=metrics.overshoot_pct,
+            settling_2pct_s=metrics.settling_2pct_s,
+            rise_10_90_s=metrics.rise_10_90_s, ise_vs_reference=err))
+    return points

@@ -6,7 +6,9 @@ after construction and every operation is a pure function, so the types
 are safe to share between threads.  ``Polynomial.roots``,
 ``Polynomial.factorization``, ``TransferFunction.dc_normalized`` and
 ``TransferFunction.on_residual_grid`` are pure caches filled on first
-use, so a race at worst computes one twice.
+use, so a race at worst computes one twice.  Companion roots are found
+for stacks of polynomials of one degree at once (``_roots_of_rows``,
+which a gain sweep uses); ``poly_roots`` is that kernel on one row.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .errors import (
 
 # Primary residual bound for accepted roots, relative to max|coeff|.
 _ROOT_RESIDUAL_REL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 # Imaginary parts below this (relative) size count as zero when a real
 # root is required.
@@ -135,49 +138,115 @@ def poly_roots(p: Polynomial) -> list[complex]:
     """
     if p.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
-    n = p.degree
-    orig = np.array(p.coeffs, dtype=float)
-    # Primary acceptance bound, with the per-root evaluation rounding
-    # floor as the only relaxation: |p(z)| below eps * sum|c_i||z|^i is
-    # indistinguishable from zero in double precision.
-    bound = _ROOT_RESIDUAL_REL * float(np.max(np.abs(orig)))
-    eps = np.finfo(float).eps
-
-    def limit_at(z: np.ndarray) -> np.ndarray:
-        return np.maximum(
-            bound, 4.0 * n * eps * np.polyval(np.abs(orig[::-1]), np.abs(z)))
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            z = np.roots(orig[::-1])
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
-        if not np.all(np.isfinite(z)):
-            raise NonConvergence("companion eigenvalues are non-finite")
-        pz = poly_eval(p, z)
-        residual = np.abs(pz)
-        limit = limit_at(z)
-        over = residual > limit
-        if over.any():
+    orig = np.array([p.coeffs], dtype=float)
+    z, over = _companion_roots(orig)
+    z = z[0]
+    if over[0]:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # Companion roots of polynomials whose coefficients span many
             # decades can miss the bound by a small factor.  A Newton step
             # can diverge at a multiple root, so it is kept per root only
             # where it lowers the residual.
-            z = z.astype(complex)
-            newton = z[over] - pz[over] / np.polyval(np.polyder(orig[::-1]), z[over])
+            pz = poly_eval(p, z)
+            residual = np.abs(pz)
+            over = residual > _root_limit(orig, z[None])[0]
+            desc = orig[0, ::-1]
+            newton = z[over] - pz[over] / np.polyval(np.polyder(desc), z[over])
             res_newton = np.abs(poly_eval(p, newton))
             keep = np.isfinite(res_newton) & (res_newton < residual[over])
             z[over] = np.where(keep, newton, z[over])
             residual[over] = np.where(keep, res_newton, residual[over])
-            limit[over] = limit_at(z[over])
+            limit = _root_limit(orig, z[None])[0]
             over = residual > limit
             if over.any():
                 i = int(np.argmax(over))
                 raise NonConvergence(
                     f"root residual {residual[i]:.3e} exceeds {limit[i]:.3e}")
-    roots = [complex(r) for r in z]
-    roots.sort(key=lambda r: (r.real, r.imag))
-    return roots
+        z = np.sort(z, kind="stable")
+    return [complex(r) for r in z]
+
+
+def _companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, over) of each row of ``coeffs``, an (m, n + 1) stack of
+    ascending coefficients with a nonzero last column.
+
+    The roots are those of ``np.roots`` for every row, bit for bit, as an
+    (m, n) complex array: the eigenvalues of each row's companion matrix,
+    from one stacked eigensolve per count of zero constant terms, and
+    that many exact zeros, each row sorted by ascending (real, imag).
+    ``over`` marks the rows with a root over ``poly_roots``' residual
+    bound.  An eigensolve that fails or gives a non-finite root raises
+    ``NonConvergence`` for the whole stack.
+    """
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    z = np.zeros((m, n), dtype=complex)
+    if coeffs[:, 0].all():
+        groups = [(slice(None), 0)]
+    else:
+        zero_terms = np.argmax(coeffs != 0.0, axis=1)
+        groups = [(zero_terms == t, t) for t in np.unique(zero_terms).tolist()]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rows, t in groups:
+            size = n - t
+            if size == 0:
+                continue
+            desc = coeffs[rows, t:][:, ::-1]
+            a = np.zeros((len(desc), size, size))
+            a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
+            a[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+            try:
+                z[rows, :size] = np.linalg.eigvals(a)
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergence(
+                    f"companion eigenvalues failed: {exc}") from exc
+        if not np.all(np.isfinite(z)):
+            raise NonConvergence("companion eigenvalues are non-finite")
+        residual = np.abs(_horner(coeffs, z))
+        over = (residual > _root_limit(coeffs, z)).any(axis=1)
+    return np.sort(z, axis=1, kind="stable"), over
+
+
+def _root_limit(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``poly_roots``' residual bound at each root z[i, j] of row i of
+    ``coeffs``: the primary bound relaxed only to the per-root evaluation
+    rounding floor, since |p(z)| below eps * sum|c_i||z|^i is
+    indistinguishable from zero in double precision."""
+    n = coeffs.shape[1] - 1
+    bound = _ROOT_RESIDUAL_REL * np.abs(coeffs).max(axis=1, keepdims=True)
+    return np.maximum(bound,
+                      4.0 * n * _EPS * _horner(np.abs(coeffs), np.abs(z)))
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of ascending ``coeffs`` at each x[i, j]: ``np.polyval``'s
+    Horner steps, with the same operations, over a stack of rows."""
+    y = np.zeros_like(x)
+    for col in coeffs.T[::-1, :, None]:
+        y *= x
+        y += col
+    return y
+
+
+def _roots_of_rows(coeffs: np.ndarray) -> np.ndarray:
+    """``poly_roots`` of each row of ``coeffs``, an (m, n + 1) stack of
+    ascending coefficients with a nonzero last column, as an (m, n)
+    complex array; a row whose roots do not converge is all NaN.
+
+    One stacked ``_companion_roots`` call serves every row; only rows
+    over the residual bound, or every row if the stacked eigensolve
+    fails, go through ``poly_roots`` one by one.
+    """
+    try:
+        z, over = _companion_roots(coeffs)
+    except NonConvergence:
+        z, over = np.empty(coeffs.shape[:1] + (coeffs.shape[1] - 1,),
+                           dtype=complex), np.ones(len(coeffs), dtype=bool)
+    for i in np.flatnonzero(over).tolist():
+        try:
+            z[i] = poly_roots(Polynomial(coeffs[i]))
+        except NonConvergence:
+            z[i] = np.nan
+    return z
 
 
 def is_stable(p: Polynomial) -> bool:

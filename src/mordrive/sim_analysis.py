@@ -21,11 +21,14 @@ against 1 are sums over all k of terms in E^k, which doubling (Smith
 1968) over the same ladder gives in closed form, and the peak, settling
 and crossings are read from the first few hundred to thousand samples
 once the poles' modal envelope shows that no later sample changes
-them.  ``step_ise`` needs no time grid either: the exact
-step-error ISE over a finite horizon is a Gramian of the error system,
-from the same exponential applied to Van Loan's block matrix and
-doubled up to the horizon, for a whole stack of candidate models at
-once.
+them.  A sweep's closed loops are measured as one stack: their grids,
+exponentials, ladder and doubling sums are batched, each row taking its
+own counts, and only the head windows are read row by row.
+
+``step_ise`` needs no time grid either: the exact step-error ISE over a
+finite horizon is a Gramian of the error system, from the same
+exponential applied to Van Loan's block matrix and doubled up to the
+horizon, for a whole stack of candidate models at once.
 """
 from __future__ import annotations
 
@@ -39,10 +42,11 @@ import numpy as np
 from .errors import (
     GridMismatch,
     NotSettled,
+    NumericError,
     SimulationDiverged,
     ValidationError,
 )
-from .poly_tf import TransferFunction, poly_eval
+from .poly_tf import TransferFunction, _horner, poly_eval
 
 DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
@@ -235,21 +239,24 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     ``MAX_STEP_SAMPLES`` steps is refused with ``ValidationError``, and
     non-finite samples raise ``SimulationDiverged``.
     """
-    dt, n_steps = _step_grid(g, t_final, dt)
-    e, c = _step_exponential(g, dt)
+    times = (characteristic_times(g) if t_final is None or dt is None
+             else (None, None))
+    dt, n_steps = _step_grid(*times, t_final, dt)
+    e, c = _step_exponential(np.array([g.num.coeffs]),
+                             np.array([g.den.coeffs]),
+                             np.array([g.den.roots if g.den.degree else ()]),
+                             np.array([dt]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = _propagate(_ladder(e, n_steps + 1), c, n_steps)[:, 0]
+        y = _propagate(_ladder(e[0], n_steps + 1), c[0], n_steps)[:, 0]
     _check_finite(y)
     return StepTrace(y=y, dt=dt)
 
 
-def _step_grid(g: TransferFunction, t_final: float | None,
-               dt: float | None) -> tuple[float, int]:
-    """(dt, number of steps) of ``step_response``'s grid, defaults filled
-    in and the sample budget enforced."""
-    if t_final is None or dt is None:
-        tc_small, tc_large = characteristic_times(g)
-
+def _step_grid(tc_small: float | None, tc_large: float | None,
+               t_final: float | None, dt: float | None) -> tuple[float, int]:
+    """(dt, number of steps) of ``step_response``'s grid, a missing ``dt``
+    and ``t_final`` taken from the smallest and largest time constants,
+    and the sample budget enforced."""
     if dt is None:
         dt = tc_small / DEFAULT_DT_DIVISOR
     if t_final is None:
@@ -267,22 +274,22 @@ def _step_grid(g: TransferFunction, t_final: float | None,
     return dt, int(round(steps))
 
 
-def _step_exponential(g: TransferFunction,
-                      dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E, c): the augmented one-step exponential of g under a unit step
-    and the (n + 1, 1) output column, sample k = c^T E^k e_last."""
-    n = g.den.degree
+def _step_exponential(nums: np.ndarray, dens: np.ndarray, poles: np.ndarray,
+                      dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, c) of a stack of systems nums[i] / dens[i] with roots poles[i]
+    and steps dt[i]: the augmented one-step exponentials under a unit
+    step, (m, n + 1, n + 1), and the output columns, (m, n + 1, 1), with
+    sample k of row i = c[i]^T E[i]^k e_last."""
+    n = dens.shape[-1] - 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs),
-                                    np.array(g.den.coeffs),
-                                    g.den.roots if n else ())
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n], aug[:n, n] = a * dt, b * dt
+        a, b, c, d, _ = _scaled_ccf(nums, dens, poles)
+        aug = np.zeros((len(dens), n + 1, n + 1))
+        aug[:, :n, :n], aug[:, :n, n] = a * dt[:, None, None], b * dt[:, None]
         e = _expm(aug)
     # The last row is (0, ..., 0, 1) only to rounding; pinned exactly,
     # so that the constant input does not drift over the steps.
-    e[n, :n], e[n, n] = 0.0, 1.0
-    return e, np.append(c, d)[:, None]
+    e[:, n, :n], e[:, n, n] = 0.0, 1.0
+    return e, np.concatenate((c, d[:, None]), axis=-1)[..., None]
 
 
 def _check_finite(y: np.ndarray) -> None:
@@ -401,24 +408,65 @@ def _ladder(e: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
-                  count: int) -> np.ndarray:
+                  count: int | np.ndarray) -> np.ndarray:
     """Sum of (E^k)^T W E^k over 0 <= k < count, count >= 1, batched,
     from a ladder ``ladder[j]`` = E^(2^j) covering count's bits.
 
     Doubling (Smith 1968): W runs through the sums over k < 2^j, W <- W +
     E_j^T W E_j with E_j = E^(2^j), and each set bit j of count, lowest
     first, puts a block of 2^j terms ahead of those summed so far, total
-    <- W + E_j^T total E_j.
+    <- W + E_j^T total E_j.  ``count`` is one int for the whole stack or
+    an int array with one count per matrix; each matrix then takes the
+    steps of its own bits, and a total not yet begun holds W.
     """
-    total = None
-    for j in range(count.bit_length()):
+    total, top = None, _bit_length(count)
+    for j in range(top):
         e = ladder[j]
         et = e.swapaxes(-1, -2)
-        if count >> j & 1:
-            total = w if total is None else w + et @ total @ e
-        if count >> j > 1:
+        bit = _bit(count, j)
+        if bit is not False:
+            begun = _bit(count, j, below=True)
+            block = w if begun is False else _pick(begun, w + et @ total @ e, w)
+            total = block if total is None else _pick(bit, block, total)
+        if j + 1 < top:
             w = w + et @ w @ e
     return total
+
+
+def _times_power(v: np.ndarray, ladder: list[np.ndarray],
+                 count: int | np.ndarray) -> np.ndarray:
+    """Rows ``v`` times E^count, from the ladder entries at count's set
+    bits; ``count`` as in ``_doubling_sum``."""
+    for j in range(_bit_length(count)):
+        bit = _bit(count, j)
+        if bit is not False:
+            v = _pick(bit, v @ ladder[j], v)
+    return v
+
+
+def _bit_length(count: int | np.ndarray) -> int:
+    return (count if isinstance(count, int) else int(count.max())).bit_length()
+
+
+def _bit(count: int | np.ndarray, j: int,
+         below: bool = False) -> bool | np.ndarray:
+    """Whether bit j of ``count`` is set, or with ``below`` any bit under
+    j: a bool where every matrix of the stack agrees, so that one count
+    for the stack costs no mask, else an (m, 1, 1) mask."""
+    flag = count & ((1 << j) - 1) != 0 if below else count >> j & 1 != 0
+    if isinstance(count, int):
+        return flag
+    if flag.all() or not flag.any():
+        return bool(flag[0])
+    return flag[:, None, None]
+
+
+def _pick(bit: bool | np.ndarray, new: np.ndarray,
+          old: np.ndarray) -> np.ndarray:
+    """``new`` where ``bit`` is set, else ``old``."""
+    if bit is True:
+        return new
+    return old if bit is False else np.where(bit, new, old)
 
 
 def response_metrics(tr: StepTrace) -> ResponseMetrics:
@@ -471,75 +519,91 @@ def _metrics_from_head(y: np.ndarray, dt: float, final: float,
                            rise_10_90_s=rise, final_value=final)
 
 
-def _unit_step_measures(g: TransferFunction) -> tuple[ResponseMetrics, float]:
+def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
+                        poles: np.ndarray) -> list:
     """``response_metrics`` and ``ise`` against 1 of the unit-step
-    response of a stable ``g`` on ``step_response``'s default grid,
-    mostly without sampling it.
+    responses of a stack of stable systems nums[i] / dens[i] with sorted
+    roots poles[i], each on ``step_response``'s default grid, mostly
+    without sampling them.
 
-    With E and c from ``_step_exponential``, count = N + 1 samples and a
-    tail of k: the tail mean is the last entry of the sum of (E^j)^T
-    (c_a e_last^T) E^j over j < k with c_a = (E^(count - k))^T c, since
-    every power of E keeps the last row e_last^T; the ISE's sum of
-    squares is the last diagonal entry of the sum of (E^j)^T c' c'^T E^j
-    over j < count with c' = c - e_last.  Both come from
-    ``_doubling_sum`` over one ladder of E^(2^j), which also feeds every
-    ``_propagate`` call.  The peak, settling and crossings are read from
-    a head window of w samples, w from ``_propagate``'s block size
-    doubling, once the modal envelope env(w) = sum |rho_i| e^(Re p_i w
-    dt) of the step residues rho_i = num(p_i) / (p_i den'(p_i)) bounds
-    every later sample: within the band around the tail mean, strictly
-    below the window's peak, and with the tail past the window.
-    Clustered poles give huge residues and never certify; then, as when
-    no window up to count - k does, the head is the whole trace, whose
-    tail must stay in the band.
+    Row i gives (ResponseMetrics, ISE), or the ``NumericError`` or
+    ``ValidationError`` (the step budget) that stops it.  With E and c
+    from ``_step_exponential``, count = N + 1 samples and a tail of k:
+    the tail mean is the last entry of the sum of (E^j)^T (c_a e_last^T)
+    E^j over j < k with c_a = (E^(count - k))^T c, since every power of E
+    keeps the last row e_last^T; the ISE's sum of squares is the last
+    diagonal entry of the sum of (E^j)^T c' c'^T E^j over j < count with
+    c' = c - e_last.  The grids, exponentials, one ladder of E^(2^j) up
+    to the largest count, and both ``_doubling_sum`` calls are shared by
+    the stack; the ladder also feeds every ``_propagate`` call.  Per row,
+    the peak, settling and crossings are read from a head window of w
+    samples, w from ``_propagate``'s block size doubling, once the modal
+    envelope env(w) = sum |rho_i| e^(Re p_i w dt) of the step residues
+    rho_i = num(p_i) / (p_i den'(p_i)) bounds every later sample: within
+    the band around the tail mean, strictly below the window's peak, and
+    with the tail past the window.  Clustered poles give huge residues
+    and never certify; then, as when no window up to count - k does, the
+    head is the whole trace, whose tail must stay in the band.
     """
-    dt, n_steps = _step_grid(g, None, None)
-    e, c = _step_exponential(g, dt)
-    count = n_steps + 1
-    k = max(1, int(round(0.05 * count)))
-    head = None
+    out: list = [None] * len(dens)
+    grids = []
+    # characteristic_times row by row: np.hypot gives Python's complex
+    # abs bit for bit, where np.abs can differ in the last place
+    fastest = np.hypot(poles.real, poles.imag).max(axis=-1)
+    slowest = (-poles.real).min(axis=-1)
+    for i, (fast, slow) in enumerate(zip(fastest.tolist(), slowest.tolist())):
+        try:
+            grids.append((i, *_step_grid(1.0 / fast, 1.0 / slow, None, None)))
+        except ValidationError as exc:
+            out[i] = exc
+    if not grids:
+        return out
+    rows, dts, n_steps = (list(v) for v in zip(*grids))
+    counts = np.array(n_steps) + 1
+    tails = np.array([max(1, int(round(0.05 * count)))
+                      for count in counts.tolist()])
+    nums, dens, poles = nums[rows], dens[rows], poles[rows]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ladder = _ladder(e, count)
-        c_tail = _times_power(c.T, ladder, count - k)
+        e, c = _step_exponential(nums, dens, poles, np.array(dts))
+        ladder = _ladder(e, int(counts.max()))
+        c_tail = _times_power(c.swapaxes(-1, -2), ladder, counts - tails)
         tail = np.zeros_like(e)
-        tail[:, -1] = c_tail[0]
-        final = float(_doubling_sum(tail, ladder, k)[-1, -1] / k)
-        if final <= 0.0:
-            raise NotSettled("final value is not positive; metrics undefined")
-        band = 0.02 * final
-        poles = np.array(g.den.roots)
-        num, den = np.array(g.num.coeffs), np.array(g.den.coeffs)
-        slope = np.arange(1, len(den)) * den[1:]
-        rho = np.abs(np.polyval(num[::-1], poles)
-                     / (poles * np.polyval(slope[::-1], poles)))
-        y_inf = num[0] / den[0]
-        w = 1 << math.isqrt(n_steps).bit_length()
-        while head is None and w <= count - k:
-            env = float(rho @ np.exp(poles.real * (w * dt)))
-            if env + abs(y_inf - final) < band:
-                y = _propagate(ladder, c, w - 1)[:, 0]
-                if y_inf + env < y.max():
-                    head = y
-            w *= 2
-        if head is None:
-            head = _propagate(ladder, c, n_steps)[:, 0]
-            _check_finite(head)
-            if not np.all(np.abs(head[-k:] - final) <= band):
-                raise NotSettled("trace has not settled within its horizon")
-    err = c.copy()
-    err[-1] -= 1.0
-    sq = _doubling_sum(err @ err.T, ladder, count)[-1, -1]
-    y_end = _times_power(c_tail, ladder, k - 1)[0, -1]
-    ends = (c[-1, 0] - 1.0) ** 2 + (y_end - 1.0) ** 2
-    return (_metrics_from_head(head, dt, final, band),
-            float(dt * (sq - ends / 2.0)))
-
-
-def _times_power(v: np.ndarray, ladder: list[np.ndarray],
-                 count: int) -> np.ndarray:
-    """Rows ``v`` times E^count, from the ladder entries at count's set
-    bits."""
-    for j in range(count.bit_length()):
-        if count >> j & 1:
-            v = v @ ladder[j]
-    return v
+        tail[:, :, -1] = c_tail[:, 0]
+        tail_sum = _doubling_sum(tail, ladder, tails)[:, -1, -1]
+        err = c.copy()
+        err[:, -1] -= 1.0
+        sq = _doubling_sum(err @ err.swapaxes(-1, -2), ladder, counts)[:, -1, -1]
+        y_end = _times_power(c_tail, ladder, tails - 1)[:, 0, -1]
+        slope = np.arange(1, dens.shape[-1]) * dens[:, 1:]
+        rho = np.abs(_horner(nums, poles) / (poles * _horner(slope, poles)))
+        for i, row in enumerate(rows):
+            dt, n, k = dts[i], n_steps[i], int(tails[i])
+            rungs = [step[i] for step in ladder]
+            final = float(tail_sum[i] / k)
+            band = 0.02 * final
+            y_inf = nums[i, 0] / dens[i, 0]
+            w = 1 << math.isqrt(n).bit_length()
+            head = None
+            try:
+                if final <= 0.0:
+                    raise NotSettled(
+                        "final value is not positive; metrics undefined")
+                while head is None and w <= n + 1 - k:
+                    env = float(rho[i] @ np.exp(poles[i].real * (w * dt)))
+                    if env + abs(y_inf - final) < band:
+                        y = _propagate(rungs, c[i], w - 1)[:, 0]
+                        if y_inf + env < y.max():
+                            head = y
+                    w *= 2
+                if head is None:
+                    head = _propagate(rungs, c[i], n)[:, 0]
+                    _check_finite(head)
+                    if not np.all(np.abs(head[-k:] - final) <= band):
+                        raise NotSettled(
+                            "trace has not settled within its horizon")
+                ends = (c[i, -1, 0] - 1.0) ** 2 + (y_end[i] - 1.0) ** 2
+                out[row] = (_metrics_from_head(head, dt, final, band),
+                            float(dt * (sq[i] - ends / 2.0)))
+            except (NumericError, ValidationError) as exc:
+                out[row] = exc
+    return out

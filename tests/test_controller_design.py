@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mordrive import sim_analysis
+from mordrive import controller_design, sim_analysis
 from mordrive.controller_design import (
+    SweepPoint,
     closed_current_loop,
     design_conventional,
     design_via_mor,
@@ -216,6 +217,35 @@ class TestGainSweep:
         b = sweep_gain(model, 3.0, 6.0, 3)
         assert a == b
 
+    def test_every_gain_unstable(self):
+        # the stack has no stable row to measure
+        params = dataclasses.replace(worked_example_params(), tc_s=0.0005)
+        pts = sweep_gain(derive_model(params), 3.1, 50.0, 15)
+        assert pts == [SweepPoint(Kc=kc, stable=False)
+                       for kc in np.linspace(3.1, 50.0, 15).tolist()]
+
+    def test_points_are_evaluate_gains(self, model):
+        for m in [model, *_nameplate_variants(6)]:
+            pts = sweep_gain(m, 0.02, 300.0, 40)
+            assert pts == [evaluate_gain(m, kc)
+                           for kc in np.linspace(0.02, 300.0, 40).tolist()]
+
+    def test_bounded_stacks(self, model, monkeypatch):
+        sizes = []
+        measure = controller_design._measure_gains
+
+        def recording(m, gains):
+            sizes.append(len(gains))
+            return measure(m, gains)
+
+        monkeypatch.setattr(controller_design, "_measure_gains", recording)
+        steps = controller_design._STACK_ROWS + 44
+        pts = sweep_gain(model, 0.02, 300.0, steps)
+        assert sizes == [controller_design._STACK_ROWS, 44]
+        monkeypatch.undo()
+        assert pts == [evaluate_gain(model, kc)
+                       for kc in np.linspace(0.02, 300.0, steps).tolist()]
+
 
 def _nameplate_variants(count):
     """Derived models of the worked example with its motor constants and
@@ -233,6 +263,22 @@ def _nameplate_variants(count):
         except ValidationError:
             continue
     return out
+
+
+def _stack(systems):
+    """Numerators, denominators and roots of same-degree systems, stacked."""
+    return (np.array([g.num.coeffs for g in systems]),
+            np.array([g.den.coeffs for g in systems]),
+            np.array([g.den.roots for g in systems]))
+
+
+def _stack_of_one(g):
+    """``_unit_step_measures`` on the stack of g alone: the measures, or
+    the error that stopped them, raised."""
+    [got] = sim_analysis._unit_step_measures(*_stack([g]))
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def _outcome(measure, g):
@@ -258,7 +304,7 @@ def _assert_same_measures(g):
     """The sweep-point measures of g equal those of its whole trace, or
     fail with the same error; returns them."""
     want = _outcome(_from_full_trace, g)
-    got = _outcome(sim_analysis._unit_step_measures, g)
+    got = _outcome(_stack_of_one, g)
     if isinstance(want, type):
         assert got is want
         return got
@@ -333,7 +379,7 @@ class TestSweepMeasures:
 
     @pytest.mark.parametrize("kc", [35.719, 1.0, None],
                              ids=["certified", "creeping", "double pole"])
-    def test_one_ladder_per_point(self, model, monkeypatch, propagate_steps,
+    def test_one_ladder_per_stack(self, model, monkeypatch, propagate_steps,
                                   kc):
         built = []
         ladder = sim_analysis._ladder
@@ -344,15 +390,18 @@ class TestSweepMeasures:
 
         monkeypatch.setattr(sim_analysis, "_ladder", recording)
         g = _DOUBLE_POLE if kc is None else closed_current_loop(model, kc)
-        sim_analysis._unit_step_measures(g)
-        n = _default_steps(g)
-        # Kc = 1 creeps up to its final value, so no window certifies
-        assert (max(_steps(propagate_steps)) == n) == (kc != 35.719)
+        stack = [g] if kc is None else [
+            g, *(closed_current_loop(model, other) for other in (3.1, 20.0, 50.0))]
+        sim_analysis._unit_step_measures(*_stack(stack))
+        # Kc = 1 creeps up to its final value, so no window certifies and
+        # its whole trace is read; the other gains all certify
+        assert (_default_steps(g) in _steps(propagate_steps)) == (kc != 35.719)
         [whole] = built
+        # every call reads its row of the one stacked ladder
         for part, _, _ in propagate_steps:
             start = len(whole) - len(part)
             assert start >= 0
-            assert all(a is b for a, b in zip(part, whole[start:]))
+            assert all(a.base is b for a, b in zip(part, whole[start:]))
 
 
 class TestClosedLoop:

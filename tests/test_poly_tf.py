@@ -159,6 +159,65 @@ class TestPolyRoots:
                 assert c_got == pytest.approx(float(c_ref), rel=1e-8, abs=1e-10)
 
 
+def _stiff_parts(deg, count):
+    """Even and odd parts, as polynomials in s^2, of the stiff Hurwitz
+    denominators that ``test_stiff_hurwitz_models_reduce`` reduces."""
+    rng = np.random.default_rng(20261018)
+    even, odd = [], []
+    for _ in range(count):
+        wn = np.exp(rng.uniform(0.0, math.log(1e6), size=deg // 2))
+        wn[0], wn[-1] = 1.0, 1e6
+        zeta = rng.uniform(0.05, 0.95, size=deg // 2)
+        den = Polynomial([1.0])
+        for w, z in zip(wn, zeta):
+            den = poly_mul(den, Polynomial([1.0, 2.0 * z / w, 1.0 / w ** 2]))
+        even.append(den.coeffs[0::2])
+        odd.append(den.coeffs[1::2])
+    return np.array(even), np.array(odd)
+
+
+class TestStackedRoots:
+    """``_roots_of_rows`` gives each row exactly what ``poly_roots`` gives."""
+
+    @staticmethod
+    def _assert_rows_are_poly_roots(rows):
+        got = poly_tf._roots_of_rows(rows)
+        assert got.shape == (len(rows), rows.shape[1] - 1)
+        for row, z in zip(rows, got):
+            try:
+                want = poly_roots(Polynomial(row))
+            except NonConvergence:
+                assert np.isnan(z).all()
+                continue
+            assert _bits(z.real) == _bits(r.real for r in want)
+            assert _bits(z.imag) == _bits(r.imag for r in want)
+
+    def test_random_rows_with_zero_constant_terms(self):
+        rng = np.random.default_rng(1507)
+        rows = rng.uniform(-2.0, 2.0, size=(30, 7))
+        rows[3, 0] = 0.0
+        rows[8, :3] = 0.0
+        rows[9, :6] = 0.0
+        z, _ = poly_tf._companion_roots(rows)
+        assert (z[8] == 0.0).sum() == 3 and (z[9] == 0.0).all()
+        self._assert_rows_are_poly_roots(rows)
+
+    def test_stiff_rows_over_the_bound(self):
+        for deg in (14, 16, 20):
+            for rows in _stiff_parts(deg, 40):
+                _, over = poly_tf._companion_roots(rows)
+                assert 0 < over.sum() < len(rows)
+                self._assert_rows_are_poly_roots(rows)
+
+    def test_rows_that_do_not_converge(self):
+        rows = np.array([[2.0, 3.0, 1.0], [np.nan, 3.0, 1.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(NonConvergence):
+            poly_tf._companion_roots(rows)
+        got = poly_tf._roots_of_rows(rows)
+        assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
+        self._assert_rows_are_poly_roots(rows)
+
+
 class TestRootsCache:
     @pytest.fixture()
     def calls(self, monkeypatch):

@@ -21,6 +21,7 @@ from mordrive.sim_analysis import (
     _propagate,
     _scaled_ccf,
     _step_exponential,
+    _times_power,
     bode,
     characteristic_times,
     ise,
@@ -361,6 +362,24 @@ class TestStepIse:
             got = _doubling_sum(w, _ladder(e, count), count)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_mixed_counts_match_single_row_calls(self):
+        # one count per row, bits shared by every row or by some, and a
+        # row count of 1 whose total begins at the lowest bit
+        rng = np.random.default_rng(1515)
+        e = 0.3 * rng.normal(size=(6, 5, 5))
+        w = rng.normal(size=(6, 5, 5))
+        v = rng.normal(size=(6, 1, 5))
+        counts = np.array([1, 2, 7, 64, 1000, 1023])
+        ladder = _ladder(e, int(counts.max()))
+        sums = _doubling_sum(w, ladder, counts)
+        powers = _times_power(v, ladder, counts - 1)
+        for i, count in enumerate(counts.tolist()):
+            alone = _ladder(e[i:i + 1], count)
+            want = _doubling_sum(w[i:i + 1], alone, count)
+            assert sums[i].tobytes() == want[0].tobytes()
+            want = _times_power(v[i:i + 1], alone, count - 1)
+            assert powers[i].tobytes() == want[0].tobytes()
+
     def test_kernels_match_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(31)
@@ -634,9 +653,11 @@ class TestStepTraceRobustness:
     def test_nan_samples(self):
         # poles 0.5 +- 0.87j: the samples overflow, and inf - inf is NaN
         g = TransferFunction.from_coeffs([1.0], [1.0, -1.0, 1.0])
-        e, c = _step_exponential(g, 0.01)
+        e, c = _step_exponential(np.array([g.num.coeffs]),
+                                 np.array([g.den.coeffs]),
+                                 np.array([g.den.roots]), np.array([0.01]))
         with np.errstate(over="ignore", invalid="ignore"):
-            y = _propagate(_ladder(e, 500_001), c, 500_000)
+            y = _propagate(_ladder(e[0], 500_001), c[0], 500_000)
         assert np.isnan(y).any()
         with pytest.raises(SimulationDiverged):
             step_response(g, t_final=5000.0, dt=0.01)
