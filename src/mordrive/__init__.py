@@ -37,7 +37,6 @@ from .poly_tf import (
     poly_eval,
     poly_mul,
     poly_roots,
-    spectral_square,
 )
 from .sim_analysis import (
     BodeTrace,
@@ -58,7 +57,6 @@ __all__ = [
     "dc_gain", "derive_model", "design_conventional", "design_via_mor",
     "even_odd_factor", "is_stable", "ise", "kc_from_K", "match_numerator",
     "poly_eval", "poly_mul", "poly_roots", "reduce", "reduce_denominator",
-    "response_metrics", "solve_damping_gain", "spectral_square",
-    "step_response", "sweep_gain",
+    "response_metrics", "solve_damping_gain", "step_response", "sweep_gain",
     "worked_example_params",
 ]

@@ -50,10 +50,6 @@ class BadOrder(ValidationError):
     """Requested order is outside the valid range."""
 
 
-class Unsupported(ValidationError):
-    """Requested configuration is outside the supported scope."""
-
-
 class MatchInfeasible(NumericError):
     """Magnitude-matching conditions admit no real numerator."""
 

@@ -2,12 +2,16 @@
 
 The pipeline has three stages: the reduced denominator keeps the
 lowest-frequency quadratic factors of the even/odd split, the reduced
-numerator is chosen so the leading coefficients of |G|^2/|Gr|^2 match,
+numerator of any order q is chosen so the leading q + 1 coefficients of
+|G|^2/|Gr|^2 match (found from the roots of one power series in s^2),
 and an optional percentage adjustment trades the s and s^2 denominator
 coefficients against each other.
 """
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +22,6 @@ from .errors import (
     MatchInfeasible,
     MorDriveError,
     NotNormalized,
-    Unsupported,
     ValidationError,
 )
 from .poly_tf import (
@@ -28,7 +31,6 @@ from .poly_tf import (
     TransferFunction,
     combine_stability_parts,
     dc_gain,
-    padded_sum,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -37,8 +39,12 @@ from .poly_tf import (
 from .sim_analysis import (DEFAULT_HORIZON_FACTOR, characteristic_times,
                            step_ise)
 
-_TIE_REL = 1e-9
 _MATCH_CHECK_REL = 1e-9
+
+# Largest number of candidate numerators one match may build: one per
+# choice of sign of each nonzero root of the matched spectral series,
+# about 50 us each.
+MAX_MATCH_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -126,33 +132,16 @@ def _adjusted(coeffs: tuple[float, ...], n: float | np.ndarray) -> np.ndarray:
     return rows
 
 
-def _on_grid(p: Polynomial) -> np.ndarray:
-    return poly_eval(p, 1j * RESIDUAL_GRID)
-
-
-def _grid_residual(g: TransferFunction, dr: np.ndarray, n: Polynomial) -> float:
-    """``residual_epsilon(g, n/d)``, given d's values on RESIDUAL_GRID; g's
-    come from its cache.  The complex ratio (N_g D_r) / (D_g N_r) is
-    formed first, so no factor is squared on its own and overflows."""
+def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
+    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |; g's values come from its
+    cache.  The complex ratio (N_g D_r) / (D_g N_r) is formed first, so
+    no factor is squared on its own and overflows."""
     ng, dg = g.on_residual_grid
-    ng_dr, nr = ng * dr, _on_grid(n)
+    s = 1j * RESIDUAL_GRID
+    ng_dr, nr = ng * poly_eval(gr.den, s), poly_eval(gr.num, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(ng_dr / (dg * nr)) ** 2
     return float(np.max(np.abs(ratio - 1.0)))
-
-
-def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
-    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |."""
-    return _grid_residual(g, _on_grid(gr.den), gr.num)
-
-
-def matched_condition_pairs(g: TransferFunction, d_r: Polynomial,
-                            n_r: Polynomial,
-                            q: int) -> tuple[tuple[float, float], ...]:
-    """Recomputed (L_2x, M_2x) pairs for x = 1..q."""
-    big_l = spectral_square_head(poly_mul(g.num, d_r), q)
-    big_m = spectral_square_head(poly_mul(g.den, n_r), q)
-    return tuple(zip(big_l[1:], big_m[1:]))
 
 
 def _check_normalized(p: Polynomial, what: str) -> None:
@@ -160,43 +149,50 @@ def _check_normalized(p: Polynomial, what: str) -> None:
         raise NotNormalized(f"{what} must have unit constant term")
 
 
-def _candidate_numerators(g: TransferFunction, big_l: tuple[float, ...],
-                          q: int) -> list[Polynomial]:
-    """All real numerators satisfying the first q matching conditions,
-    given L = spectral_square_head(g.num d_r, q)."""
-    b = g.den.coeff
+def _root_factors(g: TransferFunction, d_r: Polynomial,
+                  big_l: tuple[float, ...], q: int) -> list[tuple[np.ndarray, ...]]:
+    """The two sign choices of each factor of a numerator N with
+    N(s)N(-s) matching L = spectral_square_head(g.num d_r, q) to s^(2q).
 
-    if q == 1:
-        # With l = D*(1 + C1 s): M2 = 2 B2 - B1^2 - C1^2.
-        rhs = 2.0 * b(2) - b(1) ** 2 - big_l[1]
-        if rhs < 0.0:
-            raise MatchInfeasible(
-                f"first matching condition needs C1^2 = {rhs:.6e} < 0",
-                discriminant=rhs)
-        c1 = math.sqrt(rhs)
-        if c1 == 0.0:
-            return [Polynomial([1.0, 0.0])]
-        return [Polynomial([1.0, c1]), Polynomial([1.0, -c1])]
-
-    # q == 2: the first condition gives C2 = (gamma + C1^2)/2; feeding
-    # that into the second leaves a quartic in t = C1.  Each l_k below
-    # is written as an ascending coefficient array in t.
-    gamma = big_l[1] - 2.0 * b(2) + b(1) ** 2
-    l1 = [b(1), 1.0]
-    l2 = [b(2) + gamma / 2.0, b(1), 0.5]
-    l3 = [b(3) + b(1) * gamma / 2.0, b(2), b(1) / 2.0]
-    l4 = np.array([b(4) + b(2) * gamma / 2.0, b(3), b(2) / 2.0])
-    m4 = padded_sum(padded_sum(2.0 * l4, -2.0 * np.convolve(l1, l3)),
-                    np.convolve(l2, l2))
-    out: list[Polynomial] = []
-    for root in poly_roots(Polynomial(padded_sum(m4, [-big_l[2]]))):
-        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
+    S = L / spectral_square_head(g.den, q), as a power series in x = s^2,
+    is N(s)N(-s) = prod(1 - u_k x) with N = prod(1 + b_k s) and
+    u_k = b_k^2, so the u_k are the roots of u^q + S_1 u^(q-1) + ... + S_q.
+    Each positive root gives the factors 1 +- sqrt(u) s, each complex pair
+    the real quadratics with b = +-sqrt(u) and its conjugate; a root no
+    larger than 1e-8 times the largest counts as zero and gives no factor.
+    Any other negative root admits no real numerator.
+    """
+    big_d = spectral_square_head(g.den, q)
+    series = []
+    for x in range(q + 1):
+        acc = big_l[x]
+        for i in range(1, x + 1):
+            acc -= big_d[i] * series[x - i]
+        series.append(acc)
+    u = poly_roots(Polynomial(series[::-1]))
+    floor = 1e-8 * max(abs(z) for z in u)
+    factors = []
+    for z in u:
+        if abs(z) <= floor or z.imag < 0.0:
             continue
-        t = root.real
-        out.append(Polynomial([1.0, t, (gamma + t * t) / 2.0]))
-    if not out:
-        raise MatchInfeasible("no real solution to the matching conditions")
-    return out
+        if z.imag > 0.0:
+            b = cmath.sqrt(z)
+            factors.append((np.array([1.0, 2.0 * b.real, abs(z)]),
+                            np.array([1.0, -2.0 * b.real, abs(z)])))
+        elif z.real > 0.0:
+            b = math.sqrt(z.real)
+            factors.append((np.array([1.0, b]), np.array([1.0, -b])))
+        else:
+            raise MatchInfeasible(
+                f"matching conditions (q = {q}, r = {d_r.degree}) need "
+                f"{'C1^2' if q == 1 else 'u = b^2'} = {z.real:.6e} < 0",
+                discriminant=z.real)
+    if 2 ** len(factors) > MAX_MATCH_CANDIDATES:
+        raise BadOrder(
+            f"numerator order q = {q} has {2 ** len(factors)} candidate "
+            f"numerators, more than the budget of {MAX_MATCH_CANDIDATES}; "
+            "pass a smaller --numerator-order")
+    return factors
 
 
 def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
@@ -204,19 +200,21 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
 
     ``g`` must be DC-normalized (both constant terms exactly 1) and
     ``d_r`` likewise.  Exactly q conditions are imposed; q = 0 returns
-    the constant numerator, q in {1, 2} is solved in closed form (the
-    q = 2 case through a quartic), larger q is unsupported.  Among
-    real solutions the one with the smallest squared-magnitude
-    residual over the standard grid wins; ties go to coefficients
-    whose signs match the original numerator.
+    the constant numerator.  For any q the numerators that meet them are
+    found from the roots of the matched spectral series (Chen, Chang &
+    Han, 1979), one per choice of sign of each root; more than
+    ``MAX_MATCH_CANDIDATES`` of them are refused with ``BadOrder``.  All
+    give the same |N(jw)|^2, so among those that pass the re-check the
+    one whose coefficients agree in sign with the original numerator
+    most often wins, then the one with the largest coefficients, compared
+    from the lowest power up.
     """
-    return _match(g, d_r, q, _on_grid(d_r))[0]
+    return _match(g, d_r, q)[0]
 
 
-def _match(g: TransferFunction, d_r: Polynomial, q: int, dr: np.ndarray
+def _match(g: TransferFunction, d_r: Polynomial, q: int
            ) -> tuple[Polynomial, tuple[tuple[float, float], ...]]:
-    """``match_numerator`` plus the winner's matched condition pairs,
-    given d_r's values on RESIDUAL_GRID."""
+    """``match_numerator`` plus the winner's matched condition pairs."""
     _check_normalized(g.num, "numerator")
     _check_normalized(g.den, "denominator")
     _check_normalized(d_r, "reduced denominator")
@@ -224,24 +222,23 @@ def _match(g: TransferFunction, d_r: Polynomial, q: int, dr: np.ndarray
         raise BadOrder(f"numerator order must satisfy 0 <= q <= {d_r.degree}")
     if q == 0:
         return Polynomial([1.0]), ()
-    if q > 2:
-        raise Unsupported("numerator orders above 2 are not supported")
 
     big_l = spectral_square_head(poly_mul(g.num, d_r), q)
-    candidates = []
-    for n_r in _candidate_numerators(g, big_l, q):
+    tried = []
+    for signs in itertools.product(*_root_factors(g, d_r, big_l, q)):
+        n_r = Polynomial(functools.reduce(np.convolve, signs, np.ones(1)))
         big_m = spectral_square_head(poly_mul(g.den, n_r), q)
-        pairs = tuple(zip(big_l[1:], big_m[1:]))
-        if any(abs(lv - mv) > _MATCH_CHECK_REL * (1.0 + abs(lv))
-               for lv, mv in pairs):
-            continue
-        candidates.append((_grid_residual(g, dr, n_r), n_r, pairs))
-    if not candidates:
-        raise MatchInfeasible("no candidate satisfied the matching re-check")
-
-    best = min(res for res, _, _ in candidates)
-    tied = [(n_r, pairs) for res, n_r, pairs in candidates
-            if res <= best + _TIE_REL * (1.0 + best)]
+        tried.append((n_r, tuple(zip(big_l[1:], big_m[1:]))))
+    passed = [(n_r, pairs) for n_r, pairs in tried
+              if all(abs(lv - mv) <= _MATCH_CHECK_REL * (1.0 + abs(lv))
+                     for lv, mv in pairs)]
+    if not passed:
+        gap = min(max(abs(lv - mv) / (1.0 + abs(lv)) for lv, mv in pairs)
+                  for _, pairs in tried)
+        raise MatchInfeasible(
+            f"none of {len(tried)} candidate numerators (q = {q}, "
+            f"r = {d_r.degree}) passed the matching re-check; smallest "
+            f"relative gap {gap:.3e}")
 
     def sign_matches(n_r: Polynomial) -> int:
         return sum(
@@ -250,8 +247,8 @@ def _match(g: TransferFunction, d_r: Polynomial, q: int, dr: np.ndarray
             and math.copysign(1.0, n_r.coeff(i)) == math.copysign(1.0, g.num.coeff(i))
         )
 
-    tied.sort(key=lambda t: (-sign_matches(t[0]), tuple(-c for c in t[0].coeffs)))
-    return tied[0]
+    return min(passed, key=lambda t: (-sign_matches(t[0]),
+                                      tuple(-c for c in t[0].coeffs)))
 
 
 def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
@@ -295,8 +292,7 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
         raise BadOrder(f"reduced order must satisfy 1 <= r <= {den_hat.degree}")
     d_r = (den_hat if cfg.target_order == den_hat.degree
            else reduce_denominator(den_hat, cfg.target_order))
-    dr = _on_grid(d_r)
-    n_r, pairs = _match(g_hat, d_r, cfg.q, dr)
+    n_r, pairs = _match(g_hat, d_r, cfg.q)
 
     chosen_n: float | None = None
     notes: tuple[str, ...] = ()
@@ -308,10 +304,7 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
         chosen_n, d_final, notes = _auto_adjust(g, k, n_r, d_r, cfg)
 
     reduced = TransferFunction(n_r.scaled(k), d_final)
-    # residual_epsilon(g, reduced), reusing d_r's values when unadjusted;
-    # the reduced model caches nothing, so results stay small
-    eps = _grid_residual(g, dr if d_final is d_r else _on_grid(d_final),
-                         reduced.num)
     return ReductionResult(reduced=reduced, factorization=fact,
-                           matched_conditions=pairs, residual_epsilon=eps,
+                           matched_conditions=pairs,
+                           residual_epsilon=residual_epsilon(g, reduced),
                            chosen_n=chosen_n, warnings=notes)

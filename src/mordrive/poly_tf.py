@@ -37,8 +37,8 @@ _EPS = float(np.finfo(float).eps)
 # root is required.
 _REAL_IMAG_TOL = 1e-8
 
-# Log grid used for the squared-magnitude residual and for picking
-# between candidate numerators: 60 points/decade over 1e-1..1e4 rad/s.
+# Log grid of the reported squared-magnitude residual: 60 points/decade
+# over 1e-1..1e4 rad/s.
 RESIDUAL_GRID = np.logspace(-1.0, 4.0, 60 * 5 + 1)
 
 
@@ -335,23 +335,13 @@ def combine_stability_parts(e0: float, e1: float,
     return Polynomial(padded_sum(even, odd))
 
 
-def spectral_square(p: Polynomial) -> Polynomial:
-    """Coefficients of p(s)·p(-s), which has only even powers.
-
-    The input must have unit constant term.  The result is returned as
-    a polynomial in s^2: ``result.coeff(x)`` is the coefficient of
-    ``s**(2x)``, built from the closed-form sum
-    ``sum_i (-1)^i 2 m_i m_{2x-i} + (-1)^x m_x^2``.
-    """
-    return Polynomial(spectral_square_head(p, p.degree))
-
-
 def spectral_square_head(p: Polynomial, q: int) -> tuple[float, ...]:
-    """``spectral_square(p).coeff(x)`` for x = 0..q, computed alone.
+    """Coefficients of x^0..x^q of p(s)·p(-s), a polynomial in x = s^2.
 
-    Each coefficient costs O(x), so the q + 1 leading ones that
-    numerator matching reads cost O(q^2) instead of O(deg(p)^2).  Past
-    the degree of p every sum is +0.0, as ``coeff`` gives there.
+    The input must have unit constant term.  Coefficient x is the
+    closed-form sum ``sum_i (-1)^i 2 m_i m_{2x-i} + (-1)^x m_x^2``, so
+    the q + 1 leading ones that numerator matching reads cost O(q^2).
+    Past the degree of p every sum is +0.0.
     """
     if p.coeffs[0] != 1.0:
         raise NotNormalized("spectral square expects unit constant term")

@@ -67,6 +67,27 @@ class TestReduceCommand:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_high_orders_match_and_the_sign_budget_exits_2(self, tmp_path,
+                                                          monkeypatch, capsys):
+        den = np.array([1.0])
+        for tau in (0.5, 0.05, 0.01, 0.002, 0.0005, 0.0001):
+            den = np.convolve(den, [1.0, tau])
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"num": [1.0, 0.7], "den": list(den)}))
+        for order in (4, 5):  # numerator orders 3 and 4 by default
+            out = tmp_path / f"red{order}.json"
+            assert main(["reduce", "--tf", str(path), "--order", str(order),
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert len(report["num"]) == order
+            assert len(report["diagnostics"]["matched_conditions"]) == order - 1
+        monkeypatch.setattr(mordrive.mor_engine, "MAX_MATCH_CANDIDATES", 2)
+        out = tmp_path / "refused.json"
+        assert main(["reduce", "--tf", str(path), "--order", "5",
+                     "--out", str(out)]) == 2
+        assert "--numerator-order" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unstable_input_exits_3(self, tmp_path):
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps({

@@ -3,7 +3,8 @@ fail with a documented exit code, never fall into the internal-error net.
 
 About 60 models of degree 2-14, with pole spreads up to 1e7, repeated
 poles, right-half-plane poles and zeros on either side, go through
-``reduce`` (no adjustment and auto, at the default numerator order),
+``reduce`` (no adjustment and auto, at the default numerator order,
+which has no upper limit),
 ``simulate step`` on a short explicit grid and ``simulate bode``; random
 nameplates go through ``sweep``.  Each success must give finite numbers,
 and a reduction must keep the DC gain.
@@ -111,7 +112,10 @@ def test_reduce(tmp_path, capsys, adjust):
             out = tmp_path / f"red{i}_{order}.json"
             code = _run(["reduce", "--tf", tf, "--order", str(order),
                          "--adjust", adjust, "--out", str(out)], capsys)
-            codes.append(code)
+            codes.append((order >= 4, code))
+            # every numerator order is matched, so an order of 4 or more
+            # ends in a model or a numeric failure, not an input error
+            assert order < 4 or code in (0, 3), (i, order, code)
             if code != 0:
                 assert not out.exists()
                 continue
@@ -121,7 +125,8 @@ def test_reduce(tmp_path, capsys, adjust):
             assert all(math.isfinite(c) for c in num + den)
             assert math.isfinite(report["diagnostics"]["residual_epsilon"])
             assert num[0] / den[0] == pytest.approx(dc, rel=1e-12), (i, order)
-    assert codes.count(0) > len(codes) // 5
+    assert [c for _, c in codes].count(0) > len(codes) // 4
+    assert (True, 0) in codes
 
 
 def test_simulate_step_on_a_short_grid(tmp_path, capsys):

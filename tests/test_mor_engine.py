@@ -10,7 +10,6 @@ from mordrive.errors import (
     MatchInfeasible,
     MorDriveError,
     NotFactorable,
-    Unsupported,
     ValidationError,
     ZeroConstantTerm,
 )
@@ -19,7 +18,6 @@ from mordrive.mor_engine import (
     ReductionConfig,
     adjust_denominator,
     match_numerator,
-    matched_condition_pairs,
     reduce,
     reduce_denominator,
     residual_epsilon,
@@ -30,8 +28,37 @@ from mordrive.poly_tf import (
     dc_gain,
     is_stable,
     poly_mul,
+    spectral_square_head,
 )
 from mordrive.sim_analysis import ise, step_response
+
+
+_SIX_LAGS = (0.5, 0.05, 0.01, 0.002, 0.0005, 0.0001)
+
+
+def _lags(taus) -> Polynomial:
+    """Product of the first-order lags 1 + tau s."""
+    d = Polynomial([1.0])
+    for tau in taus:
+        d = poly_mul(d, Polynomial([1.0, float(tau)]))
+    return d
+
+
+def _convolved_square(p: Polynomial) -> np.ndarray:
+    """p(s) p(-s) in powers of s^2, by plain convolution."""
+    c = np.array(p.coeffs)
+    return np.convolve(c, c * (-1.0) ** np.arange(len(c)))[::2]
+
+
+def _assert_matched(g, d_r, n_r, pairs) -> None:
+    """``pairs`` are the (L_2x, M_2x) of n_r for x = 1, 2, ..., within 1e-9
+    of an independent spectral square, and each L_2x meets its M_2x."""
+    big_l = _convolved_square(poly_mul(g.num, d_r))
+    big_m = _convolved_square(poly_mul(g.den, n_r))
+    for x, (lv, mv) in enumerate(pairs, start=1):
+        assert abs(lv - big_l[x]) <= 1e-9 * (1.0 + abs(big_l[x]))
+        assert abs(mv - big_m[x]) <= 1e-9 * (1.0 + abs(big_m[x]))
+        assert abs(lv - mv) <= 1e-9 * (1.0 + abs(lv))
 
 
 def _random_stable_den(rng, deg, lo=-1.0, hi=3.0):
@@ -100,9 +127,11 @@ class TestMatchNumerator:
         d_r = reduce_denominator(bench_den, 2)
         out = match_numerator(bench_loop, d_r, 1)
         assert out.coeff(1) == pytest.approx(0.03, abs=1e-4)
-        pairs = matched_condition_pairs(bench_loop, d_r, out, 1)
-        for lv, mv in pairs:
-            assert abs(lv - mv) <= 1e-9 * (1.0 + abs(lv))
+        # the loop has unit DC gain, so reduce matches on the loop itself
+        res = reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1))
+        assert res.reduced.num == out
+        assert len(res.matched_conditions) == 1
+        _assert_matched(bench_loop, d_r, out, res.matched_conditions)
 
     def test_constant_numerator(self, bench_loop, bench_den):
         d_r = reduce_denominator(bench_den, 2)
@@ -122,10 +151,32 @@ class TestMatchNumerator:
     def test_infeasible_reports_discriminant(self, bench_loop):
         # an s^2 coefficient far above the original's makes C1^2 negative
         d_bad = Polynomial([1.0, 0.12988, 0.02])
-        with pytest.raises(MatchInfeasible) as err:
+        with pytest.raises(MatchInfeasible, match=r"q = 1, r = 2.*C1\^2") as err:
             match_numerator(bench_loop, d_bad, 1)
-        assert err.value.discriminant is not None
+        # the closed form C1^2 = 2 B2 - B1^2 - L2, to the last bit
+        b = bench_loop.den.coeff
+        big_l = spectral_square_head(poly_mul(bench_loop.num, d_bad), 1)
+        assert err.value.discriminant == 2.0 * b(2) - b(1) ** 2 - big_l[1]
         assert err.value.discriminant < 0.0
+
+    def test_infeasible_above_first_order_reports_root(self):
+        g = TransferFunction(Polynomial([1.0, 0.7]), _lags(_SIX_LAGS))
+        d_r = reduce_denominator(g.den, 5)
+        with pytest.raises(MatchInfeasible, match=r"q = 3, r = 5") as err:
+            match_numerator(g, d_r, 3)
+        # the negative root u = b^2 of the matched series
+        assert err.value.discriminant == pytest.approx(-1.05357e-4, rel=1e-4)
+
+    def test_recheck_failure_states_candidates_and_gap(self, bench_loop,
+                                                        bench_den, monkeypatch):
+        monkeypatch.setattr(mor_engine, "_MATCH_CHECK_REL", -1.0)
+        d_r = reduce_denominator(bench_den, 2)
+        with pytest.raises(MatchInfeasible,
+                           match=r"none of 2 candidate numerators \(q = 1, r = 2\)"
+                                 r".*smallest relative gap (\S+)$") as err:
+            match_numerator(bench_loop, d_r, 1)
+        assert err.value.discriminant is None
+        assert 0.0 <= float(str(err.value).rsplit(" ", 1)[1]) <= 1e-12
 
     def test_second_order_numerator(self):
         den = Polynomial([1.0])
@@ -136,14 +187,43 @@ class TestMatchNumerator:
         out = match_numerator(g, d_r, 2)
         assert out.degree == 2
         assert out.coeff(1) == pytest.approx(0.7034, abs=2e-3)
-        pairs = matched_condition_pairs(g, d_r, out, 2)
-        for lv, mv in pairs:
-            assert abs(lv - mv) <= 1e-9 * (1.0 + abs(lv))
+        res = reduce(g, ReductionConfig(target_order=3, numerator_order=2))
+        assert res.reduced.num == out
+        _assert_matched(g, d_r, out, res.matched_conditions)
 
-    def test_orders_above_two_unsupported(self, bench_loop, bench_den):
+    @pytest.mark.parametrize("r, q", [(4, 3), (5, 4)])
+    def test_orders_three_and_four(self, r, q):
+        g = TransferFunction(Polynomial([1.0, 0.7]), _lags(_SIX_LAGS))
+        d_r = reduce_denominator(g.den, r)
+        out = match_numerator(g, d_r, q)
+        assert out.degree == q
+        assert all(c > 0.0 for c in out.coeffs)  # signs follow 1 + 0.7 s
+        res = reduce(g, ReductionConfig(target_order=r, numerator_order=q))
+        assert res.reduced.num == out
+        assert len(res.matched_conditions) == q
+        _assert_matched(g, d_r, out, res.matched_conditions)
+
+    def test_order_above_reduced_degree_rejected(self, bench_loop, bench_den):
         d_r = reduce_denominator(bench_den, 2)
-        with pytest.raises((Unsupported, BadOrder)):
+        with pytest.raises(BadOrder):
             match_numerator(bench_loop, d_r, 3)
+
+    def test_sign_choices_bounded_before_any_candidate(self, monkeypatch):
+        # two positive roots u = b^2, so four sign choices, over a budget of 3
+        g = TransferFunction(Polynomial([1.0, 0.7]), _lags(_SIX_LAGS[:4]))
+        d_r = reduce_denominator(g.den, 3)
+        assert match_numerator(g, d_r, 2).degree == 2
+        squared = []
+        spectral_square_head = mor_engine.spectral_square_head
+        monkeypatch.setattr(mor_engine, "spectral_square_head",
+                            lambda p, q: squared.append(p) or spectral_square_head(p, q))
+        monkeypatch.setattr(mor_engine, "MAX_MATCH_CANDIDATES", 3)
+        with pytest.raises(BadOrder, match="q = 2 has 4 candidate numerators, "
+                                           "more than the budget of 3.*"
+                                           "--numerator-order"):
+            match_numerator(g, d_r, 2)
+        # L and the denominator's square only: no candidate was built
+        assert squared == [poly_mul(g.num, d_r), g.den]
 
     def test_sign_follows_original(self, bench_loop, bench_den):
         d_r = reduce_denominator(bench_den, 2)
@@ -396,11 +476,11 @@ class TestFactorizationReuse:
         done = self._sweep_orders(g)
         assert len(done) > 10
         g_hat = g.dc_normalized
-        # the model's num and den, as given and DC-normalized, once each
-        for p in (g.num, g.den, g_hat.num, g_hat.den):
-            assert sum(1 for e in evaluated if e is p) == 1
-        # each unadjusted reduced denominator once: matching and the
-        # final residual share its values
+        # the model's num and den once each; matching never reads the
+        # grid, so the DC-normalized num and den are not evaluated
+        for p, times in ((g.num, 1), (g.den, 1), (g_hat.num, 0), (g_hat.den, 0)):
+            assert sum(1 for e in evaluated if e is p) == times
+        # each unadjusted reduced denominator once, for the final residual
         for res in done:
             assert sum(1 for e in evaluated if e is res.reduced.den) == 1
 
