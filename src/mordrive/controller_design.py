@@ -211,7 +211,8 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
         raise ValidationError(
             f"sweep of {steps} steps exceeds the budget of {MAX_SWEEP_STEPS}; "
             "pass fewer --steps")
-    gains = np.linspace(kc_min, kc_max, steps)
+    with np.errstate(over="ignore"):  # the last step can round past the maximum
+        gains = np.linspace(kc_min, kc_max, steps)
     return [point for start in range(0, steps, _STACK_ROWS)
             for point in _measure_gains(model,
                                         gains[start:start + _STACK_ROWS])]
@@ -224,15 +225,16 @@ def _measure_gains(model: DerivedDriveModel,
     stack: one root solve and one ``_unit_step_measures`` call.  Every
     closure den + Kc num has the loop's degree, since num's is lower.
 
-    A closure whose roots do not converge counts as unstable, as one with
-    a root at or right of the imaginary axis does; a stable one that
-    cannot be measured keeps empty metrics.
+    A closure that overflows, or whose roots do not converge, counts as
+    unstable, as one with a root at or right of the imaginary axis does;
+    a stable one that cannot be measured keeps empty metrics.
     """
     loop = model.loop_gain_full
     num, den = np.array(loop.num.coeffs), np.array(loop.den.coeffs)
-    nums = gains[:, None] * num
-    dens = den + np.pad(nums, ((0, 0), (0, len(den) - len(num))))
-    poles = _roots_of_rows(dens)
+    with np.errstate(over="ignore"):
+        nums = gains[:, None] * num
+        dens = den + np.pad(nums, ((0, 0), (0, len(den) - len(num))))
+    poles, _ = _roots_of_rows(dens)
     stable = np.all(poles.real < 0.0, axis=-1)
     measured = iter(_unit_step_measures(nums[stable], dens[stable],
                                         poles[stable]))

@@ -76,30 +76,40 @@ def derive_model(p: MotorDriveParams) -> DerivedDriveModel:
     The two motor time constants come from the roots of the armature
     quadratic ``J*La s^2 + (Bt*La + J*Ra) s + (Kb^2 + Ra*Bt)``; the
     ordering Tr < T2 < T1 is enforced because the design chain depends
-    on it.
+    on it.  Nameplate values from which a derived constant, or a
+    coefficient of that quadratic, comes out zero or non-finite are
+    refused with ``ValidationError``.
     """
-    denom = p.kb_v_per_rad_s ** 2 + p.ra_ohm * p.bt_nm_per_rad_s
+    try:
+        denom = p.kb_v_per_rad_s ** 2 + p.ra_ohm * p.bt_nm_per_rad_s
+    except OverflowError:  # float ** raises where * would give inf
+        denom = math.inf
     k1 = p.bt_nm_per_rad_s / denom
     tm = p.j_kgm2 / p.bt_nm_per_rad_s
 
-    quad = Polynomial([
-        denom,
-        p.bt_nm_per_rad_s * p.la_h + p.j_kgm2 * p.ra_ohm,
-        p.j_kgm2 * p.la_h,
-    ])
-    roots = poly_roots(quad)
+    quad = [denom, p.bt_nm_per_rad_s * p.la_h + p.j_kgm2 * p.ra_ohm,
+            p.j_kgm2 * p.la_h]
+    _check_derived(("Kb^2 + Ra*Bt", quad[0]), ("Bt*La + J*Ra", quad[1]),
+                   ("J*La", quad[2]))
+    roots = poly_roots(Polynomial(quad))
     for r in roots:
         if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):
             raise ComplexMotorPoles(
                 f"armature quadratic has complex roots {roots}; the "
                 "two-time-constant motor model does not apply")
     mags = sorted(abs(r) for r in roots)
+    _check_derived(("1/T1", mags[0]), ("1/T2", mags[1]))
     t1 = 1.0 / mags[0]
     t2 = 1.0 / mags[1]
 
     kr = 1.35 * p.supply_line_voltage_v / p.vcm_v
+    _check_derived(("Kr", kr))
     rated_cv = p.rated_voltage_v / kr
     hc = rated_cv / p.imax_a
+    g0 = k1 * kr * hc / p.tc_s
+    _check_derived(("K1", k1), ("Tm", tm), ("T1", t1), ("T2", t2),
+                   ("Hc", hc), ("K1*Kr*Hc/Tc", g0),
+                   ("K1*Hc*Kr*Tm", k1 * hc * kr * tm))  # kc_from_K divides by it
 
     if not p.tr_s < t2 < t1:
         raise TimeConstantOrdering(
@@ -110,7 +120,6 @@ def derive_model(p: MotorDriveParams) -> DerivedDriveModel:
             * Polynomial([1.0, p.tr_s]))
 
     # Unit-Kc loop gain: {K1*Kr*Hc/Tc} (1+sTc)(1+sTm) / [s(1+sT1)(1+sT2)(1+sTr)]
-    g0 = k1 * kr * hc / p.tc_s
     full_num = (Polynomial([1.0, p.tc_s]) * Polynomial([1.0, tm])).scaled(g0)
     loop_gain_full = TransferFunction(full_num, Polynomial([0.0, 1.0]) * lags)
     loop_gain_design = TransferFunction(Polynomial([1.0, p.tc_s]), lags)
@@ -119,6 +128,16 @@ def derive_model(p: MotorDriveParams) -> DerivedDriveModel:
         params=p, K1=k1, T1=t1, T2=t2, Tm=tm, Kr=kr, Hc=hc,
         rated_control_voltage=rated_cv,
         loop_gain_full=loop_gain_full, loop_gain_design=loop_gain_design)
+
+
+def _check_derived(*named: tuple[str, float]) -> None:
+    """``ValidationError`` unless every derived value is positive and
+    finite: nameplate values far out of range overflow or underflow."""
+    for name, value in named:
+        if not 0.0 < value < math.inf:
+            raise ValidationError(
+                f"derived {name} = {value!r} is not a positive finite "
+                "number; the nameplate values are out of range")
 
 
 def kc_from_K(model: DerivedDriveModel, K: float) -> float:

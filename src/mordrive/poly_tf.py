@@ -6,9 +6,9 @@ after construction and every operation is a pure function, so the types
 are safe to share between threads.  ``Polynomial.roots``,
 ``Polynomial.factorization``, ``TransferFunction.dc_normalized`` and
 ``TransferFunction.on_residual_grid`` are pure caches filled on first
-use, so a race at worst computes one twice.  Companion roots are found
-for stacks of polynomials of one degree at once (``_roots_of_rows``,
-which a gain sweep uses); ``poly_roots`` is that kernel on one row.
+use, so a race at worst computes one twice.  ``poly_roots`` and
+``poly_eval`` are the one-row cases of the stacked kernels
+``_roots_of_rows`` (which a gain sweep calls) and ``_horner``.
 """
 from __future__ import annotations
 
@@ -116,137 +116,101 @@ def padded_sum(a: Sequence[float], b: Sequence[float]) -> list[float]:
 
 
 def poly_eval(p: Polynomial, s: complex | np.ndarray) -> complex | np.ndarray:
-    """Horner evaluation at a point or elementwise over an array.
-
-    A scalar argument gives a Python ``complex``; an array argument
-    gives a complex array of the same shape.  Exact for degree 0.
-    """
-    out = np.polyval(p.coeffs[::-1], np.asarray(s, dtype=complex))
+    """``_horner`` on one row, at a point (giving a Python ``complex``)
+    or elementwise over an array (giving a complex array of its shape)."""
+    x = np.asarray(s, dtype=complex)
+    out = _horner(np.array([p.coeffs]), x.reshape(1, -1)).reshape(x.shape)
     return complex(out) if out.ndim == 0 else out
 
 
-def poly_roots(p: Polynomial) -> list[complex]:
-    """All complex roots, from companion-matrix eigenvalues (NumPy),
-    with a residual acceptance check.
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of ascending ``coeffs`` at each x[i, j] by Horner's rule,
+    with the steps of NumPy's own evaluator, out of place as there: NumPy
+    rounds an in-place complex product of one element differently."""
+    y = np.zeros_like(x)
+    for col in coeffs.T[::-1, :, None]:
+        y = y * x + col
+    return y
 
-    Every root of the returned multiset satisfies
-    ``|p(root)| <= max(1e-10 * max|coeff|, 4 n eps sum|c_i||root|^i)``;
-    otherwise ``NonConvergence`` is raised.  A companion root over that
-    bound gets one Newton step, kept only if its residual is finite and
-    smaller; roots within the bound are returned as NumPy found them.
-    Roots are sorted by ascending (real, imag).
-    """
+
+def poly_roots(p: Polynomial) -> list[complex]:
+    """All complex roots, sorted by ascending (real, imag), each with
+    ``|p(root)| <= max(1e-10 * max|coeff|, 4 n eps sum|c_i||root|^i)``,
+    or ``NonConvergence``: ``_roots_of_rows`` on one row."""
     if p.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
-    orig = np.array([p.coeffs], dtype=float)
-    z, over = _companion_roots(orig)
-    z = z[0]
-    if over[0]:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # Companion roots of polynomials whose coefficients span many
-            # decades can miss the bound by a small factor.  A Newton step
-            # can diverge at a multiple root, so it is kept per root only
-            # where it lowers the residual.
-            pz = poly_eval(p, z)
-            residual = np.abs(pz)
-            over = residual > _root_limit(orig, z[None])[0]
-            desc = orig[0, ::-1]
-            newton = z[over] - pz[over] / np.polyval(np.polyder(desc), z[over])
-            res_newton = np.abs(poly_eval(p, newton))
-            keep = np.isfinite(res_newton) & (res_newton < residual[over])
-            z[over] = np.where(keep, newton, z[over])
-            residual[over] = np.where(keep, res_newton, residual[over])
-            limit = _root_limit(orig, z[None])[0]
-            over = residual > limit
-            if over.any():
-                i = int(np.argmax(over))
-                raise NonConvergence(
-                    f"root residual {residual[i]:.3e} exceeds {limit[i]:.3e}")
-        z = np.sort(z, kind="stable")
-    return [complex(r) for r in z]
+    z, failures = _roots_of_rows(np.array([p.coeffs]))
+    if failures[0] is not None:
+        raise NonConvergence(failures[0])
+    return z[0].tolist()
 
 
-def _companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, over) of each row of ``coeffs``, an (m, n + 1) stack of
-    ascending coefficients with a nonzero last column.
+def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """``poly_roots`` of each row of ``coeffs``, an (m, n + 1) stack of
+    ascending coefficients with a nonzero last column, as an (m, n)
+    complex array, and per row None or why it failed (its roots NaN).
 
-    The roots are those of ``np.roots`` for every row, bit for bit, as an
-    (m, n) complex array: the eigenvalues of each row's companion matrix,
-    from one stacked eigensolve per count of zero constant terms, and
-    that many exact zeros, each row sorted by ascending (real, imag).
-    ``over`` marks the rows with a root over ``poly_roots``' residual
-    bound.  An eigensolve that fails or gives a non-finite root raises
-    ``NonConvergence`` for the whole stack.
+    The roots are ``np.roots``' bit for bit, from one companion
+    eigensolve per count of zero constant terms (row by row if it
+    fails), but a root over the residual bound gets one Newton step,
+    kept where it leaves a finite, lower residual.
     """
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     z = np.zeros((m, n), dtype=complex)
+    failures: list[str | None] = [None] * m
     if coeffs[:, 0].all():
         groups = [(slice(None), 0)]
     else:
         zero_terms = np.argmax(coeffs != 0.0, axis=1)
-        groups = [(zero_terms == t, t) for t in np.unique(zero_terms).tolist()]
+        groups = [(zero_terms == t, t)
+                  for t in np.unique(zero_terms).tolist() if t < n]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rows, t in groups:
             size = n - t
-            if size == 0:
-                continue
             desc = coeffs[rows, t:][:, ::-1]
             a = np.zeros((len(desc), size, size))
             a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
             a[:, 0, :] = -desc[:, 1:] / desc[:, :1]
             try:
                 z[rows, :size] = np.linalg.eigvals(a)
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergence(
-                    f"companion eigenvalues failed: {exc}") from exc
-        if not np.all(np.isfinite(z)):
-            raise NonConvergence("companion eigenvalues are non-finite")
-        residual = np.abs(_horner(coeffs, z))
-        over = (residual > _root_limit(coeffs, z)).any(axis=1)
-    return np.sort(z, axis=1, kind="stable"), over
+            except np.linalg.LinAlgError:
+                for j, i in enumerate(np.arange(m)[rows].tolist()):
+                    try:
+                        z[i, :size] = np.linalg.eigvals(a[j:j + 1])
+                    except np.linalg.LinAlgError as exc:
+                        failures[i] = f"companion eigenvalues failed: {exc}"
+        if not np.isfinite(z).all():
+            for i in np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist():
+                failures[i] = "companion eigenvalues are non-finite"
+        z = np.sort(z, axis=1, kind="stable")
+        pz = _horner(coeffs, z)
+        over = np.abs(pz) > _root_limit(coeffs, z)
+        if over.any():
+            rows = np.nonzero(over)[0]
+            c, zo, pzo = coeffs[rows], z[over][:, None], pz[over][:, None]
+            newton = zo - pzo / _horner(c[:, 1:] * np.arange(1, n + 1), zo)
+            res, res_newton = np.abs(pzo), np.abs(_horner(c, newton))
+            keep = np.isfinite(res_newton) & (res_newton < res)
+            zo, res = np.where(keep, newton, zo), np.where(keep, res_newton, res)
+            z[over] = zo[:, 0]
+            z = np.sort(z, axis=1, kind="stable")
+            for i, r, lim in zip(rows.tolist(), res[:, 0].tolist(),
+                                 _root_limit(c, zo)[:, 0].tolist()):
+                if r > lim and failures[i] is None:
+                    failures[i] = f"root residual {r:.3e} exceeds {lim:.3e}"
+    if any(failures):
+        z[[why is not None for why in failures]] = np.nan
+    return z, failures
 
 
 def _root_limit(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``poly_roots``' residual bound at each root z[i, j] of row i of
-    ``coeffs``: the primary bound relaxed only to the per-root evaluation
-    rounding floor, since |p(z)| below eps * sum|c_i||z|^i is
-    indistinguishable from zero in double precision."""
+    ``coeffs``: the primary bound, relaxed to the rounding floor of
+    evaluating p(z), below which |p(z)| cannot be told from zero."""
     n = coeffs.shape[1] - 1
     bound = _ROOT_RESIDUAL_REL * np.abs(coeffs).max(axis=1, keepdims=True)
     return np.maximum(bound,
                       4.0 * n * _EPS * _horner(np.abs(coeffs), np.abs(z)))
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of ascending ``coeffs`` at each x[i, j]: ``np.polyval``'s
-    Horner steps, with the same operations, over a stack of rows."""
-    y = np.zeros_like(x)
-    for col in coeffs.T[::-1, :, None]:
-        y *= x
-        y += col
-    return y
-
-
-def _roots_of_rows(coeffs: np.ndarray) -> np.ndarray:
-    """``poly_roots`` of each row of ``coeffs``, an (m, n + 1) stack of
-    ascending coefficients with a nonzero last column, as an (m, n)
-    complex array; a row whose roots do not converge is all NaN.
-
-    One stacked ``_companion_roots`` call serves every row; only rows
-    over the residual bound, or every row if the stacked eigensolve
-    fails, go through ``poly_roots`` one by one.
-    """
-    try:
-        z, over = _companion_roots(coeffs)
-    except NonConvergence:
-        z, over = np.empty(coeffs.shape[:1] + (coeffs.shape[1] - 1,),
-                           dtype=complex), np.ones(len(coeffs), dtype=bool)
-    for i in np.flatnonzero(over).tolist():
-        try:
-            z[i] = poly_roots(Polynomial(coeffs[i]))
-        except NonConvergence:
-            z[i] = np.nan
-    return z
 
 
 def is_stable(p: Polynomial) -> bool:

@@ -195,6 +195,24 @@ class TestDesignCommand:
         assert code == 2
         assert "kb_v_per_rad_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("kb_v_per_rad_s", 1e200), ("j_kgm2", 1e300), ("vcm_v", 1e-320)])
+    def test_out_of_range_nameplate_exits_2(self, motor_file, tmp_path, capsys,
+                                            field, value):
+        # each derives a constant that is zero or not finite
+        data = json.loads(Path(motor_file).read_text())
+        data[field] = value
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "x.json"
+        for argv in (["design", "--method", "conventional", "--report", str(out)],
+                     ["sweep", "--kc-min", "1", "--kc-max", "2", "--steps", "2",
+                      "--out", str(out)]):
+            assert main(argv + ["--motor", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "ValidationError" in err and "derived" in err
+        assert not out.exists()
+
     def test_print_example_is_valid_input(self, tmp_path, capsys):
         assert main(["design", "--print-example"]) == 0
         text = capsys.readouterr().out
@@ -325,6 +343,17 @@ class TestSweepCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 3
         assert rows[-1][1:] == ["", "", "", "", "true"]
+
+    def test_gains_near_the_float_maximum_are_unstable(self, motor_file,
+                                                       tmp_path):
+        # closing the loop overflows; such closures count as unstable
+        out = tmp_path / "top.csv"
+        assert main(["sweep", "--motor", motor_file, "--kc-min", "1e300",
+                     "--kc-max", "1.7e308", "--steps", "3",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1e+300", "8.50000005e+307", "1.7e+308"]
+        assert all(r[1:] == ["", "", "", "", "false"] for r in rows)
 
     @pytest.mark.parametrize("kc_max", ["inf", "nan"])
     def test_non_finite_gain_exits_2(self, motor_file, tmp_path, capsys,

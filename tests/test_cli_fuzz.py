@@ -6,12 +6,14 @@ poles, right-half-plane poles and zeros on either side, go through
 ``reduce`` (no adjustment and auto, at the default numerator order,
 which has no upper limit),
 ``simulate step`` on a short explicit grid and ``simulate bode``; random
-nameplates go through ``sweep``.  Each success must give finite numbers,
+nameplates go through ``sweep``, at moderate gains and from log-uniform
+gains up to the float maximum.  Each success must give finite numbers,
 and a reduction must keep the DC gain.
 """
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mordrive.drive_model import worked_example_params
 
 N_MODELS = 60
 N_SWEEPS = 12
+N_WIDE_SWEEPS = 8
 
 
 def _poles(rng, degree: int, spread: float, kind: int) -> list[complex]:
@@ -166,18 +169,23 @@ def test_sweep_on_random_nameplates(tmp_path, capsys):
     base = {k: v for k, v in dataclasses.asdict(worked_example_params()).items()
             if v is not None}
     ok = 0
-    for i in range(N_SWEEPS):
+    for i in range(N_SWEEPS + N_WIDE_SWEEPS):
         params = dict(base)
         for key in ("ra_ohm", "la_h", "j_kgm2", "bt_nm_per_rad_s",
                     "kb_v_per_rad_s", "tc_s", "tr_s"):
             params[key] *= math.exp(rng.uniform(-0.7, 0.7))
         motor = tmp_path / f"motor{i}.json"
         motor.write_text(json.dumps(params))
-        kc_min = float(rng.uniform(0.5, 10.0))
+        if i < N_SWEEPS:
+            kc_min = float(rng.uniform(0.5, 10.0))
+            kc_max = float(kc_min * rng.uniform(1.0, 20.0))
+        else:  # up to the float maximum, where closing the loop overflows
+            kc_min = float(10.0 ** rng.uniform(-3.0, 308.0))
+            kc_max = sys.float_info.max
         out = tmp_path / f"sweep{i}.csv"
         code = _run(["sweep", "--motor", str(motor), "--kc-min", repr(kc_min),
-                     "--kc-max", repr(kc_min * rng.uniform(1.0, 20.0)),
-                     "--steps", "4", "--out", str(out)], capsys)
+                     "--kc-max", repr(kc_max), "--steps", "4",
+                     "--out", str(out)], capsys)
         if code == 0:
             ok += 1
             rows = _read_csv(out)

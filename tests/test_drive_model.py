@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -117,6 +118,18 @@ class TestParameterValidation:
         params = dataclasses.replace(worked_example_params(),
                                      kb_v_per_rad_s=50.0)
         with pytest.raises(ComplexMotorPoles):
+            derive_model(params)
+
+    @pytest.mark.parametrize("changes, derived", [
+        ({"kb_v_per_rad_s": 1e200}, "Kb^2 + Ra*Bt = inf"),  # Kb ** 2 overflows
+        ({"j_kgm2": 1e300}, "1/T1 = 0.0"),  # the slow pole rounds to zero
+        ({"vcm_v": 1e-320}, "Kr = inf"),  # and Hc = 0
+        ({"vcm_v": 1e300, "supply_line_voltage_v": 1e-30}, "Kr = 0.0"),
+        ({"rated_voltage_v": 1e-320}, "K1*Hc*Kr*Tm = 0.0"),
+    ])
+    def test_non_finite_derived_constants_refused(self, changes, derived):
+        params = dataclasses.replace(worked_example_params(), **changes)
+        with pytest.raises(ValidationError, match="derived " + re.escape(derived)):
             derive_model(params)
 
     def test_positive_fields_required(self):

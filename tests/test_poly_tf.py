@@ -76,6 +76,27 @@ class TestPolyEval:
     def test_constant_term_at_zero(self, bench_den):
         assert poly_eval(bench_den, 0.0) == 1.0
 
+    def test_horner_is_polyval_bit_for_bit(self):
+        # one evaluator: np.polyval's steps over a stack of rows, and a
+        # point evaluates as it does as an element of an array
+        rng = np.random.default_rng(3000)
+        for _ in range(200):
+            n = int(rng.integers(0, 15))
+            rows = rng.uniform(-3.0, 3.0, size=(3, n + 1))
+            x = (rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))) \
+                * 10.0 ** rng.uniform(-2.0, 2.0)
+            got = poly_tf._horner(rows, x)
+            for row, xi, yi in zip(rows, x, got):
+                want = np.polyval(row[::-1], xi)
+                assert _bits(yi.real) == _bits(want.real)
+                assert _bits(yi.imag) == _bits(want.imag)
+            p = Polynomial(rows[0])
+            y, point = poly_eval(p, x[0]), poly_eval(p, complex(x[0, 0]))
+            assert _bits(y.real) == _bits(got[0].real)
+            assert _bits(y.imag) == _bits(got[0].imag)
+            assert _bits([point.real, point.imag]) == _bits(
+                [got[0, 0].real, got[0, 0].imag])
+
 
 class TestPolyRoots:
     def test_factorable_quadratic(self):
@@ -175,21 +196,32 @@ def _stiff_parts(deg, count):
     return np.array(even), np.array(odd)
 
 
+def _companion_over(rows):
+    """Rows of which a companion root, ``np.roots``' eigenvalue, lies over
+    the residual bound, so that ``_roots_of_rows`` polishes it."""
+    z = np.array([np.sort(np.roots(row[::-1]), kind="stable") for row in rows])
+    residual = np.abs(poly_tf._horner(rows, z))
+    return (residual > poly_tf._root_limit(rows, z)).any(axis=1)
+
+
 class TestStackedRoots:
     """``_roots_of_rows`` gives each row exactly what ``poly_roots`` gives."""
 
     @staticmethod
     def _assert_rows_are_poly_roots(rows):
-        got = poly_tf._roots_of_rows(rows)
+        got, failures = poly_tf._roots_of_rows(rows)
         assert got.shape == (len(rows), rows.shape[1] - 1)
-        for row, z in zip(rows, got):
+        assert len(failures) == len(rows)
+        for row, z, why in zip(rows, got, failures):
             try:
                 want = poly_roots(Polynomial(row))
-            except NonConvergence:
-                assert np.isnan(z).all()
+            except NonConvergence as exc:
+                assert np.isnan(z).all() and why == str(exc)
                 continue
+            assert why is None
             assert _bits(z.real) == _bits(r.real for r in want)
             assert _bits(z.imag) == _bits(r.imag for r in want)
+        return got, failures
 
     def test_random_rows_with_zero_constant_terms(self):
         rng = np.random.default_rng(1507)
@@ -197,23 +229,51 @@ class TestStackedRoots:
         rows[3, 0] = 0.0
         rows[8, :3] = 0.0
         rows[9, :6] = 0.0
-        z, _ = poly_tf._companion_roots(rows)
+        z, failures = self._assert_rows_are_poly_roots(rows)
+        assert failures == [None] * len(rows)
         assert (z[8] == 0.0).sum() == 3 and (z[9] == 0.0).all()
-        self._assert_rows_are_poly_roots(rows)
+        # rows within the bound are the companion eigenvalues bit for bit
+        for row, zi, over in zip(rows, z, _companion_over(rows)):
+            if not over:
+                want = np.sort(np.roots(row[::-1]), kind="stable")
+                assert _bits(zi.real) == _bits(want.real)
+                assert _bits(zi.imag) == _bits(want.imag)
 
     def test_stiff_rows_over_the_bound(self):
         for deg in (14, 16, 20):
             for rows in _stiff_parts(deg, 40):
-                _, over = poly_tf._companion_roots(rows)
-                assert 0 < over.sum() < len(rows)
+                assert 0 < _companion_over(rows).sum() < len(rows)
                 self._assert_rows_are_poly_roots(rows)
 
     def test_rows_that_do_not_converge(self):
         rows = np.array([[2.0, 3.0, 1.0], [np.nan, 3.0, 1.0], [1.0, 0.0, 1.0]])
-        with pytest.raises(NonConvergence):
-            poly_tf._companion_roots(rows)
-        got = poly_tf._roots_of_rows(rows)
+        got, failures = self._assert_rows_are_poly_roots(rows)
         assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
+        assert failures[1].startswith("companion eigenvalues failed: ")
+
+    def test_one_eigensolve_per_zero_term_group(self, monkeypatch):
+        # an over-bound row is polished in place, not solved once more
+        rows = _stiff_parts(16, 40)[0]
+        rows[5, 0] = 0.0
+        rows[7, :2] = 0.0
+        assert _companion_over(rows).sum() > 3
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(len(a)) or eigvals(a))
+        want, failures = poly_tf._roots_of_rows(rows)
+        assert failures == [None] * len(rows)
+        assert sorted(calls) == [1, 1, len(rows) - 2]
+        # a NaN row fails its group's stacked solve, which is redone row
+        # by row, and leaves the other rows' roots unchanged
+        calls.clear()
+        rows[11, 3] = np.nan
+        got, failures = poly_tf._roots_of_rows(rows)
+        assert sorted(calls) == [1] * len(rows) + [len(rows) - 2]
+        assert failures[11].startswith("companion eigenvalues failed: ")
+        others = np.arange(len(rows)) != 11
+        assert _bits(got[others].real.ravel()) == _bits(want[others].real.ravel())
+        assert _bits(got[others].imag.ravel()) == _bits(want[others].imag.ravel())
         self._assert_rows_are_poly_roots(rows)
 
 
