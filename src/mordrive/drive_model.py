@@ -143,7 +143,9 @@ def _check_derived(*named: tuple[str, float]) -> None:
 def kc_from_K(model: DerivedDriveModel, K: float) -> float:
     """Controller gain for a given loop gain: Kc = K*Tc/(K1*Hc*Kr*Tm)."""
     p = model.params
-    return K * p.tc_s / (model.K1 * model.Hc * model.Kr * model.Tm)
+    kc = K * p.tc_s / (model.K1 * model.Hc * model.Kr * model.Tm)
+    _check_derived(("Kc", kc))  # far-out nameplates overflow it
+    return kc
 
 
 def worked_example_params() -> MotorDriveParams:

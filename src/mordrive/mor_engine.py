@@ -22,6 +22,7 @@ from .errors import (
     MatchInfeasible,
     MorDriveError,
     NotNormalized,
+    NumericError,
     ValidationError,
 )
 from .poly_tf import (
@@ -36,8 +37,7 @@ from .poly_tf import (
     poly_roots,
     spectral_square_head,
 )
-from .sim_analysis import (DEFAULT_HORIZON_FACTOR, characteristic_times,
-                           step_ise)
+from .sim_analysis import step_ise
 
 _MATCH_CHECK_REL = 1e-9
 
@@ -139,7 +139,7 @@ def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
     ng, dg = g.on_residual_grid
     s = 1j * RESIDUAL_GRID
     ng_dr, nr = ng * poly_eval(gr.den, s), poly_eval(gr.num, s)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = np.abs(ng_dr / (dg * nr)) ** 2
     return float(np.max(np.abs(ratio - 1.0)))
 
@@ -262,11 +262,10 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
     """
     lo, hi, step = cfg.auto_grid
     grid = np.arange(lo, hi + step / 2.0, step)
-    horizon = DEFAULT_HORIZON_FACTOR * characteristic_times(g)[1]
     scores = np.full(len(grid), np.nan)
     if d_r.degree >= 2:  # adjust_denominator refuses lower degrees
         dens = _adjusted(d_r.coeffs, grid)
-        scores = step_ise(g, n_r.scaled(k).coeffs, dens, horizon)
+        scores = step_ise(g, n_r.scaled(k).coeffs, dens)
     ok = np.isfinite(scores) & (scores >= 0.0)
     if not np.any(ok):
         return None, d_r, ("auto adjustment failed for every percent; "
@@ -282,7 +281,8 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
     numerator, optionally applies the percent adjustment, and restores
     the gain, so the reduced model keeps the original DC gain exactly.
     A target order equal to the input degree keeps the denominator
-    unchanged (identity reduction).
+    unchanged (identity reduction).  A reduced model whose residual
+    epsilon is not finite is refused with ``NumericError``.
     """
     g_hat = g.dc_normalized
     k = dc_gain(g)
@@ -304,7 +304,9 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
         chosen_n, d_final, notes = _auto_adjust(g, k, n_r, d_r, cfg)
 
     reduced = TransferFunction(n_r.scaled(k), d_final)
+    eps = residual_epsilon(g, reduced)
+    if not math.isfinite(eps):
+        raise NumericError(f"residual epsilon of the reduced model is {eps}")
     return ReductionResult(reduced=reduced, factorization=fact,
-                           matched_conditions=pairs,
-                           residual_epsilon=residual_epsilon(g, reduced),
+                           matched_conditions=pairs, residual_epsilon=eps,
                            chosen_n=chosen_n, warnings=notes)

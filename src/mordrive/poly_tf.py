@@ -94,9 +94,6 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return poly_add(self, other)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return poly_add(self, other.scaled(-1.0))
-
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Product polynomial (coefficient convolution)."""
@@ -151,9 +148,9 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     complex array, and per row None or why it failed (its roots NaN).
 
     The roots are ``np.roots``' bit for bit, from one companion
-    eigensolve per count of zero constant terms (row by row if it
-    fails), but a root over the residual bound gets one Newton step,
-    kept where it leaves a finite, lower residual.
+    eigensolve per count of zero constant terms (row by row if it fails
+    on finite matrices), but a root over the residual bound gets one
+    Newton step, kept where it leaves a finite, lower residual.
     """
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     z = np.zeros((m, n), dtype=complex)
@@ -171,6 +168,11 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
             a = np.zeros((len(desc), size, size))
             a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
             a[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+            if not np.isfinite(a[:, 0, :]).all():
+                bad = ~np.isfinite(a[:, 0, :]).all(axis=1)
+                a[bad, 0, :] = 0.0  # solved as zeros and failed, not retried
+                for i in np.arange(m)[rows][bad].tolist():
+                    failures[i] = "companion eigenvalues failed: not finite"
             try:
                 z[rows, :size] = np.linalg.eigvals(a)
             except np.linalg.LinAlgError:
@@ -305,14 +307,17 @@ def spectral_square_head(p: Polynomial, q: int) -> tuple[float, ...]:
     The input must have unit constant term.  Coefficient x is the
     closed-form sum ``sum_i (-1)^i 2 m_i m_{2x-i} + (-1)^x m_x^2``, so
     the q + 1 leading ones that numerator matching reads cost O(q^2).
-    Past the degree of p every sum is +0.0.
+    Past the degree of p every sum is +0.0; a term that overflows is inf.
     """
     if p.coeffs[0] != 1.0:
         raise NotNormalized("spectral square expects unit constant term")
     m = p.coeff
     out = [1.0]
     for x in range(1, q + 1):
-        acc = (-1.0) ** x * m(x) ** 2
+        try:  # not m * m, which rounds some squares apart
+            acc = (-1.0) ** x * m(x) ** 2
+        except OverflowError:  # where m * m gives inf
+            acc = (-1.0) ** x * math.inf
         for i in range(x):
             acc += (-1.0) ** i * 2.0 * m(i) * m(2 * x - i)
         out.append(acc)

@@ -25,9 +25,10 @@ them.  A sweep's closed loops are measured as one stack: their grids,
 exponentials, ladder and doubling sums are batched, each row taking its
 own counts, and only the head windows are read row by row.
 
-``step_ise`` needs no time grid either: the exact step-error ISE over a
-finite horizon is a Gramian of the error system, from the same
-exponential applied to Van Loan's block matrix and doubled up to the
+``step_ise`` needs no time grid either: the exact step-error ISE over
+the reference model's default horizon, 5 x its largest time constant as
+in ``step_response``, is a Gramian of the error system, from the same
+exponential applied to Van Loan's block matrix and doubled up to that
 horizon, for a whole stack of candidate models at once.
 """
 from __future__ import annotations
@@ -99,41 +100,27 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
     """(smallest, largest) time constants from the denominator poles.
 
     The smallest constant is 1/max|pole| (resolution limit), the
-    largest 1/min|Re pole| (decay limit).  Raises ``ValidationError``
-    when no finite decay time exists (static gain, pole at or right of
-    the imaginary axis), in which case callers must supply explicit
-    horizons.
+    largest 1/min|Re pole| (decay limit): ``_time_constants`` on one
+    row.  Raises ``ValidationError`` when no finite decay time exists
+    (static gain, pole at or right of the imaginary axis), in which case
+    callers must supply explicit horizons.
     """
     if g.den.degree < 1:
         raise ValidationError("static system has no time constants; pass "
                               "t_final and dt explicitly")
-    poles = g.den.roots
-    fastest = max(abs(p) for p in poles)
-    slowest_decay = min(-p.real for p in poles)
-    if fastest <= 0.0 or slowest_decay <= 0.0:
+    if any(p.real >= 0.0 for p in g.den.roots):
         raise ValidationError(
             "no finite decay time: system has a pole at or right of the "
             "imaginary axis; pass t_final and dt explicitly"
         )
-    return 1.0 / fastest, 1.0 / slowest_decay
+    return _time_constants([g.den.roots])[0]
 
 
-def _ccf(num: np.ndarray, den: np.ndarray):
-    """Controllable canonical (A, c, d) of num/den, batched over leading axes.
-
-    ``num`` and ``den`` hold ascending coefficients, ``num`` no more than
-    ``den``; the input vector b is the last unit vector.
-    """
-    n = den.shape[-1] - 1
-    lead = den[..., -1:]
-    alpha = den[..., :-1] / lead
-    beta = np.zeros(den.shape)
-    beta[..., :num.shape[-1]] = num / lead
-    d = beta[..., n]
-    a = np.zeros(den.shape[:-1] + (n, n))
-    a[..., range(n - 1), range(1, n)] = 1.0
-    a[..., n - 1:, :] = -alpha[..., None, :]
-    return a, beta[..., :n] - d[..., None] * alpha, d
+def _time_constants(rows) -> list[tuple[float, float]]:
+    """(smallest, largest) time constants, 1/max|p| and 1/min(-Re p), of
+    each row of stable poles, given as Python complex numbers."""
+    return [(1.0 / max(map(abs, row)), 1.0 / min(-p.real for p in row))
+            for row in rows]
 
 
 # Padé-13 coefficients and the 1-norm up to which they need no scaling
@@ -172,16 +159,26 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
     """(A, b, c, d, poles) of num/den in pole-scaled canonical form, batched.
 
-    The controllable canonical realization is rescaled by D = diag(1,
-    |p1|, |p1 p2|, ...), poles by ascending magnitude with a zero
-    magnitude taken as 1, which keeps every entry of A within the pole
-    magnitudes however stiff the denominator is.  Any positive diagonal
-    D is an exact similarity, and this one leaves the first state alone,
-    so x0 = A^-1 b is still -(lead / constant term) e_1.  ``poles`` are
-    the roots of ``den`` where the caller has them already; otherwise
-    they come from the eigenvalues of A.
+    The controllable canonical realization of ascending ``num`` and
+    ``den``, b the last unit vector, is rescaled by D = diag(1, |p1|,
+    |p1 p2|, ...), poles by ascending magnitude with a zero magnitude
+    taken as 1, which keeps every entry of A within the pole magnitudes
+    however stiff the denominator is.  Any positive diagonal D is an
+    exact similarity, and this one leaves the first state alone, so x0 =
+    A^-1 b is still -(lead / constant term) e_1.  ``poles`` are the roots
+    of ``den`` where the caller has them already; otherwise they come
+    from the eigenvalues of A.
     """
-    a, c, d = _ccf(num, den)
+    n = den.shape[-1] - 1
+    lead = den[..., -1:]
+    alpha = den[..., :-1] / lead
+    beta = np.zeros(den.shape)
+    beta[..., :num.shape[-1]] = num / lead
+    d = beta[..., n]
+    a = np.zeros(den.shape[:-1] + (n, n))
+    a[..., range(n - 1), range(1, n)] = 1.0
+    a[..., n - 1:, :] = -alpha[..., None, :]
+    c = beta[..., :n] - d[..., None] * alpha
     poles = np.linalg.eigvals(a) if poles is None else np.asarray(poles)
     mags = np.sort(np.abs(poles), axis=-1)
     scale = np.ones(poles.shape)
@@ -348,12 +345,13 @@ def ise(a: StepTrace, b: StepTrace | float) -> float:
     return float(a.dt * (np.dot(d, d) - (d[0] * d[0] + d[-1] * d[-1]) / 2.0))
 
 
-def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
-    """Exact ISE over [0, t_final] between the unit-step responses of g
-    and of each num/den_i, with no time grid.
+def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
+    """Exact ISE over [0, T] between the unit-step responses of g and of
+    each num/den_i, with no time grid.
 
-    ``g`` must be stable.  ``dens`` is an (m, r + 1) array of ascending
-    denominators of one degree r >= 1 and ``num`` their shared
+    T is ``step_response``'s default horizon for g, 5 x its largest time
+    constant, so ``g`` must be stable.  ``dens`` is an (m, r + 1) array
+    of ascending denominators of one degree r >= 1 and ``num`` their shared
     numerator, of degree at most r.  A candidate with a pole at or right
     of the imaginary axis scores NaN.  The error y_g - y_i is the output
     c e^(At) e_last of the system on (x_g, x_i, 1) with A = [[A_g, 0,
@@ -366,6 +364,7 @@ def step_ise(g: TransferFunction, num, dens, t_final: float) -> np.ndarray:
     linear in c^T c, so c is scaled to unit max-abs and the result
     scaled back.  All candidates share one stacked exponential.
     """
+    t_final = DEFAULT_HORIZON_FACTOR * characteristic_times(g)[1]
     dens = np.asarray(dens, dtype=float)
     n, m, r = g.den.degree, len(dens), dens.shape[1] - 1
     out = np.full(m, np.nan)
@@ -415,19 +414,17 @@ def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
     Doubling (Smith 1968): W runs through the sums over k < 2^j, W <- W +
     E_j^T W E_j with E_j = E^(2^j), and each set bit j of count, lowest
     first, puts a block of 2^j terms ahead of those summed so far, total
-    <- W + E_j^T total E_j.  ``count`` is one int for the whole stack or
-    an int array with one count per matrix; each matrix then takes the
-    steps of its own bits, and a total not yet begun holds W.
+    <- W + E_j^T total E_j, from a total of zero.  ``count`` is one int
+    for the whole stack or an int array with one count per matrix; each
+    matrix then takes the steps of its own bits.
     """
-    total, top = None, _bit_length(count)
+    total, top = np.zeros_like(w), int(np.max(count)).bit_length()
     for j in range(top):
         e = ladder[j]
         et = e.swapaxes(-1, -2)
         bit = _bit(count, j)
         if bit is not False:
-            begun = _bit(count, j, below=True)
-            block = w if begun is False else _pick(begun, w + et @ total @ e, w)
-            total = block if total is None else _pick(bit, block, total)
+            total = _pick(bit, w + et @ total @ e, total)
         if j + 1 < top:
             w = w + et @ w @ e
     return total
@@ -437,23 +434,18 @@ def _times_power(v: np.ndarray, ladder: list[np.ndarray],
                  count: int | np.ndarray) -> np.ndarray:
     """Rows ``v`` times E^count, from the ladder entries at count's set
     bits; ``count`` as in ``_doubling_sum``."""
-    for j in range(_bit_length(count)):
+    for j in range(int(np.max(count)).bit_length()):
         bit = _bit(count, j)
         if bit is not False:
             v = _pick(bit, v @ ladder[j], v)
     return v
 
 
-def _bit_length(count: int | np.ndarray) -> int:
-    return (count if isinstance(count, int) else int(count.max())).bit_length()
-
-
-def _bit(count: int | np.ndarray, j: int,
-         below: bool = False) -> bool | np.ndarray:
-    """Whether bit j of ``count`` is set, or with ``below`` any bit under
-    j: a bool where every matrix of the stack agrees, so that one count
-    for the stack costs no mask, else an (m, 1, 1) mask."""
-    flag = count & ((1 << j) - 1) != 0 if below else count >> j & 1 != 0
+def _bit(count: int | np.ndarray, j: int) -> bool | np.ndarray:
+    """Whether bit j of ``count`` is set: a bool where every matrix of the
+    stack agrees, so that one count for the stack costs no mask, else an
+    (m, 1, 1) mask."""
+    flag = count >> j & 1 != 0
     if isinstance(count, int):
         return flag
     if flag.all() or not flag.any():
@@ -547,13 +539,9 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     """
     out: list = [None] * len(dens)
     grids = []
-    # characteristic_times row by row: np.hypot gives Python's complex
-    # abs bit for bit, where np.abs can differ in the last place
-    fastest = np.hypot(poles.real, poles.imag).max(axis=-1)
-    slowest = (-poles.real).min(axis=-1)
-    for i, (fast, slow) in enumerate(zip(fastest.tolist(), slowest.tolist())):
+    for i, times in enumerate(_time_constants(poles.tolist())):
         try:
-            grids.append((i, *_step_grid(1.0 / fast, 1.0 / slow, None, None)))
+            grids.append((i, *_step_grid(*times, None, None)))
         except ValidationError as exc:
             out[i] = exc
     if not grids:

@@ -7,8 +7,9 @@ poles, right-half-plane poles and zeros on either side, go through
 which has no upper limit),
 ``simulate step`` on a short explicit grid and ``simulate bode``; random
 nameplates go through ``sweep``, at moderate gains and from log-uniform
-gains up to the float maximum.  Each success must give finite numbers,
-and a reduction must keep the DC gain.
+gains up to the float maximum, and extreme nameplates, each field but
+zeta scaled by up to 1e+-300, through both ``design`` routes.  Each
+success must give finite numbers, and a reduction must keep the DC gain.
 """
 import dataclasses
 import json
@@ -24,6 +25,21 @@ from mordrive.drive_model import worked_example_params
 N_MODELS = 60
 N_SWEEPS = 12
 N_WIDE_SWEEPS = 8
+N_NAMEPLATES = 200
+
+WORKED_EXAMPLE = {k: v for k, v in
+                  dataclasses.asdict(worked_example_params()).items()
+                  if v is not None}
+
+# Worked-example variants whose designed Kc overflowed to inf, or whose
+# reduction overflowed in the residual epsilon (q = 0) or in the
+# spectral square (q = 1).
+OVERFLOWING_NAMEPLATES = [
+    {"rated_voltage_v": 5.37e-272, "tr_s": 1.04e-69},
+    {"supply_line_voltage_v": 1.26e199, "tc_s": 1.88e197},
+    {"rated_current_a": 9.74e233, "ra_ohm": 1.87e-176, "la_h": 3.86e239,
+     "supply_line_voltage_v": 8.06e-22},
+]
 
 
 def _poles(rng, degree: int, spread: float, kind: int) -> list[complex]:
@@ -75,6 +91,23 @@ def _models() -> list[dict]:
 
 
 MODELS = _models()
+
+
+def _extreme_nameplates() -> list[dict]:
+    """The overflowing variants, then worked-example nameplates with each
+    field but zeta scaled by 10^U(-300, 300) with probability 0.3."""
+    rng = np.random.default_rng(4242)
+    out = [dict(WORKED_EXAMPLE, **fields) for fields in OVERFLOWING_NAMEPLATES]
+    for _ in range(N_NAMEPLATES):
+        params = dict(WORKED_EXAMPLE)
+        for key in params:
+            if key != "zeta" and rng.random() < 0.3:
+                params[key] *= 10.0 ** rng.uniform(-300.0, 300.0)
+        out.append(params)
+    return out
+
+
+NAMEPLATES = _extreme_nameplates()
 
 
 def _run(argv: list[str], capsys) -> int:
@@ -166,11 +199,9 @@ def test_simulate_bode(tmp_path, capsys):
 
 def test_sweep_on_random_nameplates(tmp_path, capsys):
     rng = np.random.default_rng(1979)
-    base = {k: v for k, v in dataclasses.asdict(worked_example_params()).items()
-            if v is not None}
     ok = 0
     for i in range(N_SWEEPS + N_WIDE_SWEEPS):
-        params = dict(base)
+        params = dict(WORKED_EXAMPLE)
         for key in ("ra_ohm", "la_h", "j_kgm2", "bt_nm_per_rad_s",
                     "kb_v_per_rad_s", "tc_s", "tr_s"):
             params[key] *= math.exp(rng.uniform(-0.7, 0.7))
@@ -194,3 +225,29 @@ def test_sweep_on_random_nameplates(tmp_path, capsys):
                 assert row[-1] in ("true", "false")
                 assert all(math.isfinite(float(x)) for x in row[:-1] if x)
     assert ok > N_SWEEPS // 3
+
+
+@pytest.mark.parametrize("method", [["conventional"], ["mor", "--q", "0"],
+                                    ["mor"]], ids=["conventional", "mor-q0",
+                                                   "mor-q1"])
+def test_design_on_extreme_nameplates(tmp_path, capsys, method):
+    ok = 0
+    for i, params in enumerate(NAMEPLATES):
+        motor = tmp_path / f"motor{i}.json"
+        motor.write_text(json.dumps(params))
+        out = tmp_path / f"design{i}.json"
+        code = _run(["design", "--motor", str(motor), "--method", *method,
+                     "--report", str(out)], capsys)
+        if code != 0:
+            continue
+        ok += 1
+        report = json.loads(out.read_text())
+        numbers = [report[k] for k in ("K", "Kc", "Tc", "achieved_zeta",
+                                       "natural_frequency_rad_s")]
+        numbers += [x for pole in report["closed_loop_poles"] for x in pole]
+        if report["reduced"] is not None:
+            red = report["reduced"]
+            numbers += red["num"] + red["den"] + [red["residual_epsilon"]]
+        assert all(math.isfinite(x) for x in numbers), (i, method)
+    # most of the q = 1 designs end in NoRealGain, as the worked example's does
+    assert ok > N_NAMEPLATES // 20

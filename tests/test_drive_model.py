@@ -91,6 +91,11 @@ class TestGainConversions:
         k_unit = model.K1 * model.Hc * model.Kr * model.Tm / model.params.tc_s
         assert kc_from_K(model, k_unit) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [0.0, math.inf, math.nan])
+    def test_kc_refused_unless_positive_and_finite(self, model, k):
+        with pytest.raises(ValidationError, match="derived Kc"):
+            kc_from_K(model, k)
+
     def test_published_gain_pair_is_inconsistent(self, model):
         # the study quotes Kc = 35.719 for K = 357.192, but the stated
         # formula gives about 31; the mismatch is documented, not patched

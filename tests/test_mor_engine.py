@@ -10,6 +10,7 @@ from mordrive.errors import (
     MatchInfeasible,
     MorDriveError,
     NotFactorable,
+    NumericError,
     ValidationError,
     ZeroConstantTerm,
 )
@@ -249,6 +250,15 @@ class TestReducePipeline:
         a = step_response(g, t_final=10.0, dt=1e-3)
         b = step_response(res.reduced, t_final=10.0, dt=1e-3)
         assert ise(a, b) == 0.0
+
+    def test_overflowing_residual_refused(self):
+        # |G / Gr|^2 passes the float maximum on the residual grid
+        den = poly_mul(Polynomial([1.0, 1.0]), Polynomial([1.0, 0.1, 0.001]))
+        g = TransferFunction(Polynomial([1.0, 1e200]), den)
+        gr = TransferFunction(Polynomial([1.0]), reduce_denominator(den, 2))
+        assert residual_epsilon(g, gr) == math.inf
+        with pytest.raises(NumericError, match="residual epsilon"):
+            reduce(g, ReductionConfig(target_order=2, numerator_order=0))
 
     def test_unstable_input_rejected(self):
         g = TransferFunction(Polynomial([1.0]), Polynomial([1.0, -1.0]))

@@ -332,7 +332,7 @@ class TestStepIse:
                          for n in (1.0, 7.0, 15.0)]
                         + [base * [1.0, 1.0, 1e-3], base * [1.25, 1.0, 1.0]])
         cand_num = (num[0], 0.5 * base[1])
-        got = step_ise(g, cand_num, dens, horizon)
+        got = step_ise(g, cand_num, dens)
         t = _fine_trapezoid(tc_small, horizon)
         y_g = _exact_step(num, poles, lead, t)
         tol = 1e-6 if len(roots) <= 10 else 1e-5
@@ -343,11 +343,10 @@ class TestStepIse:
             assert abs(value - want) <= tol * want, (name, d)
 
     def test_unstable_candidate_scores_nan(self, bench_loop):
-        horizon = 5.0 * characteristic_times(bench_loop)[1]
         stable = [1.0, 0.13, 0.0024]
         dens = np.array([stable, [1.0, -0.13, 0.0024], [1.0, 0.0, 0.0024]])
-        got = step_ise(bench_loop, (1.0, 0.03), dens, horizon)
-        alone = step_ise(bench_loop, (1.0, 0.03), np.array([stable]), horizon)
+        got = step_ise(bench_loop, (1.0, 0.03), dens)
+        alone = step_ise(bench_loop, (1.0, 0.03), np.array([stable]))
         assert np.isnan(got[1:]).all()
         assert got[0] == pytest.approx(alone[0], rel=1e-12)
 
@@ -405,7 +404,7 @@ class TestStepIse:
             num = rng.uniform(0.5, 2.0, size=3)
             g = TransferFunction.from_coeffs(list(num_g), list(den_g))
             t_final = 5.0 * characteristic_times(g)[1]
-            got = step_ise(g, num, dens, t_final)
+            got = step_ise(g, num, dens)
             for value, den in zip(got, dens):
                 want = _lyapunov_ise(linalg, num_g, den_g, num, den, t_final)
                 assert value == pytest.approx(want, rel=1e-9)
