@@ -131,10 +131,8 @@ def _fmt(x: float) -> str:
 
 
 def _parse_adjust(text: str) -> tuple[str, float | None]:
-    if text == "none":
-        return "none", None
-    if text == "auto":
-        return "auto", None
+    if text in ("none", "auto"):
+        return text, None
     try:
         pct = float(text)
     except ValueError as exc:
@@ -266,13 +264,10 @@ def cmd_sweep(args: argparse.Namespace, t0: float) -> int:
     points = sweep_gain(model, args.kc_min, args.kc_max, args.steps)
     lines = ["kc,overshoot_pct,settling_s,rise_s,ise,stable"]
     for pt in points:
-        if pt.overshoot_pct is None:
-            lines.append(f"{_fmt(pt.Kc)},,,,,{'true' if pt.stable else 'false'}")
-        else:
-            lines.append(
-                f"{_fmt(pt.Kc)},{_fmt(pt.overshoot_pct)},"
-                f"{_fmt(pt.settling_2pct_s)},{_fmt(pt.rise_10_90_s)},"
-                f"{_fmt(pt.ise_vs_reference)},{'true' if pt.stable else 'false'}")
+        values = (pt.Kc, pt.overshoot_pct, pt.settling_2pct_s, pt.rise_10_90_s,
+                  pt.ise_vs_reference)
+        lines.append(",".join("" if x is None else _fmt(x) for x in values)
+                     + (",true" if pt.stable else ",false"))
     _write_lines(args.out, lines)
     return 0
 

@@ -162,11 +162,12 @@ def _design(model: DerivedDriveModel, zeta: float | None,
         den, num = red.reduced.den, red.reduced.num
 
     k = solve_damping_gain(den, num, z)
+    kc = kc_from_K(model, k)  # refuses an out-of-range gain before its poles
     poles = (den + num.scaled(k)).roots
     wn = math.sqrt(abs(poles[0]) * abs(poles[1]))
     zeta_got = -(poles[0].real + poles[1].real) / (2.0 * wn)
     return DesignReport(method="conventional" if red is None else "mor",
-                        K=k, Kc=kc_from_K(model, k), Tc=model.params.tc_s,
+                        K=k, Kc=kc, Tc=model.params.tc_s,
                         reduced_model=red, closed_loop_poles=poles,
                         achieved_zeta=zeta_got, natural_frequency=wn)
 

@@ -5,10 +5,10 @@ package: ``coeffs[i]`` multiplies ``s**i``.  All values are immutable
 after construction and every operation is a pure function, so the types
 are safe to share between threads.  ``Polynomial.roots``,
 ``Polynomial.factorization``, ``TransferFunction.dc_normalized`` and
-``TransferFunction.on_residual_grid`` are pure caches filled on first
-use, so a race at worst computes one twice.  ``poly_roots`` and
-``poly_eval`` are the one-row cases of the stacked kernels
-``_roots_of_rows`` (which a gain sweep calls) and ``_horner``.
+``TransferFunction.on_residual_grid`` are pure caches filled on first use,
+so a race at worst computes one twice.  ``poly_roots`` and ``poly_eval``
+are the one-row cases of the stacked kernels ``_roots_of_rows`` (the one
+eigensolve, which a gain sweep and the auto scan call) and ``_horner``.
 """
 from __future__ import annotations
 
@@ -186,7 +186,13 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
                 failures[i] = "companion eigenvalues are non-finite"
         z = np.sort(z, axis=1, kind="stable")
         pz = _horner(coeffs, z)
-        over = np.abs(pz) > _root_limit(coeffs, z)
+        # The limit is at least the primary bound, so its rounding floor
+        # is needed only at roots past that bound.
+        over = np.abs(pz) > _ROOT_RESIDUAL_REL * np.abs(coeffs).max(
+            axis=1, keepdims=True)
+        if over.any():
+            over[over] = np.abs(pz[over]) > _root_limit(
+                coeffs[np.nonzero(over)[0]], z[over][:, None])[:, 0]
         if over.any():
             rows = np.nonzero(over)[0]
             c, zo, pzo = coeffs[rows], z[over][:, None], pz[over][:, None]

@@ -47,7 +47,8 @@ from .errors import (
     SimulationDiverged,
     ValidationError,
 )
-from .poly_tf import TransferFunction, _horner, poly_eval
+from .poly_tf import (TransferFunction, _horner, _roots_of_rows, is_stable,
+                      poly_eval)
 
 DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
@@ -108,11 +109,10 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
     if g.den.degree < 1:
         raise ValidationError("static system has no time constants; pass "
                               "t_final and dt explicitly")
-    if any(p.real >= 0.0 for p in g.den.roots):
+    if not is_stable(g.den):
         raise ValidationError(
             "no finite decay time: system has a pole at or right of the "
-            "imaginary axis; pass t_final and dt explicitly"
-        )
+            "imaginary axis; pass t_final and dt explicitly")
     return _time_constants([g.den.roots])[0]
 
 
@@ -156,8 +156,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
-    """(A, b, c, d, poles) of num/den in pole-scaled canonical form, batched.
+def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles):
+    """(A, b, c, d) of num/den in pole-scaled canonical form, batched.
 
     The controllable canonical realization of ascending ``num`` and
     ``den``, b the last unit vector, is rescaled by D = diag(1, |p1|,
@@ -166,8 +166,7 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
     however stiff the denominator is.  Any positive diagonal D is an
     exact similarity, and this one leaves the first state alone, so x0 =
     A^-1 b is still -(lead / constant term) e_1.  ``poles`` are the roots
-    of ``den`` where the caller has them already; otherwise they come
-    from the eigenvalues of A.
+    of ``den``, which every caller already holds.
     """
     n = den.shape[-1] - 1
     lead = den[..., -1:]
@@ -179,15 +178,13 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles=None):
     a[..., range(n - 1), range(1, n)] = 1.0
     a[..., n - 1:, :] = -alpha[..., None, :]
     c = beta[..., :n] - d[..., None] * alpha
-    poles = np.linalg.eigvals(a) if poles is None else np.asarray(poles)
     mags = np.sort(np.abs(poles), axis=-1)
-    scale = np.ones(poles.shape)
+    scale = np.ones(mags.shape)
     np.cumprod(np.where(mags == 0.0, 1.0, mags)[..., :-1], axis=-1,
                out=scale[..., 1:])
-    b = np.zeros(poles.shape)
+    b = np.zeros(mags.shape)
     b[..., -1:] = 1.0 / scale[..., -1:]
-    return (a * scale[..., None, :] / scale[..., :, None], b, c * scale, d,
-            poles)
+    return a * scale[..., None, :] / scale[..., :, None], b, c * scale, d
 
 
 def _propagate(ladder: list[np.ndarray], c: np.ndarray,
@@ -279,7 +276,7 @@ def _step_exponential(nums: np.ndarray, dens: np.ndarray, poles: np.ndarray,
     sample k of row i = c[i]^T E[i]^k e_last."""
     n = dens.shape[-1] - 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b, c, d, _ = _scaled_ccf(nums, dens, poles)
+        a, b, c, d = _scaled_ccf(nums, dens, poles)
         aug = np.zeros((len(dens), n + 1, n + 1))
         aug[:, :n, :n], aug[:, :n, n] = a * dt[:, None, None], b * dt[:, None]
         e = _expm(aug)
@@ -350,30 +347,31 @@ def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
     each num/den_i, with no time grid.
 
     T is ``step_response``'s default horizon for g, 5 x its largest time
-    constant, so ``g`` must be stable.  ``dens`` is an (m, r + 1) array
-    of ascending denominators of one degree r >= 1 and ``num`` their shared
-    numerator, of degree at most r.  A candidate with a pole at or right
-    of the imaginary axis scores NaN.  The error y_g - y_i is the output
-    c e^(At) e_last of the system on (x_g, x_i, 1) with A = [[A_g, 0,
-    b_g], [0, A_i, b_i], [0, 0, 0]] and c = (c_g, -c_i, d_g - d_i), so
-    the ISE is the last diagonal entry of the Gramian W(T) = int_0^T
-    e^(A^T t) c^T c e^(At) dt.  W(h) for h = T / 2^s is F22^T F12 of one
-    exponential F of [[-A^T, c^T c], [0, A]] h (Van Loan 1978), s chosen
-    from ||A||_1 T alone so that e^(Ah) is not rounded to I, and s
+    constant, so ``g`` must be stable.  ``dens`` is an (m, r + 1) array of
+    ascending denominators of one degree r >= 1 and ``num`` their shared
+    numerator, of degree at most r.  The candidates' poles come from one
+    ``_roots_of_rows`` call; a candidate with a pole at or right of the
+    imaginary axis, or whose roots cannot be found (a NaN or inf
+    coefficient, an overflowing companion), scores NaN.  The error y_g -
+    y_i is the output c e^(At) e_last of the system on (x_g, x_i, 1) with
+    A = [[A_g, 0, b_g], [0, A_i, b_i], [0, 0, 0]] and c = (c_g, -c_i, d_g
+    - d_i), so the ISE is the last diagonal entry of the Gramian W(T) =
+    int_0^T e^(A^T t) c^T c e^(At) dt.  W(h) for h = T / 2^s is F22^T F12
+    of one exponential F of [[-A^T, c^T c], [0, A]] h (Van Loan 1978), s
+    chosen from ||A||_1 T alone so that e^(Ah) is not rounded to I, and s
     doublings W <- W + E^T W E, E <- E^2 with E = e^(Ah) reach T.  W is
-    linear in c^T c, so c is scaled to unit max-abs and the result
-    scaled back.  All candidates share one stacked exponential.
+    linear in c^T c, so c is scaled to unit max-abs and the result scaled
+    back.  All candidates share one stacked exponential.
     """
     t_final = DEFAULT_HORIZON_FACTOR * characteristic_times(g)[1]
     dens = np.asarray(dens, dtype=float)
     n, m, r = g.den.degree, len(dens), dens.shape[1] - 1
     out = np.full(m, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_g, b_g, c_g, d_g, _ = _scaled_ccf(np.array(g.num.coeffs),
-                                            np.array(g.den.coeffs),
-                                            g.den.roots)
-        a_i, b_i, c_i, d_i, poles = _scaled_ccf(np.asarray(num, dtype=float),
-                                                dens)
+        a_g, b_g, c_g, d_g = _scaled_ccf(np.array(g.num.coeffs),
+                                         np.array(g.den.coeffs), g.den.roots)
+        poles = _roots_of_rows(dens)[0]
+        a_i, b_i, c_i, d_i = _scaled_ccf(np.array(num, float), dens, poles)
         stable = np.all(poles.real < 0.0, axis=-1)
         k, dim = int(stable.sum()), n + r + 1
         a = np.zeros((k, dim, dim))

@@ -4,7 +4,7 @@ fail with a documented exit code, never fall into the internal-error net.
 About 60 models of degree 2-14, with pole spreads up to 1e7, repeated
 poles, right-half-plane poles and zeros on either side, go through
 ``reduce`` (no adjustment and auto, at the default numerator order,
-which has no upper limit),
+which has no upper limit; auto also at order 2, the design order),
 ``simulate step`` on a short explicit grid and ``simulate bode``; random
 nameplates go through ``sweep``, at moderate gains and from log-uniform
 gains up to the float maximum, and extreme nameplates, each field but
@@ -144,7 +144,10 @@ def test_reduce(tmp_path, capsys, adjust):
     for i, m in enumerate(MODELS):
         tf = _tf_file(tmp_path, i, m)
         dc = m["num"][0] / m["den"][0]
-        for order in m["orders"]:
+        orders = list(m["orders"])
+        if adjust == "auto" and len(m["den"]) > 3 and 2 not in orders:
+            orders.append(2)  # the design order: the candidates are quadratics
+        for order in orders:
             out = tmp_path / f"red{i}_{order}.json"
             code = _run(["reduce", "--tf", tf, "--order", str(order),
                          "--adjust", adjust, "--out", str(out)], capsys)
@@ -225,6 +228,16 @@ def test_sweep_on_random_nameplates(tmp_path, capsys):
                 assert row[-1] in ("true", "false")
                 assert all(math.isfinite(float(x)) for x in row[:-1] if x)
     assert ok > N_SWEEPS // 3
+
+
+def test_design_refuses_an_overflowing_gain_before_its_poles(tmp_path, capsys):
+    motor = tmp_path / "motor.json"
+    motor.write_text(json.dumps(NAMEPLATES[2]))
+    code = main(["design", "--motor", str(motor), "--method", "conventional",
+                 "--report", str(tmp_path / "design.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Kc" in err and "out of range" in err
 
 
 @pytest.mark.parametrize("method", [["conventional"], ["mor", "--q", "0"],

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,25 +319,45 @@ class TestReducePipeline:
             self, bench_loop, monkeypatch):
         steps = []
         built = []
+        solved = []
+        eigensolves = []
         scaled_ccf = sim_analysis._scaled_ccf
+        roots_of_rows = sim_analysis._roots_of_rows
+        eigvals = np.linalg.eigvals
 
         def counting(*args, **kwargs):
             steps.append(args)
             return step_response(*args, **kwargs)
 
-        def recording(num, den, poles=None):
+        def recording(num, den, poles):
             built.append(den.shape)
             return scaled_ccf(num, den, poles)
+
+        def recording_roots(coeffs):
+            solved.append(coeffs.shape)
+            return roots_of_rows(coeffs)
+
+        def recording_eigvals(a):
+            eigensolves.append(sys._getframe(1).f_code.co_filename)
+            return eigvals(a)
 
         for module in (mor_engine, sim_analysis):
             monkeypatch.setattr(module, "step_response", counting, raising=False)
         monkeypatch.setattr(sim_analysis, "_scaled_ccf", recording)
+        monkeypatch.setattr(sim_analysis, "_roots_of_rows", recording_roots)
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
         res = reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1,
                                                  adjust_mode="auto"))
         assert res.chosen_n is not None
         assert steps == []
-        # the full model once, then all 29 percents in one stack
+        # the full model once, then all 29 percents in one stack, whose
+        # roots come from one call of the root kernel
         assert built == [(4,), (29, 3)]
+        assert solved == [(29, 3)]
+        # and that kernel is the only eigensolve
+        assert eigensolves
+        assert all(Path(f).parts[-2:] == ("mordrive", "poly_tf.py")
+                   for f in eigensolves), eigensolves
 
     def test_auto_rejects_non_finite_and_negative_scores(self, bench_loop,
                                                          monkeypatch):

@@ -171,8 +171,8 @@ def _per_step_reference(g, n_steps, dt):
     """x+ = M x + v one step at a time, as y = c x + d, with M and v the
     blocks of e^([[A, b], [0, 0]] dt) on the pole-scaled realization,
     scaled by the same poles ``step_response`` takes, ``g.den.roots``."""
-    a, b, c, d, _ = _scaled_ccf(np.array(g.num.coeffs), np.array(g.den.coeffs),
-                                g.den.roots)
+    a, b, c, d = _scaled_ccf(np.array(g.num.coeffs), np.array(g.den.coeffs),
+                             g.den.roots)
     n = len(b)
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n], aug[:n, n] = a, b
@@ -343,8 +343,12 @@ class TestStepIse:
             assert abs(value - want) <= tol * want, (name, d)
 
     def test_unstable_candidate_scores_nan(self, bench_loop):
+        # unstable rows, then rows whose roots cannot be found: a NaN or
+        # inf coefficient, and a companion form that overflows
         stable = [1.0, 0.13, 0.0024]
-        dens = np.array([stable, [1.0, -0.13, 0.0024], [1.0, 0.0, 0.0024]])
+        dens = np.array([stable, [1.0, -0.13, 0.0024], [1.0, 0.0, 0.0024],
+                         [1.0, np.nan, 0.0024], [1.0, 0.13, np.inf],
+                         [1.0, 1e308, 1e-308]])
         got = step_ise(bench_loop, (1.0, 0.03), dens)
         alone = step_ise(bench_loop, (1.0, 0.03), np.array([stable]))
         assert np.isnan(got[1:]).all()
