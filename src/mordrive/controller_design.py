@@ -164,7 +164,10 @@ def _design(model: DerivedDriveModel, zeta: float | None,
     k = solve_damping_gain(den, num, z)
     kc = kc_from_K(model, k)  # refuses an out-of-range gain before its poles
     poles = (den + num.scaled(k)).roots
-    wn = math.sqrt(abs(poles[0]) * abs(poles[1]))
+    mags = abs(poles[0]), abs(poles[1])
+    wn = math.sqrt(mags[0] * mags[1])
+    if not 0.0 < wn < math.inf:  # the product over- or underflowed
+        wn = math.sqrt(mags[0]) * math.sqrt(mags[1])
     zeta_got = -(poles[0].real + poles[1].real) / (2.0 * wn)
     return DesignReport(method="conventional" if red is None else "mor",
                         K=k, Kc=kc, Tc=model.params.tc_s,

@@ -102,16 +102,22 @@ def reduce_denominator(den: Polynomial, r: int) -> Polynomial:
 
     Keeps the ``r // 2`` smallest squared even-root magnitudes and the
     ``(r - 1) // 2`` smallest odd ones, then recombines.  The result
-    has degree exactly r and the same constant term as the input.
+    has degree exactly r and the same constant term as the input.  It is
+    kept in ``den.reduced_orders``, so every numerator order at one r
+    shares one object; a failure is not kept.
     """
     if not 1 <= r < den.degree:
         raise BadOrder(f"reduced order must satisfy 1 <= r < {den.degree}")
-    fact = den.factorization
-    reduced = combine_stability_parts(
-        fact.e0, fact.e1, fact.z_sq[:r // 2], fact.p_sq[:(r - 1) // 2])
-    if reduced.degree != r:
-        raise MorDriveError(f"reduced denominator degree {reduced.degree} != {r}")
-    return reduced
+    kept = den.reduced_orders
+    if r not in kept:
+        fact = den.factorization
+        reduced = combine_stability_parts(
+            fact.e0, fact.e1, fact.z_sq[:r // 2], fact.p_sq[:(r - 1) // 2])
+        if reduced.degree != r:
+            raise MorDriveError(
+                f"reduced denominator degree {reduced.degree} != {r}")
+        kept[r] = reduced
+    return kept[r]
 
 
 def adjust_denominator(d_r: Polynomial, n: float) -> Polynomial:
@@ -133,14 +139,14 @@ def _adjusted(coeffs: tuple[float, ...], n: float | np.ndarray) -> np.ndarray:
 
 
 def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
-    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |; g's values come from its
-    cache.  The complex ratio (N_g D_r) / (D_g N_r) is formed first, so
+    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |; the values of g and of
+    gr.den, which every numerator order at one r shares, come from their
+    caches.  The complex ratio (N_g D_r) / (D_g N_r) is formed first, so
     no factor is squared on its own and overflows."""
-    ng, dg = g.on_residual_grid
-    s = 1j * RESIDUAL_GRID
-    ng_dr, nr = ng * poly_eval(gr.den, s), poly_eval(gr.num, s)
+    ng_dr = g.num.on_residual_grid * gr.den.on_residual_grid
+    nr = poly_eval(gr.num, 1j * RESIDUAL_GRID)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = np.abs(ng_dr / (dg * nr)) ** 2
+        ratio = np.abs(ng_dr / (g.den.on_residual_grid * nr)) ** 2
     return float(np.max(np.abs(ratio - 1.0)))
 
 

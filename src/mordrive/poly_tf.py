@@ -4,9 +4,11 @@ Coefficients are stored in ascending powers of s everywhere in this
 package: ``coeffs[i]`` multiplies ``s**i``.  All values are immutable
 after construction and every operation is a pure function, so the types
 are safe to share between threads.  ``Polynomial.roots``,
-``Polynomial.factorization``, ``TransferFunction.dc_normalized`` and
-``TransferFunction.on_residual_grid`` are pure caches filled on first use,
-so a race at worst computes one twice.  ``poly_roots`` and ``poly_eval``
+``Polynomial.factorization``, ``Polynomial.reduced_orders`` (the
+per-order reduced denominators), ``Polynomial.on_residual_grid`` and
+``TransferFunction.dc_normalized`` are pure caches filled on first use,
+kept on the object itself and never keyed by value, so a race at worst
+computes one twice.  ``poly_roots`` and ``poly_eval``
 are the one-row cases of the stacked kernels ``_roots_of_rows`` (the one
 eigensolve, which a gain sweep and the auto scan call) and ``_horner``.
 """
@@ -32,6 +34,11 @@ from .errors import (
 # Primary residual bound for accepted roots, relative to max|coeff|.
 _ROOT_RESIDUAL_REL = 1e-10
 _EPS = float(np.finfo(float).eps)
+
+# LAPACK's eigensolver scales a matrix whose largest entry lies outside
+# [sqrt(tiny) / eps, its inverse] = [2^-459, 2^459], which can move the
+# last bit of an eigenvalue; inside it a 1 x 1 matrix's is its entry.
+_EIG_UNSCALED = (2.0 ** -459, 2.0 ** 459)
 
 # Imaginary parts below this (relative) size count as zero when a real
 # root is required.
@@ -74,6 +81,21 @@ class Polynomial:
     def factorization(self) -> "StabilityFactorization":
         """``even_odd_factor(self)``, kept like ``roots``."""
         return even_odd_factor(self)
+
+    @functools.cached_property
+    def reduced_orders(self) -> dict[int, "Polynomial"]:
+        """Order r -> ``mor_engine.reduce_denominator(self, r)``, which
+        fills it on success, so each order is built once per object."""
+        return {}
+
+    @functools.cached_property
+    def on_residual_grid(self) -> np.ndarray:
+        """Values at s = 1j * RESIDUAL_GRID, read-only and kept like
+        ``roots``, so a denominator shared by several reductions is
+        evaluated there once."""
+        values = poly_eval(self, 1j * RESIDUAL_GRID)
+        values.flags.writeable = False
+        return values
 
     @property
     def is_zero(self) -> bool:
@@ -149,8 +171,11 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
 
     The roots are ``np.roots``' bit for bit, from one companion
     eigensolve per count of zero constant terms (row by row if it fails
-    on finite matrices), but a root over the residual bound gets one
-    Newton step, kept where it leaves a finite, lower residual.
+    on finite matrices; a 1 x 1 companion's eigenvalue is its entry), but
+    a root over the residual bound gets one Newton step, kept where it
+    leaves a finite, lower residual.  A finite row whose companion
+    entries c_i / c_n overflow, where ``np.roots`` fails, is solved as
+    p(2^k u) instead, with 2^k about its largest root, and s = 2^k u.
     """
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     z = np.zeros((m, n), dtype=complex)
@@ -165,26 +190,36 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
         for rows, t in groups:
             size = n - t
             desc = coeffs[rows, t:][:, ::-1]
-            a = np.zeros((len(desc), size, size))
-            a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
-            a[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-            if not np.isfinite(a[:, 0, :]).all():
-                bad = ~np.isfinite(a[:, 0, :]).all(axis=1)
-                a[bad, 0, :] = 0.0  # solved as zeros and failed, not retried
-                for i in np.arange(m)[rows][bad].tolist():
+            top = -desc[:, 1:] / desc[:, :1]  # the companion's first row
+            finite = np.isfinite(top).all(axis=1)
+            scaled = []
+            if not finite.all():
+                finite, scaled = _rebalance(desc, top, finite)
+                top[~finite] = 0.0  # solved as zeros and failed, not retried
+                for i in np.arange(m)[rows][~finite].tolist():
                     failures[i] = "companion eigenvalues failed: not finite"
-            try:
-                z[rows, :size] = np.linalg.eigvals(a)
-            except np.linalg.LinAlgError:
-                for j, i in enumerate(np.arange(m)[rows].tolist()):
-                    try:
-                        z[i, :size] = np.linalg.eigvals(a[j:j + 1])
-                    except np.linalg.LinAlgError as exc:
-                        failures[i] = f"companion eigenvalues failed: {exc}"
+            if size == 1 and _eigvals_unscaled(top):
+                z[rows, 0] = top[:, 0]
+            else:
+                a = np.zeros((len(desc), size, size))
+                a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
+                a[:, 0, :] = top
+                try:
+                    z[rows, :size] = np.linalg.eigvals(a)
+                except np.linalg.LinAlgError:
+                    for j, i in enumerate(np.arange(m)[rows].tolist()):
+                        try:
+                            z[i, :size] = np.linalg.eigvals(a[j:j + 1])
+                        except np.linalg.LinAlgError as exc:
+                            failures[i] = f"companion eigenvalues failed: {exc}"
+            for j, k in scaled:  # s = 2^k u, exactly
+                u = z[np.arange(m)[rows][j]]  # a view
+                u.real, u.imag = np.ldexp(u.real, k), np.ldexp(u.imag, k)
         if not np.isfinite(z).all():
             for i in np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist():
                 failures[i] = "companion eigenvalues are non-finite"
-        z = np.sort(z, axis=1, kind="stable")
+        if n > 1:
+            z = np.sort(z, axis=1, kind="stable")
         pz = _horner(coeffs, z)
         # The limit is at least the primary bound, so its rounding floor
         # is needed only at roots past that bound.
@@ -201,14 +236,40 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
             keep = np.isfinite(res_newton) & (res_newton < res)
             zo, res = np.where(keep, newton, zo), np.where(keep, res_newton, res)
             z[over] = zo[:, 0]
-            z = np.sort(z, axis=1, kind="stable")
+            if n > 1:
+                z = np.sort(z, axis=1, kind="stable")
             for i, r, lim in zip(rows.tolist(), res[:, 0].tolist(),
                                  _root_limit(c, zo)[:, 0].tolist()):
                 if r > lim and failures[i] is None:
                     failures[i] = f"root residual {r:.3e} exceeds {lim:.3e}"
-    if any(failures):
-        z[[why is not None for why in failures]] = np.nan
+        if any(failures):
+            z[[why is not None for why in failures]] = np.nan
     return z, failures
+
+
+def _eigvals_unscaled(top: np.ndarray) -> bool:
+    """Whether every nonzero entry of ``top`` lies where LAPACK leaves a
+    matrix unscaled."""
+    mag = np.abs(top)
+    lo, hi = _EIG_UNSCALED
+    return bool((((mag >= lo) & (mag <= hi)) | (mag == 0.0)).all())
+
+
+def _rebalance(desc: np.ndarray, top: np.ndarray, finite: np.ndarray):
+    """Rebuild in place each non-finite companion first row ``top[j]`` of
+    a finite descending row ``desc[j]`` of degree d as that of p(2^k u),
+    for the least k >= 0 that keeps each entry -c_i 2^(k i) / (c_d 2^(k d))
+    within 2 in size.  With each c = m 2^e, an entry is rounded once, from
+    -(m_i / m_d) 2^(e_i - e_d - k (d - i)), as an unscaled one would be.
+    Returns which tops are finite now and (j, k) per row rebuilt."""
+    redo = ~finite & np.isfinite(desc).all(axis=1)
+    if not redo.any():
+        return finite, []
+    m, e = np.frexp(desc[redo])
+    gap, steps = e[:, 1:] - e[:, :1], np.arange(1, desc.shape[1])
+    k = np.where(m[:, 1:] != 0.0, -(-gap // steps), 0).max(axis=1)
+    top[redo] = -np.ldexp(m[:, 1:] / m[:, :1], gap - k[:, None] * steps)
+    return finite | redo, list(zip(np.flatnonzero(redo).tolist(), k.tolist()))
 
 
 def _root_limit(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -364,17 +425,6 @@ class TransferFunction:
                 "numerator constant term is zero; DC normalization impossible")
         return TransferFunction(Polynomial([c / n0 for c in self.num.coeffs]),
                                 Polynomial([c / d0 for c in self.den.coeffs]))
-
-    @functools.cached_property
-    def on_residual_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """num and den at s = 1j * RESIDUAL_GRID, read-only and kept like
-        ``dc_normalized``, so a model reduced to several orders is
-        evaluated there once."""
-        s = 1j * RESIDUAL_GRID
-        out = poly_eval(self.num, s), poly_eval(self.den, s)
-        for values in out:
-            values.flags.writeable = False
-        return out
 
 
 def close_loop(g: TransferFunction, h: TransferFunction) -> TransferFunction:

@@ -47,8 +47,7 @@ from .errors import (
     SimulationDiverged,
     ValidationError,
 )
-from .poly_tf import (TransferFunction, _horner, _roots_of_rows, is_stable,
-                      poly_eval)
+from .poly_tf import TransferFunction, _horner, _roots_of_rows, is_stable
 
 DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
@@ -297,8 +296,12 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
          points_per_decade: int = 60) -> BodeTrace:
     """Magnitude/phase of g(jw) on a log grid.
 
-    The grid has ``round(ppd * decades) + 1`` points (at least 2).
-    Poles on the imaginary axis yield infinities that are passed
+    The grid has ``round(ppd * decades) + 1`` points (at least 2), the
+    values of ``np.logspace``.  The phase is ``np.angle`` unwrapped by
+    subtracting 2 pi times the running sum of round(step / 2 pi): a step
+    from one point to the next of more than pi, which on the angle's
+    range [-pi, pi] is where ``np.unwrap`` corrects, takes a whole turn
+    off.  Poles on the imaginary axis yield infinities that are passed
     through and flagged via ``contains_nonfinite``.  A grid of more
     than ``MAX_BODE_POINTS`` points is refused with ``ValidationError``.
     """
@@ -315,15 +318,21 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
             f"{decades:.3g} decades exceeds the budget of {MAX_BODE_POINTS} "
             "points; pass a smaller --ppd or a narrower band")
     n = max(2, int(round(points_per_decade * decades)) + 1)
-    omega = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+    omega = 10.0 ** np.linspace(math.log10(omega_min), math.log10(omega_max), n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = 1j * omega
-        resp = poly_eval(g.num, s) / poly_eval(g.den, s)
+        s = 1j * omega[None, :]
+        resp = (_horner(np.array([g.num.coeffs]), s)
+                / _horner(np.array([g.den.coeffs]), s))[0]
         mag_db = 20.0 * np.log10(np.abs(resp))
-    phase = np.degrees(np.unwrap(np.angle(resp)))
-    flag = not (np.all(np.isfinite(mag_db)) and np.all(np.isfinite(phase)))
+        phase = np.angle(resp)
+        turns = np.rint(np.diff(phase) / (2.0 * np.pi))
+        phase[1:] -= 2.0 * np.pi * np.cumsum(turns)
+    np.degrees(phase, out=phase)
+    # A sum is finite exactly when every term is: no finite dB or degree
+    # value on a grid this size comes near overflowing it.
+    flag = not (math.isfinite(mag_db.sum()) and math.isfinite(phase.sum()))
     return BodeTrace(omega=omega, mag_db=mag_db, phase_deg=phase,
-                     contains_nonfinite=bool(flag))
+                     contains_nonfinite=flag)
 
 
 def ise(a: StepTrace, b: StepTrace | float) -> float:

@@ -240,6 +240,21 @@ def test_design_refuses_an_overflowing_gain_before_its_poles(tmp_path, capsys):
     assert "Kc" in err and "out of range" in err
 
 
+def test_design_places_poles_whose_product_overflows(tmp_path, capsys):
+    # the closed loop's quadratic has companion entries past the float
+    # range, and |p1| |p2| overflows, though both poles are finite
+    motor = tmp_path / "motor.json"
+    motor.write_text(json.dumps(NAMEPLATES[12]))
+    out = tmp_path / "design.json"
+    code = _run(["design", "--motor", str(motor), "--method", "conventional",
+                 "--report", str(out)], capsys)
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert 1e154 < report["natural_frequency_rad_s"] < math.inf
+    assert report["achieved_zeta"] == pytest.approx(NAMEPLATES[12]["zeta"],
+                                                    rel=1e-12)
+
+
 @pytest.mark.parametrize("method", [["conventional"], ["mor", "--q", "0"],
                                     ["mor"]], ids=["conventional", "mor-q0",
                                                    "mor-q1"])

@@ -516,6 +516,42 @@ class TestFactorizationReuse:
         for res in done:
             assert sum(1 for e in evaluated if e is res.reduced.den) == 1
 
+    def test_numerator_orders_share_one_reduced_denominator(self):
+        rng = np.random.default_rng(8)
+        g = TransferFunction(Polynomial([2.0, 0.3]),
+                             _random_stable_den(rng, 7).scaled(3.0))
+        twin = _fresh(g)
+        shared = 0
+        for r in range(1, g.den.degree):
+            dens = []
+            for q in range(min(r, 3)):
+                try:
+                    dens.append(reduce(g, ReductionConfig(
+                        target_order=r, numerator_order=q)).reduced.den)
+                except MatchInfeasible:
+                    continue
+            if len(dens) < min(r, 3):
+                continue
+            shared += 1
+            d_r = reduce_denominator(g.dc_normalized.den, r)
+            assert all(d is d_r for d in dens)
+            # bit-equal to the order built afresh, on an uncached object
+            alone = reduce_denominator(Polynomial(g.dc_normalized.den.coeffs), r)
+            assert alone is not d_r
+            assert [c.hex() for c in alone.coeffs] == [c.hex() for c in d_r.coeffs]
+            twin_den = reduce(twin, ReductionConfig(target_order=r,
+                                                    numerator_order=0)).reduced.den
+            assert twin_den is not d_r and twin_den == d_r
+            assert twin_den.on_residual_grid is not d_r.on_residual_grid
+        assert shared >= 3
+        # equal coefficients share no cache: each is kept on its own object
+        g_hat, twin_hat = g.dc_normalized, twin.dc_normalized
+        assert twin_hat is not g_hat
+        assert twin_hat.den.factorization is not g_hat.den.factorization
+        assert twin_hat.den.reduced_orders is not g_hat.den.reduced_orders
+        for p, q in ((g.num, twin.num), (g.den, twin.den)):
+            assert q.on_residual_grid is not p.on_residual_grid
+
     def test_constant_numerator_builds_no_spectral_square(self, bench_loop,
                                                          squared):
         for r in (1, 2, 3):

@@ -277,6 +277,48 @@ class TestStackedRoots:
         self._assert_rows_are_poly_roots(rows)
 
 
+    def test_one_by_one_companions_make_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(2020)
+        linear = (rng.uniform(-2.0, 2.0, size=(20, 2))
+                  * 10.0 ** rng.uniform(-50.0, 50.0, size=(20, 2)))
+        quadratic = rng.uniform(0.5, 2.0, size=(6, 3))
+        quadratic[4, 0] = 0.0  # a zero-constant-term group of size 1
+        # a root under 2^-459, where LAPACK scales the matrix, is solved
+        tiny = np.array([[1.2345e-150, 1.0]])
+        cases = [(linear, []), (quadratic, [5]), (tiny, [1])]
+        wants = [[np.sort(np.roots(row[::-1]), kind="stable") for row in rows]
+                 for rows, _ in cases]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(len(a)) or eigvals(a))
+        for (rows, solves), want in zip(cases, wants):
+            assert not _companion_over(rows).any()
+            calls.clear()
+            got, failures = poly_tf._roots_of_rows(rows)
+            assert calls == solves
+            assert failures == [None] * len(rows)
+            for z, w in zip(got, want):
+                assert _bits(z.real) == _bits(w.real)
+                assert _bits(z.imag) == _bits(w.imag)
+
+    def test_overflowing_companion_is_solved_scaled(self):
+        c0, c1, c2 = 2.27e278, 0.132, 3.85e-281
+        assert math.isinf(c0 / c2)  # where np.roots fails
+        # the quadratic formula, each term divided by 2 c2 on its own
+        re = -c1 / (2.0 * c2)
+        im = math.sqrt(4.0 * c2 * c0 - c1 * c1) / (2.0 * c2)
+        got = poly_roots(Polynomial([c0, c1, c2]))
+        _match_roots(got, [complex(re, -im), complex(re, im)], rel=1e-12)
+        # stacked with ordinary rows it is solved as alone, and they are too
+        rows = np.array([[2.0, 3.0, 1.0], [c0, c1, c2], [1.0, 0.5, 2.0]])
+        _, failures = self._assert_rows_are_poly_roots(rows)
+        assert failures == [None] * 3
+        # a root past the float range still fails
+        with pytest.raises(NonConvergence, match="non-finite"):
+            poly_roots(Polynomial([1e300, 1e300, 1e-300]))
+
+
 class TestRootsCache:
     @pytest.fixture()
     def calls(self, monkeypatch):

@@ -11,7 +11,8 @@ from mordrive.errors import (
     ValidationError,
 )
 from mordrive.mor_engine import ReductionConfig, reduce
-from mordrive.poly_tf import Polynomial, TransferFunction, dc_gain, poly_mul, poly_roots
+from mordrive.poly_tf import (Polynomial, TransferFunction, _horner, dc_gain,
+                              poly_mul, poly_roots)
 from mordrive.sim_analysis import (
     MAX_STEP_SAMPLES,
     ResponseMetrics,
@@ -498,6 +499,37 @@ class TestBode:
     def test_range_validated(self):
         with pytest.raises(ValidationError):
             bode(_lag(1.0), 10.0, 1.0, 60)
+
+    def test_matches_the_numpy_reference(self):
+        rng = np.random.default_rng(1979)
+        models = []
+        for deg in (5, 7, 9, 12):
+            # lags and right-half-plane zeros, for several phase wraps
+            poles = -(10.0 ** rng.uniform(-1.0, 2.0, size=deg))
+            zeros = 10.0 ** rng.uniform(-1.0, 2.0, size=2)
+            models.append(TransferFunction.from_coeffs(
+                np.real(np.poly(zeros))[::-1], np.real(np.poly(poles))[::-1]))
+        models.append(TransferFunction.from_coeffs([1.0], [1.0, 0.0, 1.0]))
+        for g in models:
+            tr = bode(g, 0.01, 1e4, 40)
+            omega = np.logspace(-2.0, 4.0, 241)
+            s = 1j * omega[None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                resp = (_horner(np.array([g.num.coeffs]), s)
+                        / _horner(np.array([g.den.coeffs]), s))[0]
+                mag = 20.0 * np.log10(np.abs(resp))
+                phase = np.degrees(np.unwrap(np.angle(resp)))
+            assert tr.omega.tobytes() == omega.tobytes()
+            assert tr.mag_db.tobytes() == mag.tobytes()
+            finite = np.isfinite(phase)
+            assert np.array_equal(np.isfinite(tr.phase_deg), finite)
+            assert np.max(np.abs(tr.phase_deg - phase)[finite]) <= 1e-9
+            flagged = not (np.isfinite(mag).all() and finite.all())
+            assert tr.contains_nonfinite == flagged
+            if g.den.degree > 2:
+                assert (np.abs(np.diff(np.angle(resp))) > np.pi).sum() >= 2
+            else:  # the pole on the axis sits on the grid
+                assert flagged
 
 
 class TestIse:
