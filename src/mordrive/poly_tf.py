@@ -332,8 +332,6 @@ def even_odd_factor(d: Polynomial) -> StabilityFactorization:
         raise ValidationError("factorization needs degree >= 1")
     if c[0] == 0.0:
         raise ZeroConstantTerm("constant term is zero (pole at the origin)")
-    if c[1] == 0.0:
-        raise NotFactorable("s-coefficient is zero; odd part degenerate")
     sign = math.copysign(1.0, c[0])
     if any(ci == 0.0 or math.copysign(1.0, ci) != sign for ci in c):
         # Hurwitz polynomials have all coefficients of one strict sign.

@@ -22,8 +22,11 @@ against 1 are sums over all k of terms in E^k, which doubling (Smith
 and crossings are read from the first few hundred to thousand samples
 once the poles' modal envelope shows that no later sample changes
 them.  A sweep's closed loops are measured as one stack: their grids,
-exponentials, ladder and doubling sums are batched, each row taking its
-own counts, and only the head windows are read row by row.
+exponentials and ladder are batched, each row taking its own counts, and
+the ladder is walked twice, once for two rows of powers and once for
+two doubling sums.  Head windows are sampled in passes, one per window
+width, each a stack of the rows waiting on that width; only a row that
+no window certifies reads its whole trace, on its own.
 
 ``step_ise`` needs no time grid either: the exact step-error ISE over
 the reference model's default horizon, 5 x its largest time constant as
@@ -188,35 +191,38 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles):
 
 def _propagate(ladder: list[np.ndarray], c: np.ndarray,
                n_steps: int) -> np.ndarray:
-    """Outputs c^T E^k e_last, k = 0..n_steps, as an (n_steps + 1, p) view
-    of one buffer; ``c`` is (dim, p) and ``ladder`` is ``_ladder(E,
-    n_steps + 1)`` or longer.
+    """Outputs c^T E^k e_last, k = 0..n_steps, as an (..., n_steps + 1, p)
+    view of one buffer; ``c`` is (..., dim, p) and ``ladder`` is
+    ``_ladder(E, n_steps + 1)`` or longer, with the same leading axes.
 
     E is an augmented exponential [[M, v], [0, 1]] whose last row is
     exactly (0, ..., 0, 1), so E^k e_last is x_k of x+ = M x + v from x_0
     = 0 with a constant 1 appended, and c's last row weights that 1: no
     offset row or offset recurrence is needed.  The block size B = 2^b is
     the power of two >= sqrt(n_steps + 1).  The rows c^T E^j, j < B, come
-    from b doublings, each the rows so far times E^(2^j), all 2-D
-    products; the block starts E^(iB) e_last from a call on (E^B's
-    ladder, ``ladder[b:]``, I); and output iB + j from one product of the
-    starts against those rows.
+    from b doublings, each the rows so far times E^(2^j); the block starts
+    E^(iB) e_last from a call on (E^B's ladder, ``ladder[b:]``, I); and
+    output iB + j from one product of the starts against those rows.
+    Leading axes are a stack of systems, each taking the same products as
+    a call on it alone, so a stack's outputs equal its rows' bit for bit.
     """
     if n_steps == 0:
-        return c[-1:]
-    dim, p = c.shape
+        return c[..., -1:, :]
+    dim, p = c.shape[-2:]
+    lead = np.broadcast_shapes(c.shape[:-2], ladder[0].shape[:-2])
     bits = math.isqrt(n_steps).bit_length()
     block = 1 << bits
     n_blocks = n_steps // block + 1
-    rows = np.empty((block * p, dim))
-    rows[:p] = c.T
+    rows = np.empty(lead + (block * p, dim))
+    rows[..., :p, :] = c.swapaxes(-1, -2)
     for j in range(bits):
         h = p << j
-        np.matmul(rows[:h], ladder[j], out=rows[h:2 * h])
+        np.matmul(rows[..., :h, :], ladder[j], out=rows[..., h:2 * h, :])
     starts = _propagate(ladder[bits:], np.eye(dim), n_blocks - 1)
-    out = np.empty((n_blocks * block, p))
-    np.matmul(starts, rows.T, out=out.reshape(n_blocks, block * p))
-    return out[:n_steps + 1]
+    out = np.empty(lead + (n_blocks * block, p))
+    np.matmul(starts, rows.swapaxes(-1, -2),
+              out=out.reshape(lead + (n_blocks, block * p)))
+    return out[..., :n_steps + 1, :]
 
 
 def step_response(g: TransferFunction, t_final: float | None = None,
@@ -422,8 +428,11 @@ def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
     E_j^T W E_j with E_j = E^(2^j), and each set bit j of count, lowest
     first, puts a block of 2^j terms ahead of those summed so far, total
     <- W + E_j^T total E_j, from a total of zero.  ``count`` is one int
-    for the whole stack or an int array with one count per matrix; each
-    matrix then takes the steps of its own bits.
+    for the whole stack or an int array with one count per matrix, of the
+    stack's leading shape; each matrix then takes the steps of its own
+    bits.  ``w`` may carry more leading axes than the ladder, so that
+    several sums over one ladder (stacked as w[0], w[1], ...) share one
+    walk up it, each equal to its own call bit for bit.
     """
     total, top = np.zeros_like(w), int(np.max(count)).bit_length()
     for j in range(top):
@@ -440,7 +449,7 @@ def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
 def _times_power(v: np.ndarray, ladder: list[np.ndarray],
                  count: int | np.ndarray) -> np.ndarray:
     """Rows ``v`` times E^count, from the ladder entries at count's set
-    bits; ``count`` as in ``_doubling_sum``."""
+    bits; ``count`` and stacked ``v`` as in ``_doubling_sum``."""
     for j in range(int(np.max(count)).bit_length()):
         bit = _bit(count, j)
         if bit is not False:
@@ -450,14 +459,15 @@ def _times_power(v: np.ndarray, ladder: list[np.ndarray],
 
 def _bit(count: int | np.ndarray, j: int) -> bool | np.ndarray:
     """Whether bit j of ``count`` is set: a bool where every matrix of the
-    stack agrees, so that one count for the stack costs no mask, else an
-    (m, 1, 1) mask."""
+    stack agrees, so that one count for the stack costs no mask, else a
+    mask of the counts' shape with two unit axes appended, one per matrix
+    axis, for a count array of any leading shape."""
     flag = count >> j & 1 != 0
     if isinstance(count, int):
         return flag
     if flag.all() or not flag.any():
-        return bool(flag[0])
-    return flag[:, None, None]
+        return bool(flag.flat[0])
+    return flag[..., None, None]
 
 
 def _pick(bit: bool | np.ndarray, new: np.ndarray,
@@ -532,17 +542,24 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     E^j over j < k with c_a = (E^(count - k))^T c, since every power of E
     keeps the last row e_last^T; the ISE's sum of squares is the last
     diagonal entry of the sum of (E^j)^T c' c'^T E^j over j < count with
-    c' = c - e_last.  The grids, exponentials, one ladder of E^(2^j) up
-    to the largest count, and both ``_doubling_sum`` calls are shared by
-    the stack; the ladder also feeds every ``_propagate`` call.  Per row,
-    the peak, settling and crossings are read from a head window of w
-    samples, w from ``_propagate``'s block size doubling, once the modal
-    envelope env(w) = sum |rho_i| e^(Re p_i w dt) of the step residues
-    rho_i = num(p_i) / (p_i den'(p_i)) bounds every later sample: within
-    the band around the tail mean, strictly below the window's peak, and
-    with the tail past the window.  Clustered poles give huge residues
-    and never certify; then, as when no window up to count - k does, the
-    head is the whole trace, whose tail must stay in the band.
+    c' = c - e_last, and its end sample is c^T E^(count - 1) e_last.  The
+    grids, exponentials and one ladder of E^(2^j) up to the largest count
+    are shared by the stack, which walks the ladder twice: one
+    ``_times_power`` call on the rows (c^T, c^T) with counts (count - k,
+    count - 1), and one ``_doubling_sum`` on the tail and error matrices
+    with counts (k, count).
+
+    The peak, settling and crossings are read from a head window of w
+    samples once the modal envelope env(w) = sum |rho_i| e^(Re p_i w dt)
+    of the step residues rho_i = num(p_i) / (p_i den'(p_i)) bounds every
+    later sample: within the band around the tail mean, strictly below
+    the window's peak, and with the tail past the window.  The candidate
+    windows w_0 2^j <= count - k, w_0 ``_propagate``'s block size, and
+    their envelopes are evaluated for every row at once, and
+    ``_certified_heads`` samples them in passes, one per window width.
+    Clustered poles give huge residues and never certify; then, as when
+    no candidate does, the head is the whole trace, read for that row
+    alone, whose tail must stay in the band.
     """
     out: list = [None] * len(dens)
     grids = []
@@ -561,44 +578,82 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e, c = _step_exponential(nums, dens, poles, np.array(dts))
         ladder = _ladder(e, int(counts.max()))
-        c_tail = _times_power(c.swapaxes(-1, -2), ladder, counts - tails)
+        c_tail, c_end = _times_power(np.stack((c.swapaxes(-1, -2),) * 2),
+                                     ladder, np.stack((counts - tails,
+                                                       counts - 1)))
         tail = np.zeros_like(e)
         tail[:, :, -1] = c_tail[:, 0]
-        tail_sum = _doubling_sum(tail, ladder, tails)[:, -1, -1]
         err = c.copy()
         err[:, -1] -= 1.0
-        sq = _doubling_sum(err @ err.swapaxes(-1, -2), ladder, counts)[:, -1, -1]
-        y_end = _times_power(c_tail, ladder, tails - 1)[:, 0, -1]
+        tail_sum, sq = _doubling_sum(
+            np.stack((tail, err @ err.swapaxes(-1, -2))), ladder,
+            np.stack((tails, counts)))[..., -1, -1]
+        finals = tail_sum / tails
         slope = np.arange(1, dens.shape[-1]) * dens[:, 1:]
         rho = np.abs(_horner(nums, poles) / (poles * _horner(slope, poles)))
-        for i, row in enumerate(rows):
-            dt, n, k = dts[i], n_steps[i], int(tails[i])
-            rungs = [step[i] for step in ladder]
-            final = float(tail_sum[i] / k)
+        y_inf = nums[:, 0] / dens[:, 0]
+        w0 = np.array([1 << math.isqrt(n).bit_length() for n in n_steps])
+        room = counts - tails
+        widths = w0[:, None] << np.arange(int((room // w0).max()).bit_length())
+        decay = np.exp(poles.real[:, None, :]
+                       * (widths * np.array(dts)[:, None])[..., None])
+        # one dot product per row and window, as rho[i] @ decay[i, j] is
+        env = np.matmul(decay[..., None, :], rho[:, None, :, None])[..., 0, 0]
+        tries = ((widths <= room[:, None]) & (finals > 0.0)[:, None]
+                 & (env + np.abs(y_inf - finals)[:, None]
+                    < 0.02 * finals[:, None]))
+        heads = _certified_heads(ladder, c, widths, tries,
+                                 y_inf[:, None] + env)
+        for i, (row, final) in enumerate(zip(rows, finals.tolist())):
+            dt, n, k, head = dts[i], n_steps[i], int(tails[i]), heads[i]
             band = 0.02 * final
-            y_inf = nums[i, 0] / dens[i, 0]
-            w = 1 << math.isqrt(n).bit_length()
-            head = None
             try:
                 if final <= 0.0:
                     raise NotSettled(
                         "final value is not positive; metrics undefined")
-                while head is None and w <= n + 1 - k:
-                    env = float(rho[i] @ np.exp(poles[i].real * (w * dt)))
-                    if env + abs(y_inf - final) < band:
-                        y = _propagate(rungs, c[i], w - 1)[:, 0]
-                        if y_inf + env < y.max():
-                            head = y
-                    w *= 2
                 if head is None:
-                    head = _propagate(rungs, c[i], n)[:, 0]
+                    head = _propagate([step[i] for step in ladder], c[i],
+                                      n)[:, 0]
                     _check_finite(head)
                     if not np.all(np.abs(head[-k:] - final) <= band):
                         raise NotSettled(
                             "trace has not settled within its horizon")
-                ends = (c[i, -1, 0] - 1.0) ** 2 + (y_end[i] - 1.0) ** 2
+                ends = (c[i, -1, 0] - 1.0) ** 2 + (c_end[i, 0, -1] - 1.0) ** 2
                 out[row] = (_metrics_from_head(head, dt, final, band),
                             float(dt * (sq[i] - ends / 2.0)))
             except (NumericError, ValidationError) as exc:
                 out[row] = exc
     return out
+
+
+def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
+                     widths: np.ndarray, tries: np.ndarray,
+                     ceiling: np.ndarray) -> list:
+    """Per row i, the outputs c[i]^T E[i]^k e_last, k < w, of its first
+    window w = widths[i, j], j ascending, with tries[i, j] set whose peak
+    lies strictly above ceiling[i, j], or None where none does.
+
+    Each pass samples the rows waiting on the narrowest width left as one
+    ``_propagate`` stack, on their rungs of the stacked ladder up to that
+    width, and tests their peaks at once; a row that fails moves on to
+    its next window.  Widths only grow, so each is sampled in one pass.
+    ``tries`` is cleared as the rows are settled.
+    """
+    heads = [None] * len(c)
+    at = np.where(tries.any(axis=1), tries.argmax(axis=1), -1)
+    while (at >= 0).any():
+        live = np.flatnonzero(at >= 0)
+        waiting = widths[live, at[live]]
+        width = int(waiting.min())
+        group = live[waiting == width]
+        y = _propagate([step[group] for step in
+                        ladder[:(width - 1).bit_length()]],
+                       c[group], width - 1)[..., 0]
+        peaked = ceiling[group, at[group]] < y.max(axis=-1)
+        for j in np.flatnonzero(peaked).tolist():
+            heads[group[j]] = y[j]
+        tries[group, at[group]] = False
+        tries[group[peaked]] = False
+        left = tries[group]
+        at[group] = np.where(left.any(axis=1), left.argmax(axis=1), -1)
+    return heads

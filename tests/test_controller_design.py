@@ -397,11 +397,61 @@ class TestSweepMeasures:
         # its whole trace is read; the other gains all certify
         assert (_default_steps(g) in _steps(propagate_steps)) == (kc != 35.719)
         [whole] = built
-        # every call reads its row of the one stacked ladder
+        # every call's rungs are rows of the one stacked ladder
         for part, _, _ in propagate_steps:
-            start = len(whole) - len(part)
-            assert start >= 0
-            assert all(a.base is b for a, b in zip(part, whole[start:]))
+            assert _rungs_of(part, whole) is not None
+
+    def test_mixed_stack_is_each_gain_alone(self, model, propagate_steps):
+        # Kc = 1 creeps, so no window certifies and its whole trace is
+        # read; 2.75 fails the peak test at its first window and passes
+        # at the next; 3.1 and 300 certify at one width and 35.719 at a
+        # narrower one; 1e4 is past the step budget; at 1e100 the roots
+        # fail, which counts as unstable
+        gains = [1.0, 2.75, 3.1, 35.719, 300.0, 1e4, 1e100]
+        alone = [evaluate_gain(model, kc) for kc in gains]
+        propagate_steps.clear()
+        got = controller_design._measure_gains(model, np.array(gains))
+        assert ([_bits_of_point(pt) for pt in got]
+                == [_bits_of_point(pt) for pt in alone])
+        assert [pt.stable for pt in got] == [True] * 6 + [False]
+        measured = [pt.overshoot_pct is not None for pt in got]
+        assert measured == [True] * 5 + [False] * 2
+        # one pass per window width, the width 3.1 and 300 share as one
+        # stack; only Kc = 1 reads its whole trace
+        passes = [(len(c), n_steps) for _, c, n_steps in propagate_steps
+                  if c.ndim == 3 and c.shape[-1] == 1]
+        widths = [n_steps for _, n_steps in passes]
+        assert len(set(widths)) == len(widths)
+        assert max(rows for rows, _ in passes) == 2
+        whole = [n_steps for _, c, n_steps in propagate_steps if c.ndim == 2
+                 and c.shape[-1] == 1]
+        assert whole == [_default_steps(closed_current_loop(model, 1.0))]
+
+
+def _bits_of_point(pt):
+    """A sweep point's fields, each float as its exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(pt))
+
+
+def _rungs_of(part, whole):
+    """(offset, rows) with part[j] equal, bit for bit, to whole[offset +
+    j][rows] for every rung j of a ``_propagate`` call's ladder ``part``,
+    or None where no rows of the stacked ladder ``whole`` match."""
+    if not part:  # a call of no steps reads no rung
+        return len(whole), []
+    for start in range(len(whole) - len(part) + 1):
+        stack = whole[start]
+        first = part[0].reshape(-1, *stack.shape[1:])
+        rows = [np.flatnonzero((stack == r).all(axis=(-1, -2)))
+                for r in first]
+        if not all(len(hits) for hits in rows):
+            continue
+        rows = [hits[0] for hits in rows]
+        if all(a.reshape(-1, *b.shape[1:]).tobytes() == b[rows].tobytes()
+               for a, b in zip(part, whole[start:])):
+            return start, rows
+    return None
 
 
 class TestClosedLoop:

@@ -276,6 +276,32 @@ class TestStackedRoots:
         assert _bits(got[others].imag.ravel()) == _bits(want[others].imag.ravel())
         self._assert_rows_are_poly_roots(rows)
 
+    def test_failed_stack_solve_retries_row_by_row(self, monkeypatch):
+        # eigvals raising on the stack solves each row alone; a row that
+        # raises alone as well fails with LAPACK's message, and only it
+        rows = np.array([[2.0, 3.0, 1.0], [6.0, 5.0, 1.0], [1.0, 0.5, 2.0]])
+        want, _ = poly_tf._roots_of_rows(rows)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def flaky(a):
+            calls.append(len(a))
+            if len(a) > 1 or a[0, 0, 0] == -5.0:  # row 1's companion
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        got, failures = poly_tf._roots_of_rows(rows)
+        assert calls == [3, 1, 1, 1]
+        assert failures == [
+            None, "companion eigenvalues failed: Eigenvalues did not converge",
+            None]
+        assert np.isnan(got[1]).all()
+        for i in (0, 2):
+            assert _bits(got[i].real) == _bits(want[i].real)
+            assert _bits(got[i].imag) == _bits(want[i].imag)
+        with pytest.raises(NonConvergence, match="companion eigenvalues"):
+            poly_roots(Polynomial(rows[1]))
 
     def test_one_by_one_companions_make_no_eigensolve(self, monkeypatch):
         rng = np.random.default_rng(2020)
@@ -409,6 +435,12 @@ class TestEvenOddFactor:
     def test_unstable_mixed_signs_rejected(self):
         with pytest.raises(NotFactorable):
             even_odd_factor(Polynomial([1.0, 1.0, -2.0]))
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 0.0, 1.0], [2.0, 0.0, 3.0, 1.0]])
+    def test_zero_s_coefficient_rejected(self, coeffs):
+        # the odd part is degenerate; the zero-coefficient test catches it
+        with pytest.raises(NotFactorable, match="zero coefficients"):
+            even_odd_factor(Polynomial(coeffs))
 
     def test_reconstruction_property(self):
         # randomized stable polynomials, degree <= 8

@@ -216,6 +216,27 @@ class TestBlockPropagation:
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 7, 511, 1000, 4097])
+    def test_stack_is_each_row_alone(self, model, n_steps):
+        # closures of one loop share a degree; a 2 x 3 stack has two
+        # leading axes
+        gs = [closed_current_loop(model, kc)
+              for kc in (1.0, 3.1, 20.0, 35.719, 300.0, 3000.0)]
+        e, c = _step_exponential(
+            np.array([g.num.coeffs for g in gs]),
+            np.array([g.den.coeffs for g in gs]),
+            np.array([g.den.roots for g in gs]),
+            np.array([characteristic_times(g)[0] / 20.0 for g in gs]))
+        ladder = _ladder(e, n_steps + 1)
+        for shape in ((6,), (2, 3)):
+            got = _propagate([step.reshape(shape + step.shape[1:])
+                              for step in ladder],
+                             c.reshape(shape + c.shape[1:]), n_steps)
+            assert got.shape == shape + (n_steps + 1, 1)
+            for i, row in enumerate(got.reshape(6, n_steps + 1, 1)):
+                alone = _propagate([step[i] for step in ladder], c[i], n_steps)
+                assert row.tobytes() == alone.tobytes()
+
     # d is the output weight of the propagated constant 1, so take
     # systems with d != 0
     @pytest.mark.parametrize("n_steps", [10, 11, 1025, 10007])
@@ -383,6 +404,23 @@ class TestStepIse:
             assert sums[i].tobytes() == want[0].tobytes()
             want = _times_power(v[i:i + 1], alone, count - 1)
             assert powers[i].tobytes() == want[0].tobytes()
+
+    def test_stacked_walks_are_separate_calls(self):
+        # two sums or powers stacked on a (2, m) count array, as the sweep
+        # walks its tail and ISE sums; the second counts share every bit
+        rng = np.random.default_rng(2121)
+        e = 0.3 * rng.normal(size=(6, 5, 5))
+        w = rng.normal(size=(2, 6, 5, 5))
+        v = rng.normal(size=(2, 6, 1, 5))
+        counts = np.array([[1, 2, 7, 64, 1000, 1023], [37] * 6])
+        ladder = _ladder(e, int(counts.max()))
+        sums = _doubling_sum(w, ladder, counts)
+        powers = _times_power(v, ladder, counts)
+        for h in range(2):
+            want = _doubling_sum(w[h], ladder, counts[h])
+            assert sums[h].tobytes() == want.tobytes()
+            want = _times_power(v[h], ladder, counts[h])
+            assert powers[h].tobytes() == want.tobytes()
 
     def test_kernels_match_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
