@@ -7,8 +7,9 @@ evaluate the rational function directly on a log grid.
 The one-step update is one matrix exponential, E = [[M, v], [0, 1]] =
 e^([[A, b], [0, 0]] dt) (Van Loan 1978), on the state with a constant
 1 appended, and E itself is propagated: sample k is (c, d) E^k e_last.
-E's last row is set to exactly (0, ..., 0, 1), since as computed it is
-off by rounding and that error would grow with k.  The N steps are cut
+E's last row is exactly (0, ..., 0, 1), as ``_expm``'s Taylor-16 kernel
+(Paterson & Stockmeyer 1973; theta_16 from Al-Mohy & Higham 2011) keeps
+the augmented matrix's zero last row in every power.  The N steps are cut
 into blocks of about sqrt(N): the rows (c, d) E^j within a block come
 from doubling over one ladder of E^(2^j), the block starts from the
 same routine on the ladder's tail, E^B's own ladder, and all outputs
@@ -125,34 +126,33 @@ def _time_constants(rows) -> list[tuple[float, float]]:
             for row in rows]
 
 
-# Padé-13 coefficients and the 1-norm up to which they need no scaling
-# (Higham 2005, "The scaling and squaring method for the matrix
-# exponential revisited").
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# 1/(4j + i)!, X^i's coefficient in T_16's block B_j; X^4 / 16! in B_3 only
+_TAYLOR16 = np.array([[(i < 4 or j == 3) / math.factorial(4 * j + i)
+                       for i in range(5)] for j in range(4)])
+_THETA16 = 0.78028742566265743
+_ISE_STEP_NORM = 5.371920351148152  # see step_ise
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """e^A by Padé-13 scaling and squaring, batched over leading axes.
+    """e^A by Taylor-16 scaling and squaring, batched over leading axes.
 
-    Each matrix is scaled by its own 2^-s so that its 1-norm is at most
-    theta_13, and its Padé approximant squared s times.
+    Each matrix X is A scaled by its own 2^-s to 1-norm at most theta_16
+    (Al-Mohy & Higham 2011, Table 3.1), T_16(X) = B_0 + X^4 (B_1 + X^4
+    (B_2 + X^4 B_3)) is evaluated in seven products and no solve (Paterson
+    & Stockmeyer 1973), and the result is squared s times.
     """
-    b = _PADE13
-    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
-    a = a / np.ldexp(1.0, s)[..., None, None]
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA16)[1], 0)
+    n = a.shape[-1]
+    x = np.empty((4,) + a.shape)
+    np.divide(a, np.ldexp(1.0, s)[..., None, None], out=x[0])
+    np.matmul(x[0], x[0], out=x[1])
+    np.matmul(x[1], x[0], out=x[2])
+    np.matmul(x[1], x[1], out=x[3])
+    b = (_TAYLOR16[:, 1:] @ x.reshape(4, -1)).reshape(x.shape)
+    b.reshape(4, -1, n * n)[..., ::n + 1] += _TAYLOR16[:, :1, None]
+    for j in (2, 1, 0):
+        b[j] += x[3] @ b[j + 1]
+    r = b[0]
     for k in range(int(np.max(s, initial=0))):
         r = np.where((k < s)[..., None, None], r @ r, r)
     return r
@@ -284,10 +284,8 @@ def _step_exponential(nums: np.ndarray, dens: np.ndarray, poles: np.ndarray,
         a, b, c, d = _scaled_ccf(nums, dens, poles)
         aug = np.zeros((len(dens), n + 1, n + 1))
         aug[:, :n, :n], aug[:, :n, n] = a * dt[:, None, None], b * dt[:, None]
+        # aug's zero last row makes E's exactly (0, ..., 0, 1): no drift
         e = _expm(aug)
-    # The last row is (0, ..., 0, 1) only to rounding; pinned exactly,
-    # so that the constant input does not drift over the steps.
-    e[:, n, :n], e[:, n, n] = 0.0, 1.0
     return e, np.concatenate((c, d[:, None]), axis=-1)[..., None]
 
 
@@ -373,10 +371,12 @@ def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
     - d_i), so the ISE is the last diagonal entry of the Gramian W(T) =
     int_0^T e^(A^T t) c^T c e^(At) dt.  W(h) for h = T / 2^s is F22^T F12
     of one exponential F of [[-A^T, c^T c], [0, A]] h (Van Loan 1978), s
-    chosen from ||A||_1 T alone so that e^(Ah) is not rounded to I, and s
-    doublings W <- W + E^T W E, E <- E^2 with E = e^(Ah) reach T.  W is
-    linear in c^T c, so c is scaled to unit max-abs and the result scaled
-    back.  All candidates share one stacked exponential.
+    the least with ||A||_1 h <= ``_ISE_STEP_NORM`` = 5.37 (Padé-13's
+    theta_13) so that e^(Ah) is not rounded to I, and s doublings W <- W +
+    E^T W E, E <- E^2 with E = e^(Ah) reach T; above theta_16 = 0.78,
+    ``_expm`` squares F in one product a step, where a doubling takes
+    three.  W is linear in c^T c, so c is scaled to unit max-abs and the
+    result scaled back.  All candidates share one stacked exponential.
     """
     t_final = DEFAULT_HORIZON_FACTOR * characteristic_times(g)[1]
     dens = np.asarray(dens, dtype=float)
@@ -397,7 +397,7 @@ def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
         c_max = np.abs(c).max(axis=-1)
         c /= c_max[:, None]
         s = max(int(np.frexp(np.abs(a).sum(axis=-2).max(initial=0.0)
-                             * t_final / _THETA13)[1]), 0)
+                             * t_final / _ISE_STEP_NORM)[1]), 0)
         h = t_final / 2.0 ** s
         vl = np.zeros((k, 2 * dim, 2 * dim))
         vl[:, :dim, :dim] = -h * a.swapaxes(-1, -2)

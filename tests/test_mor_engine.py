@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mordrive import mor_engine, poly_tf, sim_analysis
+from mordrive.controller_design import sweep_gain
 from mordrive.errors import (
     BadOrder,
     MatchInfeasible,
@@ -358,6 +359,34 @@ class TestReducePipeline:
         assert eigensolves
         assert all(Path(f).parts[-2:] == ("mordrive", "poly_tf.py")
                    for f in eigensolves), eigensolves
+
+    def test_exponentials_solve_nothing_one_per_scan(self, bench_loop, model,
+                                                      monkeypatch):
+        # an auto reduction, a step response and a sweep: one exponential
+        # for each scan or stack, and no linear solve from the package
+        solves = []
+        stacks = []
+        solve = np.linalg.solve
+        expm = sim_analysis._expm
+
+        def recording_solve(*args, **kwargs):
+            solves.append(sys._getframe(1).f_code.co_filename)
+            return solve(*args, **kwargs)
+
+        def recording_expm(a):
+            stacks.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(sim_analysis, "_expm", recording_expm)
+        reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1,
+                                           adjust_mode="auto"))
+        step_response(bench_loop)
+        sweep_gain(model, 3.1, 50.0, 15)
+        # Van Loan matrices of the 29 percents, the loop's augmented
+        # exponential and one per closure of the worked example
+        assert stacks == [(29, 12, 12), (1, 4, 4), (15, 5, 5)]
+        assert not [f for f in solves if "mordrive" in Path(f).parts], solves
 
     def test_auto_rejects_non_finite_and_negative_scores(self, bench_loop,
                                                          monkeypatch):

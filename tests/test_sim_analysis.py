@@ -13,9 +13,11 @@ from mordrive.errors import (
 from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import (Polynomial, TransferFunction, _horner, dc_gain,
                               poly_mul, poly_roots)
+from mordrive import sim_analysis
 from mordrive.sim_analysis import (
     MAX_STEP_SAMPLES,
     ResponseMetrics,
+    _THETA16,
     _doubling_sum,
     _expm,
     _ladder,
@@ -203,6 +205,21 @@ _KERNEL_SYSTEMS = [_from_poles(poles, num) for poles, num in _KERNEL_SPECS]
 
 
 class TestBlockPropagation:
+    def test_exponential_last_row_is_exact(self):
+        # every power of the augmented matrix has a zero last row, so the
+        # Taylor polynomial and its squarings leave E's last row exactly
+        # (0, ..., 0, 1); at dt = 100 tc_small each matrix is squared
+        for g in _KERNEL_SYSTEMS:
+            n = g.den.degree
+            dts = np.array([1e-4, 0.05, 1.0, 100.0]) * characteristic_times(g)[0]
+            args = [np.array([v] * len(dts)) for v in
+                    (g.num.coeffs, g.den.coeffs, g.den.roots)]
+            a = _scaled_ccf(*args)[0][-1] * dts[-1]
+            assert np.abs(a).sum(axis=0).max() > 2.0 * _THETA16
+            e, _ = _step_exponential(*args, dts)
+            assert np.isfinite(e).all()
+            assert (e[:, n, :n] == 0.0).all() and (e[:, n, n] == 1.0).all()
+
     # 32^2, 32^2 + 1, primes, counts the block size does not divide, and
     # 4095..4097, where n_steps + 1 crosses 64^2 and the block size doubles
     @pytest.mark.parametrize("n_steps", [10, 11, 1024, 1025, 997, 1000, 10007,
@@ -451,6 +468,57 @@ class TestStepIse:
             for value, den in zip(got, dens):
                 want = _lyapunov_ise(linalg, num_g, den_g, num, den, t_final)
                 assert value == pytest.approx(want, rel=1e-9)
+
+    def test_expm_matches_scipy_on_van_loan_stacks(self, bench_loop,
+                                                    monkeypatch):
+        # the stacks step_ise builds in auto scans: the benchmark loop
+        # and a degree-6 model, 12 and 18 square, 1-norms about 10 to 12
+        linalg = pytest.importorskip("scipy.linalg")
+        stacks = []
+        expm = sim_analysis._expm
+
+        def recording(a):
+            stacks.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(sim_analysis, "_expm", recording)
+        cfg = ReductionConfig(target_order=2, numerator_order=1,
+                              adjust_mode="auto")
+        for g in (bench_loop, _from_poles([-1.0, -2.0, -3.5, -5.0, -9.0, -20.0],
+                                          (1.0, 0.3))):
+            assert reduce(g, cfg).chosen_n is not None
+        assert [a.shape for a in stacks] == [(29, 12, 12), (29, 18, 18)]
+        for a in stacks:
+            got = expm(a)
+            for i in range(len(a)):
+                want = linalg.expm(a[i])
+                assert np.allclose(got[i], want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_theta16_is_the_unit_roundoff_bound(self):
+        # Al-Mohy & Higham (2011): the largest theta with sum over k > 16
+        # of |c_k| theta^(k - 1) <= 2^-53, c_k the series coefficients of
+        # log(e^-x T_16(x)); the series is cut at x^80
+        mpmath = pytest.importorskip("mpmath")
+        m, terms = 16, 80
+        with mpmath.workdps(80):
+            # e^-x T_16(x) = 1 + sum over k > 16 of f_k x^k
+            f = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
+            for k in range(m + 1, terms):
+                f[k] = mpmath.fsum((-1) ** (k - j) / (mpmath.factorial(k - j)
+                                                      * mpmath.factorial(j))
+                                   for j in range(m + 1))
+            c = [mpmath.mpf(0)] * terms
+            for k in range(1, terms):  # k c_k = k f_k - sum j c_j f_(k-j)
+                c[k] = f[k] - mpmath.fsum(j * c[j] * f[k - j]
+                                          for j in range(1, k)) / k
+            lo, hi = mpmath.mpf(0), mpmath.mpf(2)
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                bound = mpmath.fsum(abs(c[k]) * mid ** (k - 1)
+                                    for k in range(m + 1, terms))
+                lo, hi = (mid, hi) if bound <= mpmath.mpf(2) ** -53 else (lo, mid)
+            assert math.isclose(_THETA16, float(lo), rel_tol=1e-15)
 
 
 def _real_poly(poles):
