@@ -30,7 +30,6 @@ from .poly_tf import (
     Polynomial,
     StabilityFactorization,
     TransferFunction,
-    close_loop,
     dc_gain,
     even_odd_factor,
     is_stable,
@@ -53,8 +52,8 @@ __all__ = [
     "BodeTrace", "DerivedDriveModel", "DesignReport", "MotorDriveParams",
     "Polynomial", "ReductionConfig", "ReductionResult", "ResponseMetrics",
     "StabilityFactorization", "StepTrace", "SweepPoint", "TransferFunction",
-    "adjust_denominator", "bode", "close_loop", "closed_current_loop",
-    "dc_gain", "derive_model", "design_conventional", "design_via_mor",
+    "adjust_denominator", "bode", "closed_current_loop", "dc_gain",
+    "derive_model", "design_conventional", "design_via_mor",
     "even_odd_factor", "is_stable", "ise", "kc_from_K", "match_numerator",
     "poly_eval", "poly_mul", "poly_roots", "reduce", "reduce_denominator",
     "response_metrics", "solve_damping_gain", "step_response", "sweep_gain",

@@ -179,9 +179,10 @@ def cmd_reduce(args: argparse.Namespace, t0: float) -> int:
 
 def _report_payload(report: DesignReport, zeta: float, notes: list[str],
                     raw: bytes, t0: float) -> dict:
-    reduced = None
+    reduced, warnings = None, ()
     if report.reduced_model is not None:
         red = report.reduced_model
+        warnings = red.warnings
         reduced = {
             "num": list(red.reduced.num.coeffs),
             "den": list(red.reduced.den.coeffs),
@@ -199,7 +200,7 @@ def _report_payload(report: DesignReport, zeta: float, notes: list[str],
         "closed_loop_poles": [[p.real, p.imag] for p in report.closed_loop_poles],
         "reduced": reduced,
         "notes": notes,
-        "manifest": _manifest("design", raw, t0, list(report.warnings)),
+        "manifest": _manifest("design", raw, t0, list(warnings)),
     }
 
 

@@ -27,13 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .mor_engine import ReductionConfig, ReductionResult, reduce
-from .poly_tf import (
-    Polynomial,
-    TransferFunction,
-    UNITY,
-    _roots_of_rows,
-    close_loop,
-)
+from .poly_tf import Polynomial, TransferFunction, _roots_of_rows
 from .sim_analysis import _unit_step_measures
 
 # Largest number of gains one sweep may evaluate.
@@ -58,7 +52,6 @@ class DesignReport:
     closed_loop_poles: tuple[complex, ...]
     achieved_zeta: float
     natural_frequency: float
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,8 @@ def _design(model: DerivedDriveModel, zeta: float | None,
 
     k = solve_damping_gain(den, num, z)
     kc = kc_from_K(model, k)  # refuses an out-of-range gain before its poles
-    poles = (den + num.scaled(k)).roots
+    _, [closed] = _closures(num.coeffs, den.coeffs, [k])
+    poles = Polynomial(closed).roots
     mags = abs(poles[0]), abs(poles[1])
     wn = math.sqrt(mags[0] * mags[1])
     if not 0.0 < wn < math.inf:  # the product over- or underflowed
@@ -178,9 +172,22 @@ def _design(model: DerivedDriveModel, zeta: float | None,
 def closed_current_loop(model: DerivedDriveModel, kc: float) -> TransferFunction:
     """Unity closure of the full type-1 loop gain at controller gain Kc."""
     _check_gain(kc)
-    scaled = TransferFunction(model.loop_gain_full.num.scaled(kc),
-                              model.loop_gain_full.den)
-    return close_loop(scaled, UNITY)
+    loop = model.loop_gain_full
+    nums, dens = _closures(loop.num.coeffs, loop.den.coeffs, [kc])
+    return TransferFunction.from_coeffs(nums[0], dens[0])
+
+
+def _closures(num: tuple[float, ...], den: tuple[float, ...],
+              gains: np.ndarray | list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows K num and den + K num, one per gain K, of ascending
+    coefficients with ``num`` no longer than ``den``: the unity closure
+    of num/den at each gain, formed here only.  A product or sum that
+    overflows is inf."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    with np.errstate(over="ignore"):
+        nums = np.asarray(gains, dtype=float)[:, None] * num
+        dens = den + np.pad(nums, ((0, 0), (0, len(den) - len(num))))
+    return nums, dens
 
 
 def _check_gain(kc: float) -> None:
@@ -234,10 +241,7 @@ def _measure_gains(model: DerivedDriveModel,
     a stable one that cannot be measured keeps empty metrics.
     """
     loop = model.loop_gain_full
-    num, den = np.array(loop.num.coeffs), np.array(loop.den.coeffs)
-    with np.errstate(over="ignore"):
-        nums = gains[:, None] * num
-        dens = den + np.pad(nums, ((0, 0), (0, len(den) - len(num))))
+    nums, dens = _closures(loop.num.coeffs, loop.den.coeffs, gains)
     poles, _ = _roots_of_rows(dens)
     stable = np.all(poles.real < 0.0, axis=-1)
     measured = iter(_unit_step_measures(nums[stable], dens[stable],

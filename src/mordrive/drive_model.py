@@ -84,13 +84,13 @@ def derive_model(p: MotorDriveParams) -> DerivedDriveModel:
         denom = p.kb_v_per_rad_s ** 2 + p.ra_ohm * p.bt_nm_per_rad_s
     except OverflowError:  # float ** raises where * would give inf
         denom = math.inf
-    k1 = p.bt_nm_per_rad_s / denom
-    tm = p.j_kgm2 / p.bt_nm_per_rad_s
-
     quad = [denom, p.bt_nm_per_rad_s * p.la_h + p.j_kgm2 * p.ra_ohm,
             p.j_kgm2 * p.la_h]
     _check_derived(("Kb^2 + Ra*Bt", quad[0]), ("Bt*La + J*Ra", quad[1]),
-                   ("J*La", quad[2]))
+                   ("J*La", quad[2]))  # before K1 divides by the first
+    k1 = p.bt_nm_per_rad_s / denom
+    tm = p.j_kgm2 / p.bt_nm_per_rad_s
+
     roots = poly_roots(Polynomial(quad))
     for r in roots:
         if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):

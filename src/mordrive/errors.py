@@ -42,10 +42,6 @@ class PoleAtOrigin(NumericError):
     """DC gain requested for a system with a pole at s = 0."""
 
 
-class DegenerateLoop(NumericError):
-    """Feedback closure produced an identically zero denominator."""
-
-
 class BadOrder(ValidationError):
     """Requested order is outside the valid range."""
 

@@ -142,10 +142,11 @@ def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
     """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |; the values of g and of
     gr.den, which every numerator order at one r shares, come from their
     caches.  The complex ratio (N_g D_r) / (D_g N_r) is formed first, so
-    no factor is squared on its own and overflows."""
-    ng_dr = g.num.on_residual_grid * gr.den.on_residual_grid
-    nr = poly_eval(gr.num, 1j * RESIDUAL_GRID)
+    no factor is squared on its own and overflows; a value that
+    overflows anyway, filling a cache too, gives inf or nan."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ng_dr = g.num.on_residual_grid * gr.den.on_residual_grid
+        nr = poly_eval(gr.num, 1j * RESIDUAL_GRID)
         ratio = np.abs(ng_dr / (g.den.on_residual_grid * nr)) ** 2
     return float(np.max(np.abs(ratio - 1.0)))
 

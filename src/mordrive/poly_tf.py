@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateLoop,
     NonConvergence,
     NotFactorable,
     NotNormalized,
@@ -113,22 +112,15 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return poly_mul(self, other)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return poly_add(self, other)
-
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Product polynomial (coefficient convolution)."""
     return Polynomial(np.convolve(a.coeffs, b.coeffs))
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return Polynomial(padded_sum(a.coeffs, b.coeffs))
-
-
 def padded_sum(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Ascending coefficient sequences added term by term, the shorter
-    one padded with zeros: ``poly_add`` on plain sequences."""
+    one padded with zeros."""
     na, nb = len(a), len(b)
     return [(a[i] if i < na else 0.0) + (b[i] if i < nb else 0.0)
             for i in range(max(na, nb))]
@@ -341,9 +333,6 @@ def even_odd_factor(d: Polynomial) -> StabilityFactorization:
     odd_x = Polynomial(c[1::2])
     z_sq = _positive_real_neg_roots(even_x, "even part")
     p_sq = _positive_real_neg_roots(odd_x, "odd part")
-
-    if len(z_sq) not in (len(p_sq), len(p_sq) + 1):
-        raise NotFactorable("even/odd factor counts are inconsistent")
     for i, pv in enumerate(p_sq):
         if not z_sq[i] < pv:
             raise NotFactorable(f"interlacing broken: z{i + 1}^2 >= p{i + 1}^2")
@@ -425,20 +414,8 @@ class TransferFunction:
                                 Polynomial([c / d0 for c in self.den.coeffs]))
 
 
-def close_loop(g: TransferFunction, h: TransferFunction) -> TransferFunction:
-    """Negative-feedback closure G/(1 + GH)."""
-    num = poly_mul(g.num, h.den)
-    den = poly_add(poly_mul(g.den, h.den), poly_mul(g.num, h.num))
-    if den.is_zero:
-        raise DegenerateLoop("1 + GH is identically zero")
-    return TransferFunction(num, den)
-
-
 def dc_gain(g: TransferFunction) -> float:
     """Transfer-function value at s = 0."""
     if g.den.coeffs[0] == 0.0:
         raise PoleAtOrigin("DC gain undefined: pole at the origin")
     return g.num.coeffs[0] / g.den.coeffs[0]
-
-
-UNITY = TransferFunction(Polynomial([1.0]), Polynomial([1.0]))

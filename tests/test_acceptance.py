@@ -256,7 +256,7 @@ def test_criterion_8_property_suites():
             assert merged == sorted(merged) and len(set(merged)) == len(merged)
             rebuilt = combine_stability_parts(f.e0, f.e1, f.z_sq, f.p_sq)
             for c_in, c_out in zip(d.coeffs, rebuilt.coeffs):
-                assert c_out == pytest.approx(c_in, rel=1e-8)
+                assert c_out == pytest.approx(c_in, rel=1e-8, abs=0.0)
             checked += 1
 
         # step-response final value equals the DC gain within 0.5%

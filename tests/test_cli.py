@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -44,7 +45,8 @@ class TestReduceCommand:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["den"][1] == pytest.approx(0.12988, rel=1e-10)
-        assert report["den"][2] == pytest.approx(0.00241749, rel=1e-10)
+        assert report["den"][2] == pytest.approx(0.00241749, rel=1e-10,
+                                                 abs=0.0)
         assert report["num"][1] == pytest.approx(0.03, abs=1e-4)
         diag = report["diagnostics"]
         assert diag["factorization"]["z_sq"][0] == pytest.approx(413.7, rel=1e-3)
@@ -183,6 +185,22 @@ class TestDesignCommand:
         report = json.loads(out.read_text())
         assert report["K"] == pytest.approx(2.49, rel=1e-2)
         assert report["reduced"] is not None
+
+    def test_mor_manifest_carries_reduction_warnings(self, motor_file, tmp_path,
+                                                     monkeypatch):
+        design = mordrive.cli.design_via_mor
+        note = "auto adjustment failed for every percent; kept unadjusted"
+
+        def noted(model, cfg=None, zeta=None):
+            rep = design(model, cfg=cfg, zeta=zeta)
+            red = dataclasses.replace(rep.reduced_model, warnings=(note,))
+            return dataclasses.replace(rep, reduced_model=red)
+        monkeypatch.setattr("mordrive.cli.design_via_mor", noted)
+        out = tmp_path / "mor0.json"
+        code = main(["design", "--motor", motor_file, "--method", "mor",
+                     "--q", "0", "--report", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["manifest"]["warnings"] == [note]
 
     def test_missing_field_exits_2_naming_it(self, motor_file, tmp_path, capsys):
         data = json.loads(Path(motor_file).read_text())

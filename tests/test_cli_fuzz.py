@@ -163,7 +163,8 @@ def test_reduce(tmp_path, capsys, adjust):
             assert len(den) == order + 1 and len(num) <= order
             assert all(math.isfinite(c) for c in num + den)
             assert math.isfinite(report["diagnostics"]["residual_epsilon"])
-            assert num[0] / den[0] == pytest.approx(dc, rel=1e-12), (i, order)
+            assert num[0] / den[0] == pytest.approx(dc, rel=1e-12,
+                                                    abs=0.0), (i, order)
     assert [c for _, c in codes].count(0) > len(codes) // 4
     assert (True, 0) in codes
 
@@ -252,7 +253,49 @@ def test_design_places_poles_whose_product_overflows(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert 1e154 < report["natural_frequency_rad_s"] < math.inf
     assert report["achieved_zeta"] == pytest.approx(NAMEPLATES[12]["zeta"],
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0.0)
+
+
+# Worked-example variants whose reduction overflows where the residual
+# epsilon fills its grid caches or multiplies their values.
+@pytest.mark.parametrize("fields, q, value", [
+    ({"ra_ohm": 2.884275546573113e-174,
+      "kb_v_per_rad_s": 1.372302900293121e-78,
+      "tc_s": 3.0943427607864278e+249}, "0", "inf"),
+    *(({"rated_current_a": 1.7789801314688408e-236,
+        "la_h": 3.404221090984008e+171,
+        "bt_nm_per_rad_s": 5.863105925206532e-152,
+        "kb_v_per_rad_s": 2.1744119702028015e-66,
+        "supply_line_voltage_v": 1.857285282398338e+68}, q, "nan")
+      for q in ("0", "1")),
+], ids=["q0-inf", "q0-nan", "q1-nan"])
+def test_design_refuses_an_overflowing_residual_epsilon(tmp_path, capsys,
+                                                        fields, q, value):
+    motor = tmp_path / "motor.json"
+    motor.write_text(json.dumps(dict(WORKED_EXAMPLE, **fields)))
+    code = main(["design", "--motor", str(motor), "--method", "mor", "--q", q,
+                 "--report", str(tmp_path / "design.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.endswith(f"residual epsilon of the reduced model is {value}\n")
+
+
+def test_commands_refuse_an_underflowing_motor_quadratic(tmp_path, capsys):
+    # Kb^2 + Ra*Bt underflows to 0.0, which K1 divides by
+    motor = tmp_path / "motor.json"
+    motor.write_text(json.dumps(dict(
+        WORKED_EXAMPLE, ra_ohm=1.7816062159162237e-207,
+        bt_nm_per_rad_s=9.19767371746173e-218,
+        kb_v_per_rad_s=1.536553331191386e-250,
+        tr_s=1.8568598745114956e-142)))
+    for command in (["design", "--method", "conventional", "--report",
+                     str(tmp_path / "design.json")],
+                    ["sweep", "--kc-min", "1", "--kc-max", "2", "--steps", "3",
+                     "--out", str(tmp_path / "sweep.csv")]):
+        code = main([command[0], "--motor", str(motor), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "derived Kb^2 + Ra*Bt = 0.0 " in err
 
 
 @pytest.mark.parametrize("method", [["conventional"], ["mor", "--q", "0"],

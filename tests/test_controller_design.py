@@ -26,8 +26,6 @@ from mordrive.mor_engine import ReductionConfig
 from mordrive.poly_tf import (
     Polynomial,
     TransferFunction,
-    UNITY,
-    close_loop,
     dc_gain,
     is_stable,
 )
@@ -83,7 +81,6 @@ class TestConventionalDesign:
 
     def test_poles_in_left_half_plane(self, model):
         rep = design_conventional(model)
-        assert rep.warnings == ()
         assert all(p.real < 0.0 for p in rep.closed_loop_poles)
 
     def test_achieved_zeta_matches_request_property(self):
@@ -337,8 +334,7 @@ def _steps(calls):
 
 
 # unity closure of 100 / (s (s^2 + 102 s + 201)): poles -1, -1, -100
-_DOUBLE_POLE = close_loop(
-    TransferFunction.from_coeffs([100.0], [0.0, 201.0, 102.0, 1.0]), UNITY)
+_DOUBLE_POLE = TransferFunction.from_coeffs([100.0], [100.0, 201.0, 102.0, 1.0])
 
 
 class TestSweepMeasures:
@@ -455,6 +451,43 @@ def _rungs_of(part, whole):
 
 
 class TestClosedLoop:
+    _GAINS = [1e-300, 0.02, 3.3957, 35.719, 1e4, 1e300]
+
+    def test_matches_general_closure(self, model):
+        # G / (1 + G H) with H = 1, in NumPy's descending convention
+        for m in [model, *(v for _, v in _seeded_nameplates(6))]:
+            loop = m.loop_gain_full
+            for kc in self._GAINS:
+                num = np.convolve(kc * np.array(loop.num.coeffs[::-1]), [1.0])
+                den = np.polyadd(np.convolve(loop.den.coeffs[::-1], [1.0]), num)
+                closed = closed_current_loop(m, kc)
+                assert closed.num.coeffs == tuple(num[::-1].tolist())
+                assert closed.den.coeffs == tuple(den[::-1].tolist())
+
+    def test_sweep_stack_rows_are_closed_loops(self, model, monkeypatch):
+        seen = {}
+
+        def recording(name, original):
+            def call(*args):
+                seen[name] = args
+                return original(*args)
+            monkeypatch.setattr(controller_design, name, call)
+
+        recording("_roots_of_rows", controller_design._roots_of_rows)
+        recording("_unit_step_measures", controller_design._unit_step_measures)
+        for m in [model, *(v for _, v in _seeded_nameplates(6))]:
+            points = controller_design._measure_gains(
+                m, np.array(self._GAINS))
+            dens = seen["_roots_of_rows"][0]
+            nums = iter(seen["_unit_step_measures"][0])
+            assert len(dens) == len(self._GAINS)
+            for kc, den, point in zip(self._GAINS, dens, points):
+                closed = closed_current_loop(m, kc)
+                assert closed.den.coeffs == tuple(den.tolist())
+                if point.stable:
+                    assert closed.num.coeffs == tuple(next(nums).tolist())
+            assert next(nums, None) is None
+
     def test_closed_loop_tracks_command(self, model):
         closed = closed_current_loop(model, 3.1)
         assert dc_gain(closed) == pytest.approx(1.0, rel=1e-12)

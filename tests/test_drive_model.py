@@ -16,6 +16,13 @@ from mordrive.errors import (
     ValidationError,
 )
 
+# Both terms of Kb^2 + Ra*Bt underflow, so the sum is 0.0.
+UNDERFLOWING_MOTOR_QUADRATIC = {
+    "ra_ohm": 1.7816062159162237e-207,
+    "bt_nm_per_rad_s": 9.19767371746173e-218,
+    "kb_v_per_rad_s": 1.536553331191386e-250,
+    "tr_s": 1.8568598745114956e-142}
+
 
 class TestDeriveModelGolden:
     """Nameplate derivation for the 220 V, 8.3 A benchmark drive."""
@@ -68,7 +75,7 @@ class TestDerivedTransferFunctions:
             t1 * t2 * tr,
         ]
         for got, want in zip(model.loop_gain_design.den.coeffs, expected):
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_full_loop_gain_factor(self, model):
         p = model.params
@@ -131,6 +138,7 @@ class TestParameterValidation:
         ({"vcm_v": 1e-320}, "Kr = inf"),  # and Hc = 0
         ({"vcm_v": 1e300, "supply_line_voltage_v": 1e-30}, "Kr = 0.0"),
         ({"rated_voltage_v": 1e-320}, "K1*Hc*Kr*Tm = 0.0"),
+        (UNDERFLOWING_MOTOR_QUADRATIC, "Kb^2 + Ra*Bt = 0.0"),  # K1 divides by it
     ])
     def test_non_finite_derived_constants_refused(self, changes, derived):
         params = dataclasses.replace(worked_example_params(), **changes)

@@ -79,7 +79,7 @@ class TestReduceDenominator:
         expected = [1.0, 0.12988, 0.00241749]
         assert out.degree == 2
         for got, want in zip(out.coeffs, expected):
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_double_root_to_first_order(self):
         out = reduce_denominator(Polynomial([1.0, 2.0, 1.0]), 1)
@@ -109,13 +109,13 @@ class TestAdjustDenominator:
     def test_ten_percent(self):
         out = adjust_denominator(Polynomial([1.0, 0.12988, 0.00241749]), 10.0)
         assert out.coeffs[0] == 1.0
-        assert out.coeffs[1] == pytest.approx(0.142868, rel=1e-12)
+        assert out.coeffs[1] == pytest.approx(0.142868, rel=1e-12, abs=0.0)
         assert out.coeffs[2] == pytest.approx(0.00217574, rel=1e-5)
 
     def test_one_percent(self):
         out = adjust_denominator(Polynomial([1.0, 0.12988, 0.00241749]), 1.0)
-        assert out.coeffs[1] == pytest.approx(0.1311788, rel=1e-12)
-        assert out.coeffs[2] == pytest.approx(0.0023933151, rel=1e-12)
+        assert out.coeffs[1] == pytest.approx(0.1311788, rel=1e-12, abs=0.0)
+        assert out.coeffs[2] == pytest.approx(0.0023933151, rel=1e-12, abs=0.0)
 
     def test_zero_percent_rejected(self):
         with pytest.raises(ValidationError):
@@ -239,7 +239,8 @@ class TestReducePipeline:
     def test_benchmark_reduction(self, bench_loop):
         res = reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1))
         assert res.reduced.den.coeffs[1] == pytest.approx(0.12988, rel=1e-10)
-        assert res.reduced.den.coeffs[2] == pytest.approx(0.00241749, rel=1e-10)
+        assert res.reduced.den.coeffs[2] == pytest.approx(0.00241749,
+                                                          rel=1e-10, abs=0.0)
         assert res.reduced.num.coeff(1) == pytest.approx(0.03, abs=1e-4)
         assert res.chosen_n is None
         assert dc_gain(res.reduced) == dc_gain(bench_loop)

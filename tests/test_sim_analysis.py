@@ -391,7 +391,7 @@ class TestStepIse:
         got = step_ise(bench_loop, (1.0, 0.03), dens)
         alone = step_ise(bench_loop, (1.0, 0.03), np.array([stable]))
         assert np.isnan(got[1:]).all()
-        assert got[0] == pytest.approx(alone[0], rel=1e-12)
+        assert got[0] == pytest.approx(alone[0], rel=1e-12, abs=0.0)
 
     def test_doubling_sum_matches_term_by_term_sum(self):
         rng = np.random.default_rng(12)
