@@ -55,12 +55,19 @@ def _load_json(path: str) -> tuple[dict, bytes]:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(raw.decode("utf-8", errors="strict"),
+                          parse_int=_int_as_float,
                           parse_constant=_reject_constant)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must contain a JSON object")
     return data, raw
+
+
+def _int_as_float(text: str) -> float:
+    # One past the float range reads as inf, refused as non-finite; adding
+    # 0.0 reads -0 as 0.0, the float of the integer it denotes.
+    return float(text) + 0.0
 
 
 def _reject_constant(name: str):
@@ -72,11 +79,11 @@ def _number_list(data: dict, key: str, path: str) -> list[float]:
         raise ValidationError(f"missing field '{key}' in {path}")
     value = data[key]
     if (not isinstance(value, list) or not value
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in value)):
+            or not all(isinstance(x, float) and math.isfinite(x)
+                       for x in value)):
         raise ValidationError(f"field '{key}' in {path} must be a non-empty "
                               "list of finite numbers")
-    return [float(x) for x in value]
+    return value
 
 
 def read_tf_file(path: str) -> tuple[TransferFunction, bytes]:
@@ -98,11 +105,10 @@ def read_motor_file(path: str) -> tuple[MotorDriveParams, bytes]:
     for f in fields:
         if f.name in data:
             value = data[f.name]
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
+            if not (isinstance(value, float) and math.isfinite(value)):
                 raise ValidationError(
                     f"field '{f.name}' in {path} must be a finite number")
-            kwargs[f.name] = float(value)
+            kwargs[f.name] = value
     return MotorDriveParams(**kwargs), raw
 
 
@@ -206,10 +212,8 @@ def _report_payload(report: DesignReport, zeta: float, notes: list[str],
 
 def cmd_design(args: argparse.Namespace, t0: float) -> int:
     if args.print_example:
-        params = worked_example_params()
-        data = {k: v for k, v in dataclasses.asdict(params).items()
-                if v is not None}
-        print(json.dumps(data, indent=2))
+        print(json.dumps(dataclasses.asdict(worked_example_params()),
+                         indent=2))
         return 0
     if args.motor is None or args.method is None or args.report is None:
         raise ValidationError("design needs --motor, --method and --report "

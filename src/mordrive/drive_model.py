@@ -32,16 +32,11 @@ class MotorDriveParams:
     tc_s: float
     tr_s: float = 0.00138
     zeta: float = 0.707
-    # Speed-loop data: accepted for schema completeness, unused here.
-    rated_speed_rpm: float | None = None
-    tacho_gain_v_per_rad_s: float | None = None
-    tacho_tc_s: float | None = None
 
     def __post_init__(self):
-        # Every field must be positive except zeta (checked below) and the
-        # unused speed-loop data, whose default is None.
+        # Every field must be positive except zeta, checked below.
         for f in dataclasses.fields(self):
-            if f.default is None or f.name == "zeta":
+            if f.name == "zeta":
                 continue
             value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)
@@ -164,7 +159,4 @@ def worked_example_params() -> MotorDriveParams:
         tc_s=0.03,
         tr_s=0.00138,
         zeta=0.707,
-        rated_speed_rpm=1470.0,
-        tacho_gain_v_per_rad_s=0.065,
-        tacho_tc_s=0.002,
     )

@@ -140,10 +140,8 @@ def test_criterion_5_documented_non_reproduction(model, tmp_path):
 
         # the failure report quotes the figures as unexplained
         motor = tmp_path / "motor.json"
-        motor.write_text(json.dumps({
-            k: v for k, v in
-            dataclasses.asdict(worked_example_params()).items()
-            if v is not None}))
+        motor.write_text(json.dumps(
+            dataclasses.asdict(worked_example_params())))
         report_path = tmp_path / "mor.json"
         assert main(["design", "--motor", str(motor), "--method", "mor",
                      "--q", "1", "--report", str(report_path)]) == 3

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -28,11 +29,8 @@ def loop_file(tmp_path):
 @pytest.fixture()
 def motor_file(tmp_path):
     import dataclasses
-    data = {k: v for k, v in
-            dataclasses.asdict(worked_example_params()).items()
-            if v is not None}
     path = tmp_path / "motor.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(dataclasses.asdict(worked_example_params())))
     return str(path)
 
 
@@ -98,7 +96,7 @@ class TestReduceCommand:
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
 
-    @pytest.mark.parametrize("percent", ["0", "40", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("percent", ["0", "40", "-1", "nan", "inf", "lots"])
     def test_bad_adjust_percent_exits_2(self, loop_file, tmp_path, percent):
         out = tmp_path / "x.json"
         code = main(["reduce", "--tf", loop_file, "--order", "2",
@@ -230,6 +228,11 @@ class TestDesignCommand:
             err = capsys.readouterr().err
             assert "ValidationError" in err and "derived" in err
         assert not out.exists()
+
+    def test_method_without_motor_or_report_exits_2(self, capsys):
+        assert main(["design", "--method", "conventional"]) == 2
+        assert "design needs --motor, --method and --report" in (
+            capsys.readouterr().err)
 
     def test_print_example_is_valid_input(self, tmp_path, capsys):
         assert main(["design", "--print-example"]) == 0
@@ -385,8 +388,7 @@ class TestSweepCommand:
 
     def test_unstable_rows_have_empty_metrics(self, tmp_path):
         import dataclasses
-        data = {k: v for k, v in dataclasses.asdict(
-            worked_example_params()).items() if v is not None}
+        data = dataclasses.asdict(worked_example_params())
         data["tc_s"] = 0.0005
         path = tmp_path / "fast_pi.json"
         path.write_text(json.dumps(data))
@@ -433,6 +435,53 @@ class TestRobustness:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["reduce", "--tf", str(tmp_path / "nope.json"),
                      "--order", "2", "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_out_under_a_missing_directory_exits_2(self, loop_file, tmp_path,
+                                                   capsys):
+        missing = tmp_path / "missing"
+        assert main(["reduce", "--tf", loop_file, "--order", "2",
+                     "--out", str(missing / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+        assert not missing.exists()
+
+    # Too large for a float, and nested too deep for the JSON decoder.
+    @pytest.mark.parametrize("value", ["1" + "0" * 400,
+                                       "[" * 100_000 + "]" * 100_000],
+                             ids=["oversize-integer", "deep-nesting"])
+    @pytest.mark.parametrize("command", ["reduce", "simulate", "design",
+                                         "sweep"])
+    def test_unreadable_value_exits_2(self, tmp_path, capsys, command, value):
+        if command in ("reduce", "simulate"):
+            data = {"num": ["X"], "den": [1.0, 1.0]}
+        else:
+            data = dict(dataclasses.asdict(worked_example_params()), ra_ohm="X")
+        path, out = str(tmp_path / "in.json"), tmp_path / "out"
+        Path(path).write_text(json.dumps(data).replace('"X"', value))
+        argv = {
+            "reduce": ["reduce", "--tf", path, "--order", "1"],
+            "simulate": ["simulate", "step", "--tf", path],
+            "design": ["design", "--motor", path, "--method", "conventional",
+                       "--report", str(out)],
+            "sweep": ["sweep", "--motor", path, "--kc-min", "1", "--kc-max",
+                      "2", "--steps", "2"],
+        }[command]
+        if command != "design":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_minus_zero_reads_as_zero(self, tmp_path):
+        tf = tmp_path / "g.json"
+        tf.write_text('{"num": [1, -0, 0.0001], '
+                      '"den": [1, 0.12988, 0.00241749, 3.0914208e-06]}')
+        out = tmp_path / "r.json"
+        assert main(["reduce", "--tf", str(tf), "--order", "2",
+                     "--numerator-order", "0", "--out", str(out)]) == 0
+        original = json.loads(out.read_text())["diagnostics"]["original"]
+        assert [math.copysign(1.0, x) for x in original["num"]] == [1.0] * 3
+        assert original == {"num": [1.0, 0.0, 0.0001],
+                            "den": [1.0, 0.12988, 0.00241749, 3.0914208e-06]}
 
     def test_bad_argv_exits_2(self):
         assert main(["reduce", "--order", "not-a-number"]) == 2

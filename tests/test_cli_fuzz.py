@@ -27,9 +27,12 @@ N_SWEEPS = 12
 N_WIDE_SWEEPS = 8
 N_NAMEPLATES = 200
 
-WORKED_EXAMPLE = {k: v for k, v in
-                  dataclasses.asdict(worked_example_params()).items()
-                  if v is not None}
+# The three speed-loop keys are ignored by the CLI; they stay, last, so
+# that the nameplate generator draws the same numbers per key as it did
+# when the schema carried them.
+WORKED_EXAMPLE = dict(dataclasses.asdict(worked_example_params()),
+                      rated_speed_rpm=1470.0, tacho_gain_v_per_rad_s=0.065,
+                      tacho_tc_s=0.002)
 
 # Worked-example variants whose designed Kc overflowed to inf, or whose
 # reduction overflowed in the residual epsilon (q = 0) or in the

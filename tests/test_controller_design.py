@@ -142,6 +142,18 @@ class TestSolveDampingGain:
             solve_damping_gain(Polynomial([1.0, 2.0, 1.0]),
                                Polynomial([1.0]), 1.0)
 
+    def test_numerator_needs_unit_constant(self):
+        with pytest.raises(ValidationError, match="unit constant term"):
+            solve_damping_gain(Polynomial([1.0, 1.0, 1.0]),
+                               Polynomial([2.0]), 0.707)
+
+    def test_degenerate_condition(self):
+        # num = den at zeta = 0.5 zeroes both the K^2 and the K coefficient
+        with pytest.raises(NoRealGain, match="degenerate") as err:
+            solve_damping_gain(Polynomial([1.0, 1.0, 1.0]),
+                               Polynomial([1.0, 1.0, 1.0]), 0.5)
+        assert err.value.discriminant == 0.0
+
     def test_constant_numerator_closed_form(self):
         # K = d1^2/(4 zeta^2 d2) - d0 for c1 = c2 = 0
         d = Polynomial([1.0, 0.12988, 0.00241749])

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 import re
 
 import pytest
 
+from mordrive.cli import main
 from mordrive.drive_model import (
-    MotorDriveParams,
     derive_model,
     kc_from_K,
     worked_example_params,
@@ -153,12 +154,18 @@ class TestParameterValidation:
         with pytest.raises(ValidationError):
             dataclasses.replace(worked_example_params(), zeta=1.2)
 
-    def test_speed_loop_fields_optional(self):
-        params = MotorDriveParams(
-            rated_voltage_v=220.0, rated_current_a=8.3, ra_ohm=4.0,
-            la_h=0.072, j_kgm2=0.0607, bt_nm_per_rad_s=0.0869,
-            kb_v_per_rad_s=1.26, supply_line_voltage_v=230.0, vcm_v=10.0,
-            imax_a=20.0, tc_s=0.03)
-        m = derive_model(params)
-        assert m.params.rated_speed_rpm is None
-        assert m.K1 == pytest.approx(0.0449, abs=1e-4)
+    def test_speed_loop_fields_optional(self, tmp_path):
+        # motor files may carry the speed-loop data; the CLI ignores it
+        plain = dataclasses.asdict(worked_example_params())
+        with_speed_loop = dict(plain, rated_speed_rpm=1470.0,
+                               tacho_gain_v_per_rad_s=0.065, tacho_tc_s=0.002)
+        gains = []
+        for i, data in enumerate((plain, with_speed_loop)):
+            motor, report = tmp_path / f"motor{i}.json", tmp_path / f"conv{i}.json"
+            motor.write_text(json.dumps(data))
+            assert main(["design", "--motor", str(motor), "--method",
+                         "conventional", "--report", str(report)]) == 0
+            rep = json.loads(report.read_text())
+            gains.append((rep["K"], rep["Kc"]))
+        assert gains[0] == gains[1]
+        assert gains[0][0] == pytest.approx(39.05, abs=0.005)

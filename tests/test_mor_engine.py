@@ -13,6 +13,7 @@ from mordrive.errors import (
     MatchInfeasible,
     MorDriveError,
     NotFactorable,
+    NotNormalized,
     NumericError,
     ValidationError,
     ZeroConstantTerm,
@@ -206,6 +207,11 @@ class TestMatchNumerator:
         assert res.reduced.num == out
         assert len(res.matched_conditions) == q
         _assert_matched(g, d_r, out, res.matched_conditions)
+
+    def test_unnormalized_input_rejected(self):
+        g = TransferFunction(Polynomial([2.0]), Polynomial([1.0, 1.0, 1.0]))
+        with pytest.raises(NotNormalized):
+            match_numerator(g, Polynomial([1.0, 1.0]), 0)
 
     def test_order_above_reduced_degree_rejected(self, bench_loop, bench_den):
         d_r = reduce_denominator(bench_den, 2)
@@ -721,6 +727,10 @@ class TestReduceProperties:
 class TestReductionConfig:
     def test_numerator_defaults_to_order_minus_one(self):
         assert ReductionConfig(target_order=3).q == 2
+
+    def test_target_order_zero_rejected(self):
+        with pytest.raises(BadOrder):
+            ReductionConfig(target_order=0)
 
     def test_numerator_order_bounds(self):
         with pytest.raises(BadOrder):

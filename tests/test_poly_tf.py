@@ -400,6 +400,10 @@ class TestIsStable:
     def test_right_half_plane_root(self):
         assert is_stable(Polynomial([-1.0, 1.0])) is False
 
+    def test_constant_rejected(self):
+        with pytest.raises(ValidationError):
+            is_stable(Polynomial([1.0]))
+
     def test_benchmark_denominator(self, bench_den):
         assert is_stable(bench_den) is True
 
@@ -432,6 +436,20 @@ class TestEvenOddFactor:
     def test_unstable_mixed_signs_rejected(self):
         with pytest.raises(NotFactorable):
             even_odd_factor(Polynomial([1.0, 1.0, -2.0]))
+
+    def test_constant_rejected(self):
+        with pytest.raises(ValidationError):
+            even_odd_factor(Polynomial([1.0]))
+
+    @pytest.mark.parametrize("p, reason", [
+        # even part 1 + 0.1 x + x^2 in x = s^2 has complex roots
+        (Polynomial([1.0, 1.0, 0.1, 1.0, 1.0]), "even part has a complex"),
+        (combine_stability_parts(1.0, 1.0, [1.0, 2.0], [3.0, 4.0]),
+         r"p1\^2 >= z2\^2"),
+    ], ids=["complex-even-root", "p1-above-z2"])
+    def test_broken_root_pattern_rejected(self, p, reason):
+        with pytest.raises(NotFactorable, match=reason):
+            even_odd_factor(p)
 
     @pytest.mark.parametrize("coeffs", [[1.0, 0.0, 1.0], [2.0, 0.0, 3.0, 1.0]])
     def test_zero_s_coefficient_rejected(self, coeffs):
@@ -566,6 +584,10 @@ class TestDcGain:
 
 
 class TestTransferFunctionInvariants:
+    def test_empty_polynomial_rejected(self):
+        with pytest.raises(ValidationError):
+            Polynomial([])
+
     def test_improper_rejected(self):
         with pytest.raises(ValidationError):
             TransferFunction.from_coeffs([1.0, 1.0, 1.0], [1.0, 1.0])

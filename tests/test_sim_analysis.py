@@ -138,6 +138,10 @@ class TestStepResponse:
         with pytest.raises(ValidationError):
             step_response(_lag(1.0), t_final=0.005, dt=1e-3)
 
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            step_response(_lag(1.0), t_final=1.0, dt=0.0)
+
     def test_linearity_property(self):
         rng = np.random.default_rng(2718)
         for _ in range(15):
@@ -605,6 +609,10 @@ class TestBode:
     def test_range_validated(self):
         with pytest.raises(ValidationError):
             bode(_lag(1.0), 10.0, 1.0, 60)
+
+    def test_zero_points_per_decade_rejected(self):
+        with pytest.raises(ValidationError, match="points_per_decade"):
+            bode(_lag(1.0), 0.1, 10.0, 0)
 
     def test_matches_the_numpy_reference(self):
         rng = np.random.default_rng(1979)
