@@ -94,8 +94,9 @@ def read_tf_file(path: str) -> tuple[TransferFunction, bytes]:
     return TransferFunction.from_coeffs(num, den), raw
 
 
-def read_motor_file(path: str) -> tuple[MotorDriveParams, bytes]:
-    """Motor parameter input with snake_case, unit-suffixed keys."""
+def read_motor_file(path: str) -> tuple[MotorDriveParams, bytes, list[str]]:
+    """Nameplate from snake_case, unit-suffixed keys, and a note for each
+    other key, which is ignored."""
     data, raw = _load_json(path)
     fields = dataclasses.fields(MotorDriveParams)
     for f in fields:
@@ -109,7 +110,9 @@ def read_motor_file(path: str) -> tuple[MotorDriveParams, bytes]:
                 raise ValidationError(
                     f"field '{f.name}' in {path} must be a finite number")
             kwargs[f.name] = value
-    return MotorDriveParams(**kwargs), raw
+    return MotorDriveParams(**kwargs), raw, [
+        f"ignored key '{k}' in {path}: not a nameplate field"
+        for k in data if k not in kwargs]
 
 
 def _manifest(command: str, raw: bytes, t0: float,
@@ -184,11 +187,11 @@ def cmd_reduce(args: argparse.Namespace, t0: float) -> int:
 
 
 def _report_payload(report: DesignReport, zeta: float, notes: list[str],
-                    raw: bytes, t0: float) -> dict:
-    reduced, warnings = None, ()
+                    raw: bytes, t0: float, warnings: list[str]) -> dict:
+    reduced = None
     if report.reduced_model is not None:
         red = report.reduced_model
-        warnings = red.warnings
+        warnings = warnings + list(red.warnings)
         reduced = {
             "num": list(red.reduced.num.coeffs),
             "den": list(red.reduced.den.coeffs),
@@ -206,7 +209,7 @@ def _report_payload(report: DesignReport, zeta: float, notes: list[str],
         "closed_loop_poles": [[p.real, p.imag] for p in report.closed_loop_poles],
         "reduced": reduced,
         "notes": notes,
-        "manifest": _manifest("design", raw, t0, list(warnings)),
+        "manifest": _manifest("design", raw, t0, warnings),
     }
 
 
@@ -218,7 +221,7 @@ def cmd_design(args: argparse.Namespace, t0: float) -> int:
     if args.motor is None or args.method is None or args.report is None:
         raise ValidationError("design needs --motor, --method and --report "
                               "(or --print-example)")
-    params, raw = read_motor_file(args.motor)
+    params, raw, ignored = read_motor_file(args.motor)
     model = derive_model(params)
     zeta = args.zeta if args.zeta is not None else params.zeta
 
@@ -238,12 +241,13 @@ def cmd_design(args: argparse.Namespace, t0: float) -> int:
             "discriminant": getattr(exc, "discriminant", None),
             "gain_quadratic": list(getattr(exc, "quadratic", ())) or None,
             "notes": notes,
-            "manifest": _manifest("design", raw, t0, []),
+            "manifest": _manifest("design", raw, t0, ignored),
         }
         _write_json(args.report, payload)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_json(args.report, _report_payload(report, zeta, notes, raw, t0))
+    _write_json(args.report,
+                _report_payload(report, zeta, notes, raw, t0, ignored))
     return 0
 
 
@@ -264,7 +268,9 @@ def cmd_simulate(args: argparse.Namespace, t0: float) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, t0: float) -> int:
-    params, _raw = read_motor_file(args.motor)
+    params, _raw, ignored = read_motor_file(args.motor)
+    for note in ignored:
+        print(f"warning: {note}", file=sys.stderr)
     model = derive_model(params)
     points = sweep_gain(model, args.kc_min, args.kc_max, args.steps)
     lines = ["kc,overshoot_pct,settling_s,rise_s,ise,stable"]

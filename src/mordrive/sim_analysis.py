@@ -26,8 +26,8 @@ them.  A sweep's closed loops are measured as one stack: their grids,
 exponentials and ladder are batched, each row taking its own counts, and
 the ladder is walked twice, once for two rows of powers and once for
 two doubling sums.  Head windows are sampled in passes, one per window
-width, each a stack of the rows waiting on that width; only a row that
-no window certifies reads its whole trace, on its own.
+width, each a block of the rows waiting on that width; only a row
+that no window certifies reads its whole trace, on its own.
 
 ``step_ise`` needs no time grid either: the exact step-error ISE over
 the reference model's default horizon, 5 x its largest time constant as
@@ -65,6 +65,9 @@ MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
 MAX_BODE_POINTS = 2_000_000
+
+# Samples in ``ise``'s difference buffer (32 kB), reused over any trace
+_ISE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,14 +348,19 @@ def ise(a: StepTrace, b: StepTrace | float) -> float:
 
     A trace's grid is k * dt, so two grids match exactly when their
     lengths and dt do, and the trapezoid is dt times the sum of squares
-    less half the squared end samples, over one temporary.
+    less half the squared end samples, over one ``_ISE_BLOCK`` buffer.
     """
     if isinstance(b, StepTrace):
         if len(a.y) != len(b.y) or a.dt != b.dt:
             raise GridMismatch("traces do not share a time grid")
         b = b.y
-    d = a.y - b
-    return float(a.dt * (np.dot(d, d) - (d[0] * d[0] + d[-1] * d[-1]) / 2.0))
+    b, d, total = np.broadcast_to(b, a.y.shape), np.empty(_ISE_BLOCK), 0.0
+    for i in range(0, len(a.y), _ISE_BLOCK):
+        part = a.y[i:i + _ISE_BLOCK]
+        part = np.subtract(part, b[i:i + _ISE_BLOCK], out=d[:len(part)])
+        total += np.dot(part, part)
+    d0, dn = a.y[0] - b[0], a.y[-1] - b[-1]
+    return float(a.dt * (total - (d0 * d0 + dn * dn) / 2.0))
 
 
 def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
@@ -430,18 +438,16 @@ def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
     <- W + E_j^T total E_j, from a total of zero.  ``count`` is one int
     for the whole stack or an int array with one count per matrix, of the
     stack's leading shape; each matrix then takes the steps of its own
-    bits.  ``w`` may carry more leading axes than the ladder, so that
-    several sums over one ladder (stacked as w[0], w[1], ...) share one
-    walk up it, each equal to its own call bit for bit.
+    bits, from ``_rung_masks``.  ``w`` may carry more leading axes than
+    the ladder, so that several sums over one ladder (w[0], w[1], ...)
+    share one walk up it, each equal to its own call bit for bit.
     """
-    total, top = np.zeros_like(w), int(np.max(count)).bit_length()
-    for j in range(top):
-        e = ladder[j]
-        et = e.swapaxes(-1, -2)
-        bit = _bit(count, j)
-        if bit is not False:
-            total = _pick(bit, w + et @ total @ e, total)
-        if j + 1 < top:
+    total, masks = np.zeros_like(w), _rung_masks(count)
+    for j, mask in enumerate(masks):
+        e, et = ladder[j], ladder[j].swapaxes(-1, -2)
+        if mask is not None:
+            total = np.where(mask, w + et @ total @ e, total)
+        if j + 1 < len(masks):
             w = w + et @ w @ e
     return total
 
@@ -450,32 +456,22 @@ def _times_power(v: np.ndarray, ladder: list[np.ndarray],
                  count: int | np.ndarray) -> np.ndarray:
     """Rows ``v`` times E^count, from the ladder entries at count's set
     bits; ``count`` and stacked ``v`` as in ``_doubling_sum``."""
-    for j in range(int(np.max(count)).bit_length()):
-        bit = _bit(count, j)
-        if bit is not False:
-            v = _pick(bit, v @ ladder[j], v)
+    for j, mask in enumerate(_rung_masks(count)):
+        if mask is not None:
+            v = np.where(mask, v @ ladder[j], v)
     return v
 
 
-def _bit(count: int | np.ndarray, j: int) -> bool | np.ndarray:
-    """Whether bit j of ``count`` is set: a bool where every matrix of the
-    stack agrees, so that one count for the stack costs no mask, else a
-    mask of the counts' shape with two unit axes appended, one per matrix
-    axis, for a count array of any leading shape."""
-    flag = count >> j & 1 != 0
+def _rung_masks(count: int | np.ndarray) -> list:
+    """Per rung j to count's top bit, once per walk: None where no count
+    sets bit j, else True for one int count, or for an int array of any
+    leading shape a mask of the counts that set it, matrix axes added."""
     if isinstance(count, int):
-        return flag
-    if flag.all() or not flag.any():
-        return bool(flag.flat[0])
-    return flag[..., None, None]
-
-
-def _pick(bit: bool | np.ndarray, new: np.ndarray,
-          old: np.ndarray) -> np.ndarray:
-    """``new`` where ``bit`` is set, else ``old``."""
-    if bit is True:
-        return new
-    return old if bit is False else np.where(bit, new, old)
+        return [True if count >> j & 1 else None
+                for j in range(count.bit_length())]
+    bits = count[..., None] >> np.arange(int(count.max()).bit_length()) & 1
+    return [bits[..., j, None, None] if some else None for j, some in
+            enumerate(bits.reshape(-1, bits.shape[-1]).any(axis=0).tolist())]
 
 
 def response_metrics(tr: StepTrace) -> ResponseMetrics:
@@ -484,48 +480,48 @@ def response_metrics(tr: StepTrace) -> ResponseMetrics:
     The final value is the mean of the last 5% of samples; the trace
     counts as settled only if that whole tail stays within 2% of it.
     """
-    y = tr.y
-    k = max(1, int(round(0.05 * len(y))))
-    final = float(np.mean(y[-k:]))
+    k = max(1, int(round(0.05 * len(tr.y))))
+    return _settled_metrics(tr.y, tr.dt, float(np.mean(tr.y[-k:])), k)
+
+
+def _settled_metrics(y: np.ndarray, dt: float, final: float,
+                     k: int) -> ResponseMetrics:
+    """Metrics of a whole trace ``y`` whose final value is ``final``; it
+    counts as settled only if its last k samples stay within 2% of it."""
     if final <= 0.0:
         raise NotSettled("final value is not positive; metrics undefined")
-    band = 0.02 * abs(final)
-    if np.any(np.abs(y[-k:] - final) > band):
+    if not np.all(np.abs(y[-k:] - final) <= 0.02 * final):
         raise NotSettled("trace has not settled within its horizon")
-    return _metrics_from_head(y, tr.dt, final, band)
+    return _metrics_from_head(y[None], np.array([dt]), np.array([final]),
+                              np.array([0.02 * final]))[0]
 
 
-def _metrics_from_head(y: np.ndarray, dt: float, final: float,
-                       band: float) -> ResponseMetrics:
-    """Metrics of a settled trace from its first samples ``y``: those
-    must hold the peak and every sample more than ``band`` from
-    ``final``."""
-    ipeak = int(np.argmax(y))
-    peak = float(y[ipeak])
-    overshoot = max(0.0, (peak - final) / final * 100.0)
+def _metrics_from_head(y: np.ndarray, dt: np.ndarray, final: np.ndarray,
+                       band: np.ndarray) -> list[ResponseMetrics]:
+    """Metrics of a stack of settled traces, one per row, from the first
+    samples of each, the (rows, width) block ``y``: each row must hold
+    its trace's peak and every sample more than band[i] from final[i]."""
+    rows = np.arange(len(y))
+    ipeak = y.argmax(axis=1)
+    overshoot = np.maximum((y[rows, ipeak] - final) / final * 100.0, 0.0)
 
     # The first out-of-band sample of the reversed head is the last one
     # of the trace; settling is the time of the sample after it.
-    dev = np.subtract(y, final)
-    np.abs(dev, out=dev)
-    last = int(np.argmax(dev[::-1] > band))
-    settling = float((len(y) - last) * dt) if dev[-1 - last] > band else 0.0
+    dev = np.abs(y - final[:, None])
+    last = (dev[:, ::-1] > band[:, None]).argmax(axis=1)
+    settling = np.where(dev[rows, -1 - last] > band,
+                        (y.shape[1] - last) * dt, 0.0)
 
     # Both levels lie below the peak (peak >= tail mean = final > 0.9
     # final), so each is first reached at or before it.
-    head = y[:ipeak + 1]
-
-    def crossing(level: float) -> float:
-        idx = int(np.argmax(head >= level))
-        if y[0] >= level:
-            return 0.0
-        y0, y1 = y[idx - 1], y[idx]
+    level = np.multiply.outer((0.1, 0.9), final)
+    idx = (y[:, :ipeak.max(initial=0) + 1] >= level[..., None]).argmax(axis=-1)
+    y0, y1 = y[rows, idx - 1], y[rows, idx]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows taking 0.0
         frac = (level - y0) / (y1 - y0)
-        return float((idx - 1) * dt + frac * dt)
-
-    rise = crossing(0.9 * final) - crossing(0.1 * final)
-    return ResponseMetrics(overshoot_pct=overshoot, settling_2pct_s=settling,
-                           rise_10_90_s=rise, final_value=final)
+    t10, t90 = np.where(y[:, 0] >= level, 0.0, (idx - 1) * dt + frac * dt)
+    return list(map(ResponseMetrics, overshoot.tolist(), settling.tolist(),
+                    (t90 - t10).tolist(), final.tolist()))
 
 
 def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
@@ -556,10 +552,10 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     the window's peak, and with the tail past the window.  The candidate
     windows w_0 2^j <= count - k, w_0 ``_propagate``'s block size, and
     their envelopes are evaluated for every row at once, and
-    ``_certified_heads`` samples them in passes, one per window width.
-    Clustered poles give huge residues and never certify; then, as when
-    no candidate does, the head is the whole trace, read for that row
-    alone, whose tail must stay in the band.
+    ``_certified_heads`` samples and measures them in passes, one block
+    per width.  Clustered poles give huge residues and never certify;
+    then, as when no candidate does, the head is the whole trace, read
+    and measured for that row alone, whose tail must stay in the band.
     """
     out: list = [None] * len(dens)
     grids = []
@@ -570,13 +566,13 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
             out[i] = exc
     if not grids:
         return out
-    rows, dts, n_steps = (list(v) for v in zip(*grids))
-    counts = np.array(n_steps) + 1
+    rows, dts, n_steps = map(np.array, zip(*grids))
+    counts = n_steps + 1
     tails = np.array([max(1, int(round(0.05 * count)))
                       for count in counts.tolist()])
     nums, dens, poles = nums[rows], dens[rows], poles[rows]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e, c = _step_exponential(nums, dens, poles, np.array(dts))
+        e, c = _step_exponential(nums, dens, poles, dts)
         ladder = _ladder(e, int(counts.max()))
         c_tail, c_end = _times_power(np.stack((c.swapaxes(-1, -2),) * 2),
                                      ladder, np.stack((counts - tails,
@@ -596,31 +592,25 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
         room = counts - tails
         widths = w0[:, None] << np.arange(int((room // w0).max()).bit_length())
         decay = np.exp(poles.real[:, None, :]
-                       * (widths * np.array(dts)[:, None])[..., None])
+                       * (widths * dts[:, None])[..., None])
         # one dot product per row and window, as rho[i] @ decay[i, j] is
         env = np.matmul(decay[..., None, :], rho[:, None, :, None])[..., 0, 0]
         tries = ((widths <= room[:, None]) & (finals > 0.0)[:, None]
                  & (env + np.abs(y_inf - finals)[:, None]
                     < 0.02 * finals[:, None]))
-        heads = _certified_heads(ladder, c, widths, tries,
-                                 y_inf[:, None] + env)
-        for i, (row, final) in enumerate(zip(rows, finals.tolist())):
-            dt, n, k, head = dts[i], n_steps[i], int(tails[i]), heads[i]
-            band = 0.02 * final
+        measured = _certified_heads(ladder, c, widths, tries,
+                                    y_inf[:, None] + env, dts, finals)
+        ends = (c[:, -1, 0] - 1.0) ** 2 + (c_end[:, 0, -1] - 1.0) ** 2
+        ises = (dts * (sq - ends / 2.0)).tolist()
+        for i, row in enumerate(rows):
             try:
-                if final <= 0.0:
-                    raise NotSettled(
-                        "final value is not positive; metrics undefined")
-                if head is None:
-                    head = _propagate([step[i] for step in ladder], c[i],
-                                      n)[:, 0]
-                    _check_finite(head)
-                    if not np.all(np.abs(head[-k:] - final) <= band):
-                        raise NotSettled(
-                            "trace has not settled within its horizon")
-                ends = (c[i, -1, 0] - 1.0) ** 2 + (c_end[i, 0, -1] - 1.0) ** 2
-                out[row] = (_metrics_from_head(head, dt, final, band),
-                            float(dt * (sq[i] - ends / 2.0)))
+                if i not in measured:
+                    y = _propagate([step[i] for step in ladder], c[i],
+                                   n_steps[i])[:, 0]
+                    _check_finite(y)
+                    measured[i] = _settled_metrics(y, dts[i], finals[i],
+                                                   tails[i])
+                out[row] = (measured[i], ises[i])
             except (NumericError, ValidationError) as exc:
                 out[row] = exc
     return out
@@ -628,18 +618,21 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
 
 def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
                      widths: np.ndarray, tries: np.ndarray,
-                     ceiling: np.ndarray) -> list:
-    """Per row i, the outputs c[i]^T E[i]^k e_last, k < w, of its first
-    window w = widths[i, j], j ascending, with tries[i, j] set whose peak
-    lies strictly above ceiling[i, j], or None where none does.
+                     ceiling: np.ndarray, dt: np.ndarray,
+                     final: np.ndarray) -> dict:
+    """Row i -> the metrics (dt[i], final[i] and a 2% band) of the outputs
+    c[i]^T E[i]^k e_last, k < w, of its first window w = widths[i, j], j
+    ascending, with tries[i, j] set whose peak lies strictly above
+    ceiling[i, j], for each row that has one.
 
     Each pass samples the rows waiting on the narrowest width left as one
     ``_propagate`` stack, on their rungs of the stacked ladder up to that
-    width, and tests their peaks at once; a row that fails moves on to
-    its next window.  Widths only grow, so each is sampled in one pass.
-    ``tries`` is cleared as the rows are settled.
+    width, tests their peaks at once and measures those that pass as one
+    block; a row that fails moves on to its next window.  Widths only
+    grow, so each is sampled in one pass.  ``tries`` is cleared as the
+    rows are settled.
     """
-    heads = [None] * len(c)
+    measured = {}
     at = np.where(tries.any(axis=1), tries.argmax(axis=1), -1)
     while (at >= 0).any():
         live = np.flatnonzero(at >= 0)
@@ -650,10 +643,11 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
                         ladder[:(width - 1).bit_length()]],
                        c[group], width - 1)[..., 0]
         peaked = ceiling[group, at[group]] < y.max(axis=-1)
-        for j in np.flatnonzero(peaked).tolist():
-            heads[group[j]] = y[j]
+        done = group[peaked]
+        measured.update(zip(done.tolist(), _metrics_from_head(
+            y[peaked], dt[done], final[done], 0.02 * final[done])))
         tries[group, at[group]] = False
-        tries[group[peaked]] = False
+        tries[done] = False
         left = tries[group]
         at[group] = np.where(left.any(axis=1), left.argmax(axis=1), -1)
-    return heads
+    return measured

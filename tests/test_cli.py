@@ -211,6 +211,21 @@ class TestDesignCommand:
         assert code == 2
         assert "kb_v_per_rad_s" in capsys.readouterr().err
 
+    def test_misspelt_key_is_named_in_warnings(self, motor_file, tmp_path):
+        # "Zeta" is not the schema's "zeta": the design keeps zeta = 0.707
+        # and says that it ignored the key
+        data = json.loads(Path(motor_file).read_text())
+        data["Zeta"] = data.pop("zeta") - 0.207
+        bad = tmp_path / "zeta.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "conv.json"
+        assert main(["design", "--motor", str(bad), "--method",
+                     "conventional", "--report", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["zeta_requested"] == 0.707
+        assert report["manifest"]["warnings"] == [
+            f"ignored key 'Zeta' in {bad}: not a nameplate field"]
+
     @pytest.mark.parametrize("field, value", [
         ("kb_v_per_rad_s", 1e200), ("j_kgm2", 1e300), ("vcm_v", 1e-320)])
     def test_out_of_range_nameplate_exits_2(self, motor_file, tmp_path, capsys,
@@ -339,6 +354,19 @@ class TestSweepCommand:
         assert all(r[5] == "true" for r in rows)
         overshoots = [float(r[1]) for r in rows]
         assert overshoots[0] < overshoots[-1]
+
+    def test_misspelt_key_is_named_on_stderr(self, motor_file, tmp_path,
+                                             capsys):
+        data = json.loads(Path(motor_file).read_text())
+        data["Tr_s"] = data.pop("tr_s")
+        bad = tmp_path / "tc.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--motor", str(bad), "--kc-min", "3.1",
+                     "--kc-max", "50.0", "--steps", "2",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: ignored key 'Tr_s' in {bad}: not a nameplate field\n")
 
     def test_single_step_exits_2(self, motor_file, tmp_path):
         assert main(["sweep", "--motor", motor_file, "--kc-min", "1.0",

@@ -345,6 +345,16 @@ def _steps(calls):
     return [n_steps for _, _, n_steps in calls]
 
 
+def _gain_stack(model, kc):
+    """(g, stack): the closed loop at kc with the loops at 3.1, 20 and 50
+    after it, or the double-pole loop alone where kc is None."""
+    if kc is None:
+        return _DOUBLE_POLE, [_DOUBLE_POLE]
+    g = closed_current_loop(model, kc)
+    return g, [g, *(closed_current_loop(model, other)
+                    for other in (3.1, 20.0, 50.0))]
+
+
 # unity closure of 100 / (s (s^2 + 102 s + 201)): poles -1, -1, -100
 _DOUBLE_POLE = TransferFunction.from_coeffs([100.0], [100.0, 201.0, 102.0, 1.0])
 
@@ -397,9 +407,7 @@ class TestSweepMeasures:
             return built[-1]
 
         monkeypatch.setattr(sim_analysis, "_ladder", recording)
-        g = _DOUBLE_POLE if kc is None else closed_current_loop(model, kc)
-        stack = [g] if kc is None else [
-            g, *(closed_current_loop(model, other) for other in (3.1, 20.0, 50.0))]
+        g, stack = _gain_stack(model, kc)
         sim_analysis._unit_step_measures(*_stack(stack))
         # Kc = 1 creeps up to its final value, so no window certifies and
         # its whole trace is read; the other gains all certify
@@ -408,6 +416,24 @@ class TestSweepMeasures:
         # every call's rungs are rows of the one stacked ladder
         for part, _, _ in propagate_steps:
             assert _rungs_of(part, whole) is not None
+
+    @pytest.mark.parametrize("kc", [35.719, 1.0, None],
+                             ids=["certified", "creeping", "double pole"])
+    def test_masks_once_per_walk(self, model, monkeypatch, kc):
+        counts = []
+        masks = sim_analysis._rung_masks
+
+        def recording(count):
+            counts.append(count)
+            return masks(count)
+
+        monkeypatch.setattr(sim_analysis, "_rung_masks", recording)
+        _, stack = _gain_stack(model, kc)
+        sim_analysis._unit_step_measures(*_stack(stack))
+        # one call per walk, each on its (2, rows) counts: the power rows'
+        # walk first, then the sums', whose second half is the counts
+        assert [c.shape for c in counts] == [(2, len(stack))] * 2
+        assert counts[1][1].tolist() == [_default_steps(h) + 1 for h in stack]
 
     def test_mixed_stack_is_each_gain_alone(self, model, propagate_steps):
         # Kc = 1 creeps, so no window certifies and its whole trace is

@@ -410,38 +410,48 @@ class TestStepIse:
 
     def test_mixed_counts_match_single_row_calls(self):
         # one count per row, bits shared by every row or by some, and a
-        # row count of 1 whose total begins at the lowest bit
+        # row count of 1 whose total begins at the lowest bit; in the
+        # second set every row sets bit 0 and none sets bit 3, and the
+        # powers to count - 1 take a row of power 0 and a bit 0 no row sets
         rng = np.random.default_rng(1515)
         e = 0.3 * rng.normal(size=(6, 5, 5))
         w = rng.normal(size=(6, 5, 5))
         v = rng.normal(size=(6, 1, 5))
-        counts = np.array([1, 2, 7, 64, 1000, 1023])
-        ladder = _ladder(e, int(counts.max()))
-        sums = _doubling_sum(w, ladder, counts)
-        powers = _times_power(v, ladder, counts - 1)
-        for i, count in enumerate(counts.tolist()):
-            alone = _ladder(e[i:i + 1], count)
-            want = _doubling_sum(w[i:i + 1], alone, count)
-            assert sums[i].tobytes() == want[0].tobytes()
-            want = _times_power(v[i:i + 1], alone, count - 1)
-            assert powers[i].tobytes() == want[0].tobytes()
+        for counts in ([1, 2, 7, 64, 1000, 1023], [1, 3, 7, 65, 993, 1015]):
+            counts = np.array(counts)
+            ladder = _ladder(e, int(counts.max()))
+            sums = _doubling_sum(w, ladder, counts)
+            for i, count in enumerate(counts.tolist()):
+                alone = _ladder(e[i:i + 1], count)
+                want = _doubling_sum(w[i:i + 1], alone, count)
+                assert sums[i].tobytes() == want[0].tobytes()
+            for powers_of in (counts, counts - 1):
+                powers = _times_power(v, ladder, powers_of)
+                for i, count in enumerate(powers_of.tolist()):
+                    alone = _ladder(e[i:i + 1], max(count, 1))
+                    want = _times_power(v[i:i + 1], alone, count)
+                    assert powers[i].tobytes() == want[0].tobytes()
 
     def test_stacked_walks_are_separate_calls(self):
         # two sums or powers stacked on a (2, m) count array, as the sweep
-        # walks its tail and ISE sums; the second counts share every bit
+        # walks its power rows and its sums; the halves' top bits differ
+        # (9 and 5), either way round, every count sets bit 0, none sets
+        # bit 3, and the second half's counts share every bit
         rng = np.random.default_rng(2121)
         e = 0.3 * rng.normal(size=(6, 5, 5))
         w = rng.normal(size=(2, 6, 5, 5))
         v = rng.normal(size=(2, 6, 1, 5))
-        counts = np.array([[1, 2, 7, 64, 1000, 1023], [37] * 6])
-        ladder = _ladder(e, int(counts.max()))
-        sums = _doubling_sum(w, ladder, counts)
-        powers = _times_power(v, ladder, counts)
-        for h in range(2):
-            want = _doubling_sum(w[h], ladder, counts[h])
-            assert sums[h].tobytes() == want.tobytes()
-            want = _times_power(v[h], ladder, counts[h])
-            assert powers[h].tobytes() == want.tobytes()
+        for counts in ([[1, 3, 7, 65, 993, 1015], [37] * 6],
+                       [[37] * 6, [1, 3, 7, 65, 993, 1015]]):
+            counts = np.array(counts)
+            ladder = _ladder(e, int(counts.max()))
+            sums = _doubling_sum(w, ladder, counts)
+            powers = _times_power(v, ladder, counts)
+            for h in range(2):
+                want = _doubling_sum(w[h], ladder, counts[h])
+                assert sums[h].tobytes() == want.tobytes()
+                want = _times_power(v[h], ladder, counts[h])
+                assert powers[h].tobytes() == want.tobytes()
 
     def test_kernels_match_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
@@ -471,7 +481,7 @@ class TestStepIse:
             got = step_ise(g, num, dens)
             for value, den in zip(got, dens):
                 want = _lyapunov_ise(linalg, num_g, den_g, num, den, t_final)
-                assert value == pytest.approx(want, rel=1e-9)
+                assert value == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_expm_matches_scipy_on_van_loan_stacks(self, bench_loop,
                                                     monkeypatch):
@@ -736,6 +746,29 @@ class TestResponseMetrics:
             assert 0.1 * want.final_value <= tr.y[0] < 0.9 * want.final_value
         old_ise = _constant_trace_ise(tr, 1.0)
         assert abs(ise(tr, 1.0) - old_ise) <= 1e-15 * old_ise
+
+    def test_stacked_heads_are_single_row_calls(self):
+        # rows of one block, each with its own dt, final and band: an
+        # underdamped head, one whose first sample is at or above 0.1
+        # final, one in band from sample 0, and a monotone head whose
+        # peak is its last sample
+        k = np.arange(400)
+        heads = np.array([1.0 - np.exp(-0.02 * k) * np.cos(0.05 * k),
+                          1.0 - 0.8 * np.exp(-0.03 * k),
+                          1.0 + 0.015 * np.exp(-0.01 * k) * np.cos(0.2 * k),
+                          1.0 - np.exp(-0.01 * k)])
+        dt = np.array([1e-3, 2e-4, 0.5, 3.0])
+        final = np.array([1.0, 1.01, 0.999, 0.99])
+        band = 0.02 * final
+        got = sim_analysis._metrics_from_head(heads, dt, final, band)
+        for i, m in enumerate(got):
+            [alone] = sim_analysis._metrics_from_head(
+                heads[i:i + 1], dt[i:i + 1], final[i:i + 1], band[i:i + 1])
+            assert [x.hex() for x in m] == [x.hex() for x in alone]
+        assert heads[1, 0] >= 0.1 * final[1] and got[1].rise_10_90_s > 0.0
+        assert got[2].settling_2pct_s == got[2].rise_10_90_s == 0.0
+        assert heads[3].argmax() == len(k) - 1 and got[3].overshoot_pct == 0.0
+        assert got[0].overshoot_pct > 0.0
 
     def test_not_settled_like_full_array_formulation(self):
         for g, t_final in ((TransferFunction.from_coeffs([-1.0], [1.0, 1.0]), 10.0),
