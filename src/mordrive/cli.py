@@ -47,6 +47,9 @@ _REFERENCE_GAIN_NOTE = (
     "unexplained reference value."
 )
 
+# Rows per block of a simulate CSV; a block's text and floats take a few MB
+_CSV_BLOCK = 32_768
+
 
 def _load_json(path: str) -> tuple[dict, bytes]:
     try:
@@ -131,12 +134,15 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_columns(path: str, header: str, columns) -> None:
+    """CSV of float arrays ``columns`` under ``header``, written one block
+    of ``_CSV_BLOCK`` rows at a time, however long the arrays are."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(col[i:i + _CSV_BLOCK].tolist() for col in columns))
+            out.write("".join(",".join(map(repr, row)) + "\n"
+                              for row in rows))
 
 
 def _parse_adjust(text: str) -> tuple[str, float | None]:
@@ -255,15 +261,11 @@ def cmd_simulate(args: argparse.Namespace, t0: float) -> int:
     g, _raw = read_tf_file(args.tf)
     if args.kind == "step":
         trace = step_response(g, t_final=args.t_final, dt=args.dt)
-        lines = ["t_s,y"]
-        lines += [f"{_fmt(t)},{_fmt(y)}" for t, y in zip(trace.t, trace.y)]
-        _write_lines(args.out, lines)
+        _write_columns(args.out, "t_s,y", (trace.t, trace.y))
         return 0
     trace = bode(g, args.w_min, args.w_max, args.ppd)
-    lines = ["omega_rad_per_s,mag_db,phase_deg"]
-    lines += [f"{_fmt(w)},{_fmt(m)},{_fmt(p)}"
-              for w, m, p in zip(trace.omega, trace.mag_db, trace.phase_deg)]
-    _write_lines(args.out, lines)
+    _write_columns(args.out, "omega_rad_per_s,mag_db,phase_deg",
+                   (trace.omega, trace.mag_db, trace.phase_deg))
     return 0
 
 
@@ -277,9 +279,10 @@ def cmd_sweep(args: argparse.Namespace, t0: float) -> int:
     for pt in points:
         values = (pt.Kc, pt.overshoot_pct, pt.settling_2pct_s, pt.rise_10_90_s,
                   pt.ise_vs_reference)
-        lines.append(",".join("" if x is None else _fmt(x) for x in values)
+        lines.append(",".join("" if x is None else repr(float(x))
+                              for x in values)
                      + (",true" if pt.stable else ",false"))
-    _write_lines(args.out, lines)
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -355,7 +358,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # safety net: malformed input must never crash
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # here only, so start-up does not pay for it
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} (at "
+              f"{at.filename}:{at.lineno} in {at.name})", file=sys.stderr)
         return 3
 
 

@@ -25,9 +25,10 @@ once the poles' modal envelope shows that no later sample changes
 them.  A sweep's closed loops are measured as one stack: their grids,
 exponentials and ladder are batched, each row taking its own counts, and
 the ladder is walked twice, once for two rows of powers and once for
-two doubling sums.  Head windows are sampled in passes, one per window
-width, each a block of the rows waiting on that width; only a row
-that no window certifies reads its whole trace, on its own.
+two doubling sums.  Each row samples at most one head window, the
+narrowest its envelope certifies, in one block with every row of that
+width; a row with no such window, or whose window misses the peak,
+reads its whole trace, on its own.
 
 ``step_ise`` needs no time grid either: the exact step-error ISE over
 the reference model's default horizon, 5 x its largest time constant as
@@ -59,8 +60,8 @@ DEFAULT_HORIZON_FACTOR = 5.0
 # Largest number of time steps one step response may take.  Each float64
 # array over such a grid is 16 MB, and a trace measured whole holds two at
 # once (the output and the metrics' deviation buffer), as does a sweep
-# point whose head window never certifies; a wide pole spread under the
-# default dt and horizon would ask for far more.
+# point read from its whole trace; a wide pole spread under the default
+# dt and horizon would ask for far more.
 MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
@@ -551,11 +552,13 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     later sample: within the band around the tail mean, strictly below
     the window's peak, and with the tail past the window.  The candidate
     windows w_0 2^j <= count - k, w_0 ``_propagate``'s block size, and
-    their envelopes are evaluated for every row at once, and
-    ``_certified_heads`` samples and measures them in passes, one block
-    per width.  Clustered poles give huge residues and never certify;
-    then, as when no candidate does, the head is the whole trace, read
-    and measured for that row alone, whose tail must stay in the band.
+    their envelopes are evaluated for every row at once; each row takes
+    the first whose envelope stays in the band, its one window, and
+    ``_certified_heads`` samples and measures those in one block per
+    width.  Clustered poles give huge residues and never certify; then,
+    as when no candidate does or the window misses the peak, the head is
+    the whole trace, read and measured for that row alone, whose tail
+    must stay in the band.
     """
     out: list = [None] * len(dens)
     grids = []
@@ -598,8 +601,10 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
         tries = ((widths <= room[:, None]) & (finals > 0.0)[:, None]
                  & (env + np.abs(y_inf - finals)[:, None]
                     < 0.02 * finals[:, None]))
-        measured = _certified_heads(ladder, c, widths, tries,
-                                    y_inf[:, None] + env, dts, finals)
+        first = (np.arange(len(rows)), tries.argmax(axis=1))
+        measured = _certified_heads(ladder, c,
+                                    np.where(tries[first], widths[first], 0),
+                                    y_inf + env[first], dts, finals)
         ends = (c[:, -1, 0] - 1.0) ** 2 + (c_end[:, 0, -1] - 1.0) ** 2
         ises = (dts * (sq - ends / 2.0)).tolist()
         for i, row in enumerate(rows):
@@ -617,37 +622,21 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
 
 
 def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
-                     widths: np.ndarray, tries: np.ndarray,
-                     ceiling: np.ndarray, dt: np.ndarray,
+                     width: np.ndarray, ceiling: np.ndarray, dt: np.ndarray,
                      final: np.ndarray) -> dict:
     """Row i -> the metrics (dt[i], final[i] and a 2% band) of the outputs
-    c[i]^T E[i]^k e_last, k < w, of its first window w = widths[i, j], j
-    ascending, with tries[i, j] set whose peak lies strictly above
-    ceiling[i, j], for each row that has one.
-
-    Each pass samples the rows waiting on the narrowest width left as one
-    ``_propagate`` stack, on their rungs of the stacked ladder up to that
-    width, tests their peaks at once and measures those that pass as one
-    block; a row that fails moves on to its next window.  Widths only
-    grow, so each is sampled in one pass.  ``tries`` is cleared as the
-    rows are settled.
+    c[i]^T E[i]^k e_last, k < width[i], for each row with a window
+    (width[i] > 0) whose peak lies strictly above ceiling[i].  The rows of
+    each width are sampled as one ``_propagate`` stack, on their rungs of
+    the stacked ladder, and those that pass are measured as one block.
     """
     measured = {}
-    at = np.where(tries.any(axis=1), tries.argmax(axis=1), -1)
-    while (at >= 0).any():
-        live = np.flatnonzero(at >= 0)
-        waiting = widths[live, at[live]]
-        width = int(waiting.min())
-        group = live[waiting == width]
-        y = _propagate([step[group] for step in
-                        ladder[:(width - 1).bit_length()]],
-                       c[group], width - 1)[..., 0]
-        peaked = ceiling[group, at[group]] < y.max(axis=-1)
+    for w in np.unique(width[width > 0]).tolist():
+        group = np.flatnonzero(width == w)
+        rungs = [step[group] for step in ladder[:(w - 1).bit_length()]]
+        y = _propagate(rungs, c[group], w - 1)[..., 0]
+        peaked = ceiling[group] < y.max(axis=-1)
         done = group[peaked]
         measured.update(zip(done.tolist(), _metrics_from_head(
             y[peaked], dt[done], final[done], 0.02 * final[done])))
-        tries[group, at[group]] = False
-        tries[done] = False
-        left = tries[group]
-        at[group] = np.where(left.any(axis=1), left.argmax(axis=1), -1)
     return measured

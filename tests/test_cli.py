@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -14,6 +15,8 @@ import mordrive
 from mordrive.cli import main, read_tf_file
 from mordrive.drive_model import worked_example_params
 from mordrive.errors import NoPositiveGain
+from mordrive.poly_tf import TransferFunction
+from mordrive.sim_analysis import bode, step_response
 
 
 @pytest.fixture()
@@ -334,6 +337,54 @@ class TestSimulateCommand:
                      "--w-min", "1e-300", "--w-max", "1e300"]) == 0
         assert len(out.read_text().splitlines()) == 1 + 36_001
 
+    @pytest.mark.parametrize("kind", ["step", "bode"])
+    def test_blocks_match_one_line_per_row(self, tmp_path, kind):
+        # 70,001 and 50,001 rows, so the CSV is written in several blocks
+        tf = tmp_path / "g.json"
+        tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", kind, "--tf", str(tf), "--out", str(out),
+                     "--t-final", "7", "--dt", "1e-4", "--ppd", "10000"]) == 0
+        g = TransferFunction.from_coeffs([1.0], [1.0, 1.0])
+        if kind == "step":
+            trace = step_response(g, t_final=7.0, dt=1e-4)
+            columns = (trace.t, trace.y)
+        else:
+            trace = bode(g, 0.1, 1e4, 10000)
+            columns = (trace.omega, trace.mag_db, trace.phase_deg)
+        lines = [",".join(repr(float(x)) for x in row)
+                 for row in zip(*columns)]
+        assert len(lines) > 32_768
+        text = out.read_text()
+        assert text.split("\n", 1)[1] == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("argv, rows, arrays", [
+        (["step", "--t-final", "50", "--dt", "1e-4"], 500_001, 4),
+        (["bode", "--w-min", "0.1", "--w-max", "1e4", "--ppd", "50000"],
+         250_001, 12),
+    ], ids=["step", "bode"])
+    def test_peak_memory_is_set_by_the_arrays(self, tmp_path, argv, rows,
+                                              arrays):
+        # The whole CSV held as one string would add about 65 MB (step)
+        # and 45 MB (bode) past these bounds.  The step holds y, t and
+        # t's index array; bode its complex intermediates, about 12
+        # float64 arrays; 16 MB covers one block's text and floats.
+        tf = tmp_path / "g.json"
+        tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
+        out = tmp_path / "out.csv"
+        run = ["simulate", argv[0], "--tf", str(tf), "--out", str(out)]
+        tiny = ["--t-final", "1", "--dt", "0.01", "--ppd", "1"]
+        src = str(Path(mordrive.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS,
+             json.dumps([run + tiny, run + argv[1:]])],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert done.returncode == 0, done.stderr
+        base, peak = map(int, done.stdout.split())
+        assert out.read_text().count("\n") == 1 + rows
+        assert peak - base <= arrays * 8 * rows + (16 << 20)
+
     def test_malformed_tf_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -460,6 +511,20 @@ class TestRobustness:
             ):
                 assert main(argv) in (2, 3)
 
+    def test_internal_error_names_where_it_failed(self, loop_file, tmp_path,
+                                                  monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr("mordrive.cli.step_response", broken)
+        assert main(["simulate", "step", "--tf", loop_file,
+                     "--out", str(tmp_path / "s.csv")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        code = broken.__code__
+        assert line == (f"internal error: ZeroDivisionError: boom (at "
+                        f"{code.co_filename}:{code.co_firstlineno + 1} "
+                        "in broken)")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["reduce", "--tf", str(tmp_path / "nope.json"),
                      "--order", "2", "--out", str(tmp_path / "x.json")]) == 2
@@ -519,6 +584,17 @@ class TestRobustness:
         capsys.readouterr()
 
 
+# Peak RSS, in bytes, of each CLI command given as a JSON list of argv
+# lists, each run in turn from this fresh interpreter.  Linux carries a
+# process's peak RSS over into the program it executes, so a command
+# started straight from pytest would report pytest's larger peak.
+_PEAK_RSS = """
+import json, resource, subprocess, sys
+for argv in json.loads(sys.argv[1]):
+    subprocess.run([sys.executable, "-m", "mordrive", *argv], check=True)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)
+"""
+
 _IMPORT_CHECK = """
 import sys
 import mordrive.cli
@@ -547,3 +623,18 @@ def test_commands_load_numpy_core_only():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_source_imports_only_numpy_and_the_standard_library():
+    # SciPy, mpmath and hypothesis serve the tests as oracles only
+    allowed = {"numpy", *sys.stdlib_module_names}
+    seen = set()
+    for path in Path(mordrive.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                seen.update((path.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                seen.add((path.name, node.module))
+    assert ("sim_analysis.py", "numpy") in seen
+    assert [(name, module) for name, module in sorted(seen)
+            if module.split(".")[0] not in allowed] == []

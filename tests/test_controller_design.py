@@ -70,8 +70,8 @@ class TestConventionalDesign:
     def test_benchmark_gains(self, model):
         rep = design_conventional(model)
         # oracle: K = (T1+Tr)^2 / (4 zeta^2 T1 Tr) - 1, evaluated by hand
-        assert rep.K == pytest.approx(39.0, rel=5e-3)
-        assert rep.Kc == pytest.approx(3.38, rel=1e-2)
+        assert rep.K == pytest.approx(39.0, rel=5e-3, abs=0.0)
+        assert rep.Kc == pytest.approx(3.38, rel=1e-2, abs=0.0)
         assert rep.achieved_zeta == pytest.approx(0.707, abs=1e-3)
 
     def test_tuned_gain_is_near_design(self, model):
@@ -93,11 +93,11 @@ class TestConventionalDesign:
         for _, m in _seeded_nameplates():
             t1, tr = m.T1, m.params.tr_s
             k = (t1 + tr) ** 2 / (4.0 * zeta * zeta * t1 * tr) - 1.0
-            assert design_conventional(m, zeta=zeta).K == pytest.approx(k, rel=1e-12)
+            assert design_conventional(m, zeta=zeta).K == pytest.approx(k, rel=1e-12, abs=0.0)
 
     def test_gain_round_trip(self, model):
         rep = design_conventional(model)
-        assert _loop_gain(model, rep.Kc) == pytest.approx(rep.K, rel=1e-12)
+        assert _loop_gain(model, rep.Kc) == pytest.approx(rep.K, rel=1e-12, abs=0.0)
 
     def test_zeta_validated(self, model):
         with pytest.raises(ValidationError):
@@ -112,14 +112,14 @@ class TestMorDesign:
         with pytest.raises(NoRealGain) as err:
             design_via_mor(model, ReductionConfig(target_order=2,
                                                   numerator_order=1))
-        assert err.value.discriminant == pytest.approx(-3.46e-5, rel=0.1)
+        assert err.value.discriminant == pytest.approx(-3.46e-5, rel=0.1, abs=0.0)
         qa, qb, qc = err.value.quadratic
-        assert qa == pytest.approx(9e-4, rel=1e-6)
+        assert qa == pytest.approx(9e-4, rel=1e-6, abs=0.0)
 
     def test_constant_numerator_design(self, model):
         rep = design_via_mor(model, ReductionConfig(target_order=2,
                                                     numerator_order=0))
-        assert rep.K == pytest.approx(2.49, rel=1e-2)
+        assert rep.K == pytest.approx(2.49, rel=1e-2, abs=0.0)
         assert rep.achieved_zeta == pytest.approx(0.707, abs=1e-6)
         assert rep.reduced_model is not None
         assert all(p.real < 0.0 for p in rep.closed_loop_poles)
@@ -127,7 +127,7 @@ class TestMorDesign:
     def test_gain_round_trip(self, model):
         rep = design_via_mor(model, ReductionConfig(target_order=2,
                                                     numerator_order=0))
-        assert _loop_gain(model, rep.Kc) == pytest.approx(rep.K, rel=1e-12)
+        assert _loop_gain(model, rep.Kc) == pytest.approx(rep.K, rel=1e-12, abs=0.0)
 
     def test_requires_order_two(self, model):
         with pytest.raises(BadOrder):
@@ -160,7 +160,7 @@ class TestSolveDampingGain:
         zeta = 0.707
         k = solve_damping_gain(d, Polynomial([1.0]), zeta)
         want = 0.12988**2 / (4.0 * zeta**2 * 0.00241749) - 1.0
-        assert k == pytest.approx(want, rel=1e-12)
+        assert k == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_smallest_positive_root_returned(self):
         # c1 = 0.05 gives two positive roots; the smaller one is kept
@@ -170,11 +170,11 @@ class TestSolveDampingGain:
         lo = (-qb - (qb * qb - 4 * qa * qc) ** 0.5) / (2 * qa)
         hi = (-qb + (qb * qb - 4 * qa * qc) ** 0.5) / (2 * qa)
         assert 0.0 < lo < hi
-        assert k == pytest.approx(lo, rel=1e-12)
+        assert k == pytest.approx(lo, rel=1e-12, abs=0.0)
         cl = Polynomial([1.0 + k, 2.0 + 0.05 * k, 0.5])
         wn = (cl.coeffs[0] / cl.coeffs[2]) ** 0.5
         zeta = cl.coeffs[1] / (2.0 * wn * cl.coeffs[2])
-        assert zeta == pytest.approx(0.5, rel=1e-9)
+        assert zeta == pytest.approx(0.5, rel=1e-9, abs=0.0)
 
 
 class TestGainSweep:
@@ -409,8 +409,8 @@ class TestSweepMeasures:
         monkeypatch.setattr(sim_analysis, "_ladder", recording)
         g, stack = _gain_stack(model, kc)
         sim_analysis._unit_step_measures(*_stack(stack))
-        # Kc = 1 creeps up to its final value, so no window certifies and
-        # its whole trace is read; the other gains all certify
+        # Kc = 1 creeps up to its final value, so its window misses the
+        # peak and its whole trace is read; the other gains all certify
         assert (_default_steps(g) in _steps(propagate_steps)) == (kc != 35.719)
         [whole] = built
         # every call's rungs are rows of the one stacked ladder
@@ -436,9 +436,9 @@ class TestSweepMeasures:
         assert counts[1][1].tolist() == [_default_steps(h) + 1 for h in stack]
 
     def test_mixed_stack_is_each_gain_alone(self, model, propagate_steps):
-        # Kc = 1 creeps, so no window certifies and its whole trace is
-        # read; 2.75 fails the peak test at its first window and passes
-        # at the next; 3.1 and 300 certify at one width and 35.719 at a
+        # Kc = 1 creeps and 2.75 barely passes its final value, so the
+        # one window of each misses its peak and both read their whole
+        # traces.  3.1 and 300 certify at one width and 35.719 at a
         # narrower one; 1e4 is past the step budget; at 1e100 the roots
         # fail, which counts as unstable
         gains = [1.0, 2.75, 3.1, 35.719, 300.0, 1e4, 1e100]
@@ -451,15 +451,27 @@ class TestSweepMeasures:
         measured = [pt.overshoot_pct is not None for pt in got]
         assert measured == [True] * 5 + [False] * 2
         # one pass per window width, the width 3.1 and 300 share as one
-        # stack; only Kc = 1 reads its whole trace
+        # stack; each of the five gains with a window is in one pass
         passes = [(len(c), n_steps) for _, c, n_steps in propagate_steps
                   if c.ndim == 3 and c.shape[-1] == 1]
         widths = [n_steps for _, n_steps in passes]
         assert len(set(widths)) == len(widths)
         assert max(rows for rows, _ in passes) == 2
+        assert sum(rows for rows, _ in passes) == 5
         whole = [n_steps for _, c, n_steps in propagate_steps if c.ndim == 2
                  and c.shape[-1] == 1]
-        assert whole == [_default_steps(closed_current_loop(model, 1.0))]
+        assert whole == [_default_steps(closed_current_loop(model, kc))
+                         for kc in (1.0, 2.75)]
+
+    def test_no_head_window_sampled_twice(self, model, propagate_steps):
+        sweep_gain(model, 0.02, 3.0, 40)
+        heads = [row.tobytes() for _, c, _ in propagate_steps
+                 if c.ndim == 3 and c.shape[-1] == 1 for row in c]
+        whole = {c.tobytes() for _, c, _ in propagate_steps
+                 if c.ndim == 2 and c.shape[-1] == 1}
+        assert heads and len(set(heads)) == len(heads)
+        # some heads miss their peak, and those rows read their whole trace
+        assert whole & set(heads)
 
 
 def _bits_of_point(pt):
@@ -528,7 +540,7 @@ class TestClosedLoop:
 
     def test_closed_loop_tracks_command(self, model):
         closed = closed_current_loop(model, 3.1)
-        assert dc_gain(closed) == pytest.approx(1.0, rel=1e-12)
+        assert dc_gain(closed) == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert is_stable(closed.den)
 
     def test_positive_gain_required(self, model):

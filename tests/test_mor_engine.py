@@ -127,6 +127,47 @@ class TestAdjustDenominator:
             adjust_denominator(Polynomial([1.0, 1.0]), 5.0)
 
 
+def _bench_style_model(rng):
+    """(g, r): a DC-normalized stable model of degree 5-10, its poles real
+    or complex with damping 0.2-0.9 and its zeros real, all within a
+    spread of 10 to 1000, and a reduced order 4 <= r < degree."""
+    n = int(rng.integers(5, 11))
+    spread = 10.0 ** rng.uniform(1.0, 3.0)
+    den, left = Polynomial([1.0]), n
+    while left:
+        mag = spread ** rng.uniform(-0.5, 0.5)
+        if left >= 2 and rng.random() < 0.5:
+            zeta = rng.uniform(0.2, 0.9)
+            den = poly_mul(den, Polynomial([1.0, 2.0 * zeta / mag,
+                                            1.0 / mag ** 2]))
+            left -= 2
+        else:
+            den = poly_mul(den, Polynomial([1.0, 1.0 / mag]))
+            left -= 1
+    num = _lags(spread ** -rng.uniform(-0.5, 0.5, size=int(rng.integers(n))))
+    return TransferFunction(num, den), int(rng.integers(4, n))
+
+
+def _mp_matched_series(mpmath, g, d_r, q):
+    """Descending coefficients of u^q + S_1 u^(q-1) + ... + S_q, the series
+    S = L / D of ``_root_factors``, in mpmath from the float inputs."""
+    def square(p):  # x^0..x^q of p(s) p(-s), x = s^2
+        c = [mpmath.mpf(v) for v in p] + [0] * (2 * q + 1)
+        return [mpmath.fsum((-1) ** i * c[i] * c[2 * x - i]
+                            for i in range(2 * x + 1)) for x in range(q + 1)]
+
+    num, dr = g.num.coeffs, d_r.coeffs
+    big_l = square([mpmath.fsum(mpmath.mpf(num[i]) * dr[k - i]
+                                for i in range(len(num)) if 0 <= k - i < len(dr))
+                    for k in range(len(num) + len(dr) - 1)])
+    big_d = square(g.den.coeffs)
+    series = []
+    for x in range(q + 1):
+        series.append(big_l[x] - mpmath.fsum(big_d[i] * series[x - i]
+                                             for i in range(1, x + 1)))
+    return series
+
+
 class TestMatchNumerator:
     def test_benchmark_first_order(self, bench_loop, bench_den):
         d_r = reduce_denominator(bench_den, 2)
@@ -239,6 +280,39 @@ class TestMatchNumerator:
         d_r = reduce_denominator(bench_den, 2)
         out = match_numerator(bench_loop, d_r, 1)
         assert out.coeff(1) > 0.0  # original numerator slope is positive
+
+    def test_infeasible_exactly_when_an_exact_root_is_negative(self):
+        # At q = r - 1 >= 3 the matched series of 40 seeded models is
+        # rebuilt from the same float inputs in 60-digit arithmetic; a
+        # model with a root u near zero or near the real axis, where the
+        # float floor of _root_factors may decide, is skipped and counted
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(26)
+        verdicts, skipped = [], 0
+        while len(verdicts) + skipped < 40:
+            g, r = _bench_style_model(rng)
+            q = r - 1
+            d_r = reduce_denominator(g.den, r)
+            big_l = spectral_square_head(poly_mul(g.num, d_r), q)
+            try:
+                mor_engine._root_factors(g, d_r, big_l, q)
+                got = False
+            except MatchInfeasible:
+                got = True
+            with mpmath.workdps(60):
+                u = mpmath.polyroots(_mp_matched_series(mpmath, g, d_r, q),
+                                     maxsteps=500, extraprec=300)
+                top = max(abs(z) for z in u)
+                if any(abs(z) <= 1e-6 * top
+                       or 0 < abs(mpmath.im(z)) <= 1e-6 * abs(z) for z in u):
+                    skipped += 1
+                    continue
+                want = any(mpmath.im(z) == 0 and z < 0 for z in u)
+            verdicts.append((got, want))
+        assert skipped <= 4
+        assert all(got == want for got, want in verdicts)
+        # both outcomes occur, so neither branch is vacuous
+        assert {want for _, want in verdicts} == {False, True}
 
 
 class TestReducePipeline:

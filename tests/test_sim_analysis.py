@@ -57,7 +57,7 @@ class TestStepResponse:
         _, tc_large = characteristic_times(g)
         tr = step_response(g, t_final=10.0 * tc_large)
         m = response_metrics(tr)
-        assert m.final_value == pytest.approx(1.0, rel=5e-3)
+        assert m.final_value == pytest.approx(1.0, rel=5e-3, abs=0.0)
         assert m.overshoot_pct <= 0.1
 
     def test_underdamped_overshoot_oracle(self):
@@ -80,7 +80,7 @@ class TestStepResponse:
         g = _lag(2.0)
         tr = step_response(g)
         assert tr.dt == pytest.approx(2.0 / 20.0)
-        assert tr.t[-1] == pytest.approx(5.0 * 2.0, rel=1e-6)
+        assert tr.t[-1] == pytest.approx(5.0 * 2.0, rel=1e-6, abs=0.0)
 
     def test_static_system_needs_explicit_grid(self):
         g = TransferFunction.from_coeffs([2.0], [1.0])
@@ -165,13 +165,13 @@ class TestStepResponse:
             _, tc_large = characteristic_times(g)
             tr = step_response(g, t_final=10.0 * tc_large)
             m = response_metrics(tr)
-            assert m.final_value == pytest.approx(dc_gain(g), rel=5e-3)
+            assert m.final_value == pytest.approx(dc_gain(g), rel=5e-3, abs=0.0)
 
     def test_direct_feedthrough(self):
         g = TransferFunction.from_coeffs([1.0, 1.0], [1.0, 0.5])
         tr = step_response(g, t_final=6.0, dt=1e-3)
         assert tr.y[0] == pytest.approx(2.0)  # b1/a1 at t = 0+
-        assert tr.y[-1] == pytest.approx(1.0, rel=1e-4)
+        assert tr.y[-1] == pytest.approx(1.0, rel=1e-4, abs=0.0)
 
 
 def _per_step_reference(g, n_steps, dt):
@@ -704,7 +704,7 @@ class TestResponseMetrics:
         # the tail mean sits a hair under the last sample, so "zero"
         # overshoot shows up as < 0.01%
         assert m.overshoot_pct <= 0.01
-        assert m.rise_10_90_s == pytest.approx(math.log(9.0), rel=1e-3)
+        assert m.rise_10_90_s == pytest.approx(math.log(9.0), rel=1e-3, abs=0.0)
 
     def test_settling_time_of_underdamped(self):
         wn, zeta = 10.0, 0.5
@@ -861,8 +861,8 @@ class TestCharacteristicTimes:
 
     def test_spread(self, bench_loop):
         small, large = characteristic_times(bench_loop)
-        assert small == pytest.approx(0.00138, rel=1e-3)
-        assert large == pytest.approx(0.1077, rel=1e-3)
+        assert small == pytest.approx(0.00138, rel=1e-3, abs=0.0)
+        assert large == pytest.approx(0.1077, rel=1e-3, abs=0.0)
 
     def test_static_rejected(self):
         with pytest.raises(ValidationError):
