@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .controller_design import (
     DesignReport,
+    _sweep_stacks,
     design_conventional,
     design_via_mor,
-    sweep_gain,
 )
 from .drive_model import MotorDriveParams, derive_model, worked_example_params
 from .errors import (
@@ -120,6 +121,7 @@ def read_motor_file(path: str) -> tuple[MotorDriveParams, bytes, list[str]]:
 
 def _manifest(command: str, raw: bytes, t0: float,
               warnings: list[str]) -> dict:
+    import hashlib  # here only: it maps OpenSSL, which no other command needs
     return {
         "command": command,
         "input_digest": hashlib.sha256(raw).hexdigest(),
@@ -134,15 +136,27 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _write_columns(path: str, header: str, columns) -> None:
-    """CSV of float arrays ``columns`` under ``header``, written one block
-    of ``_CSV_BLOCK`` rows at a time, however long the arrays are."""
+def _write_csv(path: str, header: str, blocks) -> None:
+    """``header`` and then each text block of ``blocks``, written as it is
+    made, so only one block is ever held as text."""
     with open(path, "w", encoding="utf-8") as out:
         out.write(header + "\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*(col[i:i + _CSV_BLOCK].tolist() for col in columns))
-            out.write("".join(",".join(map(repr, row)) + "\n"
-                              for row in rows))
+        out.writelines(blocks)
+
+
+def _float_rows(*columns) -> str:
+    """CSV lines of the equally long float arrays ``columns``."""
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in zip(*(col.tolist() for col in columns)))
+
+
+def _sweep_rows(points) -> str:
+    """CSV lines of sweep points, an empty field for a missing metric."""
+    return "".join(
+        ",".join("" if x is None else repr(float(x))
+                 for x in (pt.Kc, pt.overshoot_pct, pt.settling_2pct_s,
+                           pt.rise_10_90_s, pt.ise_vs_reference))
+        + (",true\n" if pt.stable else ",false\n") for pt in points)
 
 
 def _parse_adjust(text: str) -> tuple[str, float | None]:
@@ -261,11 +275,17 @@ def cmd_simulate(args: argparse.Namespace, t0: float) -> int:
     g, _raw = read_tf_file(args.tf)
     if args.kind == "step":
         trace = step_response(g, t_final=args.t_final, dt=args.dt)
-        _write_columns(args.out, "t_s,y", (trace.t, trace.y))
+        n = len(trace.y)  # each block forms its own slice of trace.t
+        _write_csv(args.out, "t_s,y", (
+            _float_rows(np.arange(i, min(i + _CSV_BLOCK, n)) * trace.dt,
+                        trace.y[i:i + _CSV_BLOCK])
+            for i in range(0, n, _CSV_BLOCK)))
         return 0
     trace = bode(g, args.w_min, args.w_max, args.ppd)
-    _write_columns(args.out, "omega_rad_per_s,mag_db,phase_deg",
-                   (trace.omega, trace.mag_db, trace.phase_deg))
+    columns = (trace.omega, trace.mag_db, trace.phase_deg)
+    _write_csv(args.out, "omega_rad_per_s,mag_db,phase_deg", (
+        _float_rows(*(col[i:i + _CSV_BLOCK] for col in columns))
+        for i in range(0, len(trace.omega), _CSV_BLOCK)))
     return 0
 
 
@@ -274,15 +294,9 @@ def cmd_sweep(args: argparse.Namespace, t0: float) -> int:
     for note in ignored:
         print(f"warning: {note}", file=sys.stderr)
     model = derive_model(params)
-    points = sweep_gain(model, args.kc_min, args.kc_max, args.steps)
-    lines = ["kc,overshoot_pct,settling_s,rise_s,ise,stable"]
-    for pt in points:
-        values = (pt.Kc, pt.overshoot_pct, pt.settling_2pct_s, pt.rise_10_90_s,
-                  pt.ise_vs_reference)
-        lines.append(",".join("" if x is None else repr(float(x))
-                              for x in values)
-                     + (",true" if pt.stable else ",false"))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stacks = _sweep_stacks(model, args.kc_min, args.kc_max, args.steps)
+    _write_csv(args.out, "kc,overshoot_pct,settling_s,rise_s,ise,stable",
+               map(_sweep_rows, stacks))
     return 0
 
 

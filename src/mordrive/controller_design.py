@@ -14,6 +14,7 @@ stack of one.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,14 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
     ``ValidationError``.  The gains are measured in stacks of up to
     ``_STACK_ROWS``, each point as ``evaluate_gain`` gives it.
     """
+    return [point for stack in _sweep_stacks(model, kc_min, kc_max, steps)
+            for point in stack]
+
+
+def _sweep_stacks(model: DerivedDriveModel, kc_min: float, kc_max: float,
+                  steps: int) -> Iterator[list[SweepPoint]]:
+    """``sweep_gain``'s points one stack at a time, each measured only
+    when it is asked for; the arguments are checked on the call."""
     if not 0.0 < kc_min < kc_max < math.inf:
         raise ValidationError("need 0 < kc_min < kc_max < inf")
     if steps < 2:
@@ -224,9 +233,8 @@ def sweep_gain(model: DerivedDriveModel, kc_min: float, kc_max: float,
             "pass fewer --steps")
     with np.errstate(over="ignore"):  # the last step can round past the maximum
         gains = np.linspace(kc_min, kc_max, steps)
-    return [point for start in range(0, steps, _STACK_ROWS)
-            for point in _measure_gains(model,
-                                        gains[start:start + _STACK_ROWS])]
+    return (_measure_gains(model, gains[start:start + _STACK_ROWS])
+            for start in range(0, steps, _STACK_ROWS))
 
 
 def _measure_gains(model: DerivedDriveModel,

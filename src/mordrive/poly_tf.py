@@ -177,7 +177,7 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     else:
         zero_terms = np.argmax(coeffs != 0.0, axis=1)
         groups = [(zero_terms == t, t)
-                  for t in np.unique(zero_terms).tolist() if t < n]
+                  for t in sorted(set(zero_terms.tolist())) if t < n]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rows, t in groups:
             size = n - t

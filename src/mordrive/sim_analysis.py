@@ -631,7 +631,7 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
     the stacked ladder, and those that pass are measured as one block.
     """
     measured = {}
-    for w in np.unique(width[width > 0]).tolist():
+    for w in sorted(set(width[width > 0].tolist())):
         group = np.flatnonzero(width == w)
         rungs = [step[group] for step in ladder[:(w - 1).bit_length()]]
         y = _propagate(rungs, c[group], w - 1)[..., 0]

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import mordrive
 from mordrive.cli import main, read_tf_file
-from mordrive.drive_model import worked_example_params
+from mordrive.controller_design import sweep_gain
+from mordrive.drive_model import derive_model, worked_example_params
 from mordrive.errors import NoPositiveGain
 from mordrive.poly_tf import TransferFunction
 from mordrive.sim_analysis import bode, step_response
@@ -45,13 +47,15 @@ class TestReduceCommand:
                      "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["den"][1] == pytest.approx(0.12988, rel=1e-10)
+        assert report["den"][1] == pytest.approx(0.12988, rel=1e-10, abs=0.0)
         assert report["den"][2] == pytest.approx(0.00241749, rel=1e-10,
                                                  abs=0.0)
         assert report["num"][1] == pytest.approx(0.03, abs=1e-4)
         diag = report["diagnostics"]
-        assert diag["factorization"]["z_sq"][0] == pytest.approx(413.7, rel=1e-3)
-        assert diag["factorization"]["p_sq"][0] == pytest.approx(4.20e4, rel=2e-3)
+        assert diag["factorization"]["z_sq"][0] == pytest.approx(
+            413.7, rel=1e-3, abs=0.0)
+        assert diag["factorization"]["p_sq"][0] == pytest.approx(
+            4.20e4, rel=2e-3, abs=0.0)
         assert diag["chosen_n"] is None
         assert report["manifest"]["command"] == "reduce"
         assert len(report["manifest"]["input_digest"]) == 64
@@ -145,8 +149,8 @@ class TestDesignCommand:
                      "--method", "conventional", "--report", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["Kc"] == pytest.approx(3.38, rel=1e-2)
-        assert report["K"] == pytest.approx(39.0, rel=5e-3)
+        assert report["Kc"] == pytest.approx(3.38, rel=1e-2, abs=0.0)
+        assert report["K"] == pytest.approx(39.0, rel=5e-3, abs=0.0)
         assert report["achieved_zeta"] == pytest.approx(0.707, abs=1e-3)
 
     def test_mor_q1_exits_3_with_discriminant(self, motor_file, tmp_path, capsys):
@@ -157,7 +161,8 @@ class TestDesignCommand:
         assert "NoRealGain" in capsys.readouterr().err
         report = json.loads(out.read_text())
         assert report["error"] == "NoRealGain"
-        assert report["discriminant"] == pytest.approx(-3.46e-5, rel=0.1)
+        assert report["discriminant"] == pytest.approx(-3.46e-5, rel=0.1,
+                                                     abs=0.0)
         # the unexplained published figures are quoted, not reproduced
         notes = " ".join(report["notes"])
         assert "357.192" in notes and "35.719" in notes
@@ -184,7 +189,7 @@ class TestDesignCommand:
                      "--q", "0", "--report", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["K"] == pytest.approx(2.49, rel=1e-2)
+        assert report["K"] == pytest.approx(2.49, rel=1e-2, abs=0.0)
         assert report["reduced"] is not None
 
     def test_mor_manifest_carries_reduction_warnings(self, motor_file, tmp_path,
@@ -275,7 +280,7 @@ class TestSimulateCommand:
         assert lines[0] == "t_s,y"
         assert len(lines) == 1 + 801
         last = float(lines[-1].split(",")[1])
-        assert last == pytest.approx(1.0, rel=5e-3)
+        assert last == pytest.approx(1.0, rel=5e-3, abs=0.0)
 
     def test_bode_csv_contract(self, tmp_path):
         tf = tmp_path / "g.json"
@@ -359,16 +364,16 @@ class TestSimulateCommand:
         assert text.split("\n", 1)[1] == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("argv, rows, arrays", [
-        (["step", "--t-final", "50", "--dt", "1e-4"], 500_001, 4),
+        (["step", "--t-final", "50", "--dt", "1e-4"], 500_001, 1),
         (["bode", "--w-min", "0.1", "--w-max", "1e4", "--ppd", "50000"],
          250_001, 12),
     ], ids=["step", "bode"])
     def test_peak_memory_is_set_by_the_arrays(self, tmp_path, argv, rows,
                                               arrays):
         # The whole CSV held as one string would add about 65 MB (step)
-        # and 45 MB (bode) past these bounds.  The step holds y, t and
-        # t's index array; bode its complex intermediates, about 12
-        # float64 arrays; 16 MB covers one block's text and floats.
+        # and 45 MB (bode) past these bounds.  The step holds y only, each
+        # block forming its own times; bode its complex intermediates,
+        # about 12 float64 arrays; 16 MB covers one block's text and floats.
         tf = tmp_path / "g.json"
         tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
         out = tmp_path / "out.csv"
@@ -464,6 +469,47 @@ class TestSweepCommand:
                      "--out", str(out)]) == 2
         assert "ValidationError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kc_min, kc_max, steps", [
+        (3.1, 50.0, 15), (0.02, 300.0, 700), (1e300, 1.7e308, 300)])
+    def test_stacks_match_one_text_of_all_points(self, motor_file, tmp_path,
+                                                 kc_min, kc_max, steps):
+        # one stack, three stacks, and unstable rows among stable ones
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--motor", motor_file, "--kc-min", str(kc_min),
+                     "--kc-max", str(kc_max), "--steps", str(steps),
+                     "--out", str(out)]) == 0
+        points = sweep_gain(derive_model(worked_example_params()), kc_min,
+                            kc_max, steps)
+        lines = ["kc,overshoot_pct,settling_s,rise_s,ise,stable"]
+        for pt in points:
+            values = (pt.Kc, pt.overshoot_pct, pt.settling_2pct_s,
+                      pt.rise_10_90_s, pt.ise_vs_reference)
+            lines.append(",".join("" if x is None else repr(float(x))
+                                  for x in values)
+                         + (",true" if pt.stable else ",false"))
+        assert out.read_text() == "\n".join(lines) + "\n"
+        if kc_min == 1e300:
+            assert {pt.stable for pt in points} == {True, False}
+
+    def test_peak_memory_does_not_grow_with_steps(self, motor_file,
+                                                  tmp_path):
+        # The points held as one list and one text would add about 13 MB
+        # at 20,000 steps; the stacks are written as they are measured,
+        # so past one stack's few MB only the gain grid grows.
+        out = tmp_path / "sweep.csv"
+        run = ["sweep", "--motor", motor_file, "--kc-min", "10",
+               "--kc-max", "50", "--out", str(out), "--steps"]
+        src = str(Path(mordrive.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS,
+             json.dumps([run + ["512"], run + ["20000"]])],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert done.returncode == 0, done.stderr
+        base, peak = map(int, done.stdout.split())
+        assert out.read_text().count("\n") == 1 + 20_000
+        assert peak - base <= 8 * 20_000 + (2 << 20)
 
     def test_unstable_rows_have_empty_metrics(self, tmp_path):
         import dataclasses
@@ -623,6 +669,59 @@ def test_commands_load_numpy_core_only():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Runs each argv list of the first JSON list through cli.main in this
+# fresh interpreter, prints which of the named modules are loaded, and
+# does the same for the second list.
+_LOADED_BY = """
+import json, sys
+from mordrive.cli import main
+watched = ("numpy.ma", "_hashlib")
+for argvs in json.loads(sys.argv[1]):
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    print(json.dumps([m for m in watched if m in sys.modules]))
+"""
+
+
+def test_commands_that_write_no_digest_skip_numpy_ma_and_openssl(tmp_path):
+    # NumPy's np.unique imports numpy.ma, and hashlib maps OpenSSL; the
+    # sweep, a root solve with a zero constant term and simulate need
+    # neither, and only design and reduce hash their input
+    tfs = {"loop": {"num": [1.0, 0.03],
+                    "den": [1.0, 0.12988, 0.00241749, 3.0914208e-06]},
+           "integrator": {"num": [1.0], "den": [0.0, 1.0, 0.5]}}
+    unhashed = []
+    for name, tf in tfs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tf))
+        grid = ["--t-final", "5", "--dt", "1e-3"] if name == "integrator" else []
+        for kind in ("step", "bode"):
+            unhashed.append(["simulate", kind, "--tf", str(path), *grid,
+                             "--out", str(tmp_path / f"{name}_{kind}.csv")])
+    motor = tmp_path / "motor.json"
+    motor.write_text(json.dumps(dataclasses.asdict(worked_example_params())))
+    unhashed.append(["sweep", "--motor", str(motor), "--kc-min", "3.1",
+                     "--kc-max", "50", "--steps", "15",
+                     "--out", str(tmp_path / "sweep.csv")])
+    reports = {"design": tmp_path / "design.json",
+               "reduce": tmp_path / "reduce.json"}
+    hashed = [["design", "--motor", str(motor), "--method", "conventional",
+               "--report", str(reports["design"])],
+              ["reduce", "--tf", str(tmp_path / "loop.json"), "--order", "2",
+               "--out", str(reports["reduce"])]]
+    src = str(Path(mordrive.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, json.dumps([unhashed, hashed])],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [
+        [], ["_hashlib"]]
+    for report, source in ((reports["design"], motor),
+                           (reports["reduce"], tmp_path / "loop.json")):
+        digest = json.loads(report.read_text())["manifest"]["input_digest"]
+        assert digest == hashlib.sha256(source.read_bytes()).hexdigest()
 
 
 def test_source_imports_only_numpy_and_the_standard_library():
