@@ -37,7 +37,9 @@ MAX_SWEEP_STEPS = 2_000_000
 # Largest number of gains measured as one stack.  A row's stacked state
 # is a few kilobytes (its ladder of up to 21 powers of a 5 x 5 exponential
 # is 4.2 KB, and each doubling sum or exponential temporary is one more
-# matrix), so a stack stays near a megabyte however long the sweep is.
+# matrix), so a stack's state stays near a megabyte however long the
+# sweep is.  Its head windows are sampled in blocks no larger than one
+# whole trace, so its peak is about that of one trace measured whole.
 _STACK_ROWS = 256
 
 

@@ -42,8 +42,9 @@ from .sim_analysis import step_ise
 _MATCH_CHECK_REL = 1e-9
 
 # Largest number of candidate numerators one match may build: one per
-# choice of sign of each nonzero root of the matched spectral series,
-# about 50 us each.
+# choice of sign of each nonzero root of the matched spectral series.
+# All are built and ranked; the re-check squares them in rank order,
+# about 50 us each, and stops at the first that passes.
 MAX_MATCH_CANDIDATES = 4096
 
 
@@ -211,10 +212,11 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
     found from the roots of the matched spectral series (Chen, Chang &
     Han, 1979), one per choice of sign of each root; more than
     ``MAX_MATCH_CANDIDATES`` of them are refused with ``BadOrder``.  All
-    give the same |N(jw)|^2, so among those that pass the re-check the
-    one whose coefficients agree in sign with the original numerator
-    most often wins, then the one with the largest coefficients, compared
-    from the lowest power up.
+    give the same |N(jw)|^2, so they are ranked: first the one whose
+    coefficients agree in sign with the original numerator most often,
+    then the one with the largest coefficients, compared from the lowest
+    power up.  They are re-checked in that order, and the first to pass
+    wins.
     """
     return _match(g, d_r, q)[0]
 
@@ -231,31 +233,27 @@ def _match(g: TransferFunction, d_r: Polynomial, q: int
         return Polynomial([1.0]), ()
 
     big_l = spectral_square_head(poly_mul(g.num, d_r), q)
-    tried = []
-    for signs in itertools.product(*_root_factors(g, d_r, big_l, q)):
-        n_r = Polynomial(functools.reduce(np.convolve, signs, np.ones(1)))
+    candidates = [Polynomial(functools.reduce(np.convolve, choice, np.ones(1)))
+                  for choice in itertools.product(*_root_factors(g, d_r, big_l, q))]
+    # most powers 1..q agreeing in sign with g.num first, then largest
+    # coefficients from the lowest power up; ties keep the built order
+    signs = [math.copysign(1.0, c) if c != 0.0 else 0.0
+             for c in g.num.coeffs[1:q + 1]]
+    gaps = []
+    for n_r in sorted(candidates, key=lambda n_r: (
+            -sum(c != 0.0 and math.copysign(1.0, c) == s
+                 for c, s in zip(n_r.coeffs[1:], signs)),
+            tuple(-c for c in n_r.coeffs))):
         big_m = spectral_square_head(poly_mul(g.den, n_r), q)
-        tried.append((n_r, tuple(zip(big_l[1:], big_m[1:]))))
-    passed = [(n_r, pairs) for n_r, pairs in tried
-              if all(abs(lv - mv) <= _MATCH_CHECK_REL * (1.0 + abs(lv))
-                     for lv, mv in pairs)]
-    if not passed:
-        gap = min(max(abs(lv - mv) / (1.0 + abs(lv)) for lv, mv in pairs)
-                  for _, pairs in tried)
-        raise MatchInfeasible(
-            f"none of {len(tried)} candidate numerators (q = {q}, "
-            f"r = {d_r.degree}) passed the matching re-check; smallest "
-            f"relative gap {gap:.3e}")
-
-    def sign_matches(n_r: Polynomial) -> int:
-        return sum(
-            1 for i in range(1, q + 1)
-            if n_r.coeff(i) != 0.0 and g.num.coeff(i) != 0.0
-            and math.copysign(1.0, n_r.coeff(i)) == math.copysign(1.0, g.num.coeff(i))
-        )
-
-    return min(passed, key=lambda t: (-sign_matches(t[0]),
-                                      tuple(-c for c in t[0].coeffs)))
+        pairs = tuple(zip(big_l[1:], big_m[1:]))
+        if all(abs(lv - mv) <= _MATCH_CHECK_REL * (1.0 + abs(lv))
+               for lv, mv in pairs):
+            return n_r, pairs
+        gaps.append(max(abs(lv - mv) / (1.0 + abs(lv)) for lv, mv in pairs))
+    raise MatchInfeasible(
+        f"none of {len(candidates)} candidate numerators (q = {q}, "
+        f"r = {d_r.degree}) passed the matching re-check; smallest "
+        f"relative gap {min(gaps):.3e}")
 
 
 def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,

@@ -118,14 +118,6 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(np.convolve(a.coeffs, b.coeffs))
 
 
-def padded_sum(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Ascending coefficient sequences added term by term, the shorter
-    one padded with zeros."""
-    na, nb = len(a), len(b)
-    return [(a[i] if i < na else 0.0) + (b[i] if i < nb else 0.0)
-            for i in range(max(na, nb))]
-
-
 def poly_eval(p: Polynomial, s: complex | np.ndarray) -> complex | np.ndarray:
     """``_horner`` on one row, at a point (giving a Python ``complex``)
     or elementwise over an array (giving a complex array of its shape)."""
@@ -352,7 +344,9 @@ def combine_stability_parts(e0: float, e1: float,
     odd = np.array([0.0, e1])
     for p2 in p_sq:
         odd = np.convolve(odd, [1.0, 0.0, 1.0 / p2])
-    return Polynomial(padded_sum(even, odd))
+    parts = np.zeros((2, max(len(even), len(odd))))
+    parts[0, :len(even)], parts[1, :len(odd)] = even, odd
+    return Polynomial(parts[0] + parts[1])
 
 
 def spectral_square_head(p: Polynomial, q: int) -> tuple[float, ...]:

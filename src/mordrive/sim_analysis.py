@@ -26,9 +26,9 @@ them.  A sweep's closed loops are measured as one stack: their grids,
 exponentials and ladder are batched, each row taking its own counts, and
 the ladder is walked twice, once for two rows of powers and once for
 two doubling sums.  Each row samples at most one head window, the
-narrowest its envelope certifies, in one block with every row of that
-width; a row with no such window, or whose window misses the peak,
-reads its whole trace, on its own.
+narrowest its envelope certifies, in one block of at most a whole
+trace's samples with other rows of that width; a row with no such
+window, or whose window misses the peak, reads its whole trace alone.
 
 ``step_ise`` needs no time grid either: the exact step-error ISE over
 the reference model's default horizon, 5 x its largest time constant as
@@ -381,11 +381,12 @@ def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
     int_0^T e^(A^T t) c^T c e^(At) dt.  W(h) for h = T / 2^s is F22^T F12
     of one exponential F of [[-A^T, c^T c], [0, A]] h (Van Loan 1978), s
     the least with ||A||_1 h <= ``_ISE_STEP_NORM`` = 5.37 (Padé-13's
-    theta_13) so that e^(Ah) is not rounded to I, and s doublings W <- W +
-    E^T W E, E <- E^2 with E = e^(Ah) reach T; above theta_16 = 0.78,
-    ``_expm`` squares F in one product a step, where a doubling takes
-    three.  W is linear in c^T c, so c is scaled to unit max-abs and the
-    result scaled back.  All candidates share one stacked exponential.
+    theta_13) so that e^(Ah) is not rounded to I, and s doublings in
+    place, W <- W + E^T W E, then E <- E^2 where another doubling follows,
+    from E = e^(Ah) reach T; above theta_16 = 0.78, ``_expm`` squares F
+    in one product a step, where a doubling takes three.  W is linear in
+    c^T c, so c is scaled to unit max-abs and the result scaled back.  All
+    candidates share one stacked exponential.
     """
     t_final = DEFAULT_HORIZON_FACTOR * characteristic_times(g)[1]
     dens = np.asarray(dens, dtype=float)
@@ -414,8 +415,11 @@ def step_ise(g: TransferFunction, num, dens) -> np.ndarray:
         vl[:, dim:, dim:] = h * a
         f = _expm(vl)
         e = f[:, dim:, dim:]
-        w = _doubling_sum(e.swapaxes(-1, -2) @ f[:, :dim, dim:],
-                          _ladder(e, 1 << s), 1 << s)
+        w = e.swapaxes(-1, -2) @ f[:, :dim, dim:]
+        for j in range(s):
+            if j:
+                e = e @ e
+            w += e.swapaxes(-1, -2) @ w @ e
         out[stable] = w[:, -1, -1] * c_max * c_max
     return out
 
@@ -429,19 +433,19 @@ def _ladder(e: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
-                  count: int | np.ndarray) -> np.ndarray:
+                  count: np.ndarray) -> np.ndarray:
     """Sum of (E^k)^T W E^k over 0 <= k < count, count >= 1, batched,
     from a ladder ``ladder[j]`` = E^(2^j) covering count's bits.
 
     Doubling (Smith 1968): W runs through the sums over k < 2^j, W <- W +
     E_j^T W E_j with E_j = E^(2^j), and each set bit j of count, lowest
     first, puts a block of 2^j terms ahead of those summed so far, total
-    <- W + E_j^T total E_j, from a total of zero.  ``count`` is one int
-    for the whole stack or an int array with one count per matrix, of the
-    stack's leading shape; each matrix then takes the steps of its own
-    bits, from ``_rung_masks``.  ``w`` may carry more leading axes than
-    the ladder, so that several sums over one ladder (w[0], w[1], ...)
-    share one walk up it, each equal to its own call bit for bit.
+    <- W + E_j^T total E_j, from a total of zero.  ``count`` is an int
+    array with one count per matrix, of the stack's leading shape, and
+    each matrix takes the steps of its own bits, from ``_rung_masks``.
+    ``w`` may carry more leading axes than the ladder, so that several
+    sums over one ladder (w[0], w[1], ...) share one walk up it, each
+    equal to its own call bit for bit.
     """
     total, masks = np.zeros_like(w), _rung_masks(count)
     for j, mask in enumerate(masks):
@@ -454,7 +458,7 @@ def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
 
 
 def _times_power(v: np.ndarray, ladder: list[np.ndarray],
-                 count: int | np.ndarray) -> np.ndarray:
+                 count: np.ndarray) -> np.ndarray:
     """Rows ``v`` times E^count, from the ladder entries at count's set
     bits; ``count`` and stacked ``v`` as in ``_doubling_sum``."""
     for j, mask in enumerate(_rung_masks(count)):
@@ -463,16 +467,13 @@ def _times_power(v: np.ndarray, ladder: list[np.ndarray],
     return v
 
 
-def _rung_masks(count: int | np.ndarray) -> list:
-    """Per rung j to count's top bit, once per walk: None where no count
-    sets bit j, else True for one int count, or for an int array of any
-    leading shape a mask of the counts that set it, matrix axes added."""
-    if isinstance(count, int):
-        return [True if count >> j & 1 else None
-                for j in range(count.bit_length())]
+def _rung_masks(count: np.ndarray) -> list:
+    """Per rung j to the largest count's top bit, once per walk: None
+    where no count sets bit j, else a mask of the counts that set it, of
+    the int array's leading shape with matrix axes added."""
     bits = count[..., None] >> np.arange(int(count.max()).bit_length()) & 1
     return [bits[..., j, None, None] if some else None for j, some in
-            enumerate(bits.reshape(-1, bits.shape[-1]).any(axis=0).tolist())]
+            enumerate(bits.any(axis=tuple(range(count.ndim))).tolist())]
 
 
 def response_metrics(tr: StepTrace) -> ResponseMetrics:
@@ -627,16 +628,19 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
     """Row i -> the metrics (dt[i], final[i] and a 2% band) of the outputs
     c[i]^T E[i]^k e_last, k < width[i], for each row with a window
     (width[i] > 0) whose peak lies strictly above ceiling[i].  The rows of
-    each width are sampled as one ``_propagate`` stack, on their rungs of
-    the stacked ladder, and those that pass are measured as one block.
+    each width w are sampled as ``_propagate`` stacks of at most
+    ``MAX_STEP_SAMPLES // w`` rows, on their rungs of the stacked ladder,
+    and those of each stack that pass are measured as one block.
     """
     measured = {}
     for w in sorted(set(width[width > 0].tolist())):
-        group = np.flatnonzero(width == w)
-        rungs = [step[group] for step in ladder[:(w - 1).bit_length()]]
-        y = _propagate(rungs, c[group], w - 1)[..., 0]
-        peaked = ceiling[group] < y.max(axis=-1)
-        done = group[peaked]
-        measured.update(zip(done.tolist(), _metrics_from_head(
-            y[peaked], dt[done], final[done], 0.02 * final[done])))
+        rows = np.flatnonzero(width == w)
+        for start in range(0, len(rows), MAX_STEP_SAMPLES // w):
+            group = rows[start:start + MAX_STEP_SAMPLES // w]
+            rungs = [step[group] for step in ladder[:(w - 1).bit_length()]]
+            y = _propagate(rungs, c[group], w - 1)[..., 0]
+            peaked = ceiling[group] < y.max(axis=-1)
+            done = group[peaked]
+            measured.update(zip(done.tolist(), _metrics_from_head(
+                y[peaked], dt[done], final[done], 0.02 * final[done])))
     return measured

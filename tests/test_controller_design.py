@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from mordrive.poly_tf import (
 from mordrive.sim_analysis import (
     DEFAULT_DT_DIVISOR,
     DEFAULT_HORIZON_FACTOR,
+    MAX_STEP_SAMPLES,
     characteristic_times,
     ise,
     response_metrics,
@@ -472,6 +474,26 @@ class TestSweepMeasures:
         assert heads and len(set(heads)) == len(heads)
         # some heads miss their peak, and those rows read their whole trace
         assert whole & set(heads)
+
+    def test_head_blocks_hold_at_most_one_trace(self, model, propagate_steps):
+        # 256 gains over Kc 0.0976-0.229 put 170 rows at a head width of
+        # 65,536 samples.  Each block of heads holds at most as many
+        # samples as one whole trace may, so the peak stays below that of
+        # a whole trace measured with its deviation buffer, plus a little
+        gains = np.linspace(0.0976, 0.229, 256)
+        tracemalloc.start()
+        try:
+            got = controller_design._measure_gains(model, gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        heads = [(len(c), n_steps + 1) for _, c, n_steps in propagate_steps
+                 if c.ndim == 3 and c.shape[-1] == 1]
+        assert max(rows * width for rows, width in heads) <= MAX_STEP_SAMPLES
+        assert sum(rows for rows, width in heads if width == 65_536) == 170
+        assert len([width for _, width in heads if width == 65_536]) > 1
+        assert peak <= 2.5 * 8 * MAX_STEP_SAMPLES
+        assert all(pt.settling_2pct_s is not None for pt in got)
 
 
 def _bits_of_point(pt):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import sys
 import warnings
@@ -111,7 +113,7 @@ class TestAdjustDenominator:
         out = adjust_denominator(Polynomial([1.0, 0.12988, 0.00241749]), 10.0)
         assert out.coeffs[0] == 1.0
         assert out.coeffs[1] == pytest.approx(0.142868, rel=1e-12, abs=0.0)
-        assert out.coeffs[2] == pytest.approx(0.00217574, rel=1e-5)
+        assert out.coeffs[2] == pytest.approx(0.00217574, rel=1e-5, abs=0.0)
 
     def test_one_percent(self):
         out = adjust_denominator(Polynomial([1.0, 0.12988, 0.00241749]), 1.0)
@@ -128,10 +130,17 @@ class TestAdjustDenominator:
 
 
 def _bench_style_model(rng):
-    """(g, r): a DC-normalized stable model of degree 5-10, its poles real
+    """(g, r): a ``_bench_style_tf`` of degree 5-10 and a reduced order
+    4 <= r < degree."""
+    g = _bench_style_tf(rng, 5)
+    return g, int(rng.integers(4, g.den.degree))
+
+
+def _bench_style_tf(rng, lowest: int) -> TransferFunction:
+    """A DC-normalized stable model of degree lowest-10, its poles real
     or complex with damping 0.2-0.9 and its zeros real, all within a
-    spread of 10 to 1000, and a reduced order 4 <= r < degree."""
-    n = int(rng.integers(5, 11))
+    spread of 10 to 1000."""
+    n = int(rng.integers(lowest, 11))
     spread = 10.0 ** rng.uniform(1.0, 3.0)
     den, left = Polynomial([1.0]), n
     while left:
@@ -145,7 +154,39 @@ def _bench_style_model(rng):
             den = poly_mul(den, Polynomial([1.0, 1.0 / mag]))
             left -= 1
     num = _lags(spread ** -rng.uniform(-0.5, 0.5, size=int(rng.integers(n))))
-    return TransferFunction(num, den), int(rng.integers(4, n))
+    return TransferFunction(num, den)
+
+
+def _filtered_then_ranked(g, d_r, q):
+    """(winner, whether the top-ranked candidate passes): every candidate
+    of ``_root_factors`` squared and re-checked, and the best-ranked of
+    those that pass taken, or ``MatchInfeasible`` with the smallest gap."""
+    big_l = spectral_square_head(poly_mul(g.num, d_r), q)
+    tried = []
+    for signs in itertools.product(*mor_engine._root_factors(g, d_r, big_l, q)):
+        n_r = Polynomial(functools.reduce(np.convolve, signs, np.ones(1)))
+        big_m = spectral_square_head(poly_mul(g.den, n_r), q)
+        tried.append((n_r, list(zip(big_l[1:], big_m[1:]))))
+
+    def passes(pairs):
+        return all(abs(lv - mv) <= 1e-9 * (1.0 + abs(lv)) for lv, mv in pairs)
+
+    def rank(t):
+        n_r = t[0]
+        agree = sum(1 for i in range(1, q + 1)
+                    if n_r.coeff(i) != 0.0 and g.num.coeff(i) != 0.0
+                    and (n_r.coeff(i) > 0.0) == (g.num.coeff(i) > 0.0))
+        return -agree, tuple(-c for c in n_r.coeffs)
+
+    passed = [t for t in tried if passes(t[1])]
+    if not passed:
+        gap = min(max(abs(lv - mv) / (1.0 + abs(lv)) for lv, mv in pairs)
+                  for _, pairs in tried)
+        raise MatchInfeasible(
+            f"none of {len(tried)} candidate numerators (q = {q}, "
+            f"r = {d_r.degree}) passed the matching re-check; smallest "
+            f"relative gap {gap:.3e}")
+    return min(passed, key=rank)[0], passes(min(tried, key=rank)[1])
 
 
 def _mp_matched_series(mpmath, g, d_r, q):
@@ -211,7 +252,8 @@ class TestMatchNumerator:
         with pytest.raises(MatchInfeasible, match=r"q = 3, r = 5") as err:
             match_numerator(g, d_r, 3)
         # the negative root u = b^2 of the matched series
-        assert err.value.discriminant == pytest.approx(-1.05357e-4, rel=1e-4)
+        assert err.value.discriminant == pytest.approx(-1.05357e-4, rel=1e-4,
+                                                       abs=0.0)
 
     def test_recheck_failure_states_candidates_and_gap(self, bench_loop,
                                                         bench_den, monkeypatch):
@@ -276,6 +318,46 @@ class TestMatchNumerator:
         # L and the denominator's square only: no candidate was built
         assert squared == [poly_mul(g.num, d_r), g.den]
 
+    def test_first_ranked_to_pass_is_best_of_those_passing(self):
+        # every r >= 2 and 1 <= q < r of 60 seeded bench-style models of
+        # degree 3-10, against re-checking every candidate and ranking the
+        # ones that pass: the same winner, or the same refusal
+        rng = np.random.default_rng(4)
+        seen = {"top passes": 0, "top fails": 0, "none passes": 0}
+        for _ in range(60):
+            g = _bench_style_tf(rng, 3)
+            for r in range(2, g.den.degree):
+                d_r = reduce_denominator(g.den, r)
+                for q in range(1, r):
+                    try:
+                        want, top_passes = _filtered_then_ranked(g, d_r, q)
+                    except MatchInfeasible as exc:
+                        with pytest.raises(MatchInfeasible) as err:
+                            match_numerator(g, d_r, q)
+                        assert str(err.value) == str(exc)
+                        seen["none passes"] += "re-check" in str(exc)
+                        continue
+                    assert repr(match_numerator(g, d_r, q)) == repr(want)
+                    seen["top passes" if top_passes else "top fails"] += 1
+        # a top-ranked candidate that misses the re-check by rounding,
+        # and matches where none passes, both at high q
+        assert seen["top passes"] > 500
+        assert seen["top fails"] >= 3
+        assert seen["none passes"] >= 1
+
+    def test_top_ranked_pass_squares_one_candidate(self, monkeypatch):
+        # two positive roots u = b^2 and a complex pair, so 8 sign
+        # choices; the first in rank passes, and it alone is squared
+        g = TransferFunction(Polynomial([1.0, 0.7]), _lags(_SIX_LAGS))
+        d_r = reduce_denominator(g.den, 5)
+        big_l = spectral_square_head(poly_mul(g.num, d_r), 4)
+        assert len(mor_engine._root_factors(g, d_r, big_l, 4)) == 3
+        squared = []
+        monkeypatch.setattr(mor_engine, "spectral_square_head",
+                            lambda p, q: squared.append(p) or spectral_square_head(p, q))
+        out = match_numerator(g, d_r, 4)
+        assert squared == [poly_mul(g.num, d_r), g.den, poly_mul(g.den, out)]
+
     def test_sign_follows_original(self, bench_loop, bench_den):
         d_r = reduce_denominator(bench_den, 2)
         out = match_numerator(bench_loop, d_r, 1)
@@ -318,7 +400,8 @@ class TestMatchNumerator:
 class TestReducePipeline:
     def test_benchmark_reduction(self, bench_loop):
         res = reduce(bench_loop, ReductionConfig(target_order=2, numerator_order=1))
-        assert res.reduced.den.coeffs[1] == pytest.approx(0.12988, rel=1e-10)
+        assert res.reduced.den.coeffs[1] == pytest.approx(0.12988, rel=1e-10,
+                                                          abs=0.0)
         assert res.reduced.den.coeffs[2] == pytest.approx(0.00241749,
                                                           rel=1e-10, abs=0.0)
         assert res.reduced.num.coeff(1) == pytest.approx(0.03, abs=1e-4)
@@ -386,7 +469,8 @@ class TestReducePipeline:
                               adjust_mode="fixed", adjust_percent=10.0)
         res = reduce(bench_loop, cfg)
         assert res.chosen_n == 10.0
-        assert res.reduced.den.coeffs[1] == pytest.approx(0.142868, rel=1e-10)
+        assert res.reduced.den.coeffs[1] == pytest.approx(0.142868, rel=1e-10,
+                                                          abs=0.0)
         assert dc_gain(res.reduced) == dc_gain(bench_loop)
 
     def test_auto_adjustment_scans_grid(self, bench_loop):

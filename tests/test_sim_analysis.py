@@ -405,7 +405,7 @@ class TestStepIse:
         for count in range(1, 70):
             want += term
             term = e.swapaxes(-1, -2) @ term @ e
-            got = _doubling_sum(w, _ladder(e, count), count)
+            got = _doubling_sum(w, _ladder(e, count), np.array([count]))
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_mixed_counts_match_single_row_calls(self):
@@ -423,13 +423,13 @@ class TestStepIse:
             sums = _doubling_sum(w, ladder, counts)
             for i, count in enumerate(counts.tolist()):
                 alone = _ladder(e[i:i + 1], count)
-                want = _doubling_sum(w[i:i + 1], alone, count)
+                want = _doubling_sum(w[i:i + 1], alone, np.array([count]))
                 assert sums[i].tobytes() == want[0].tobytes()
             for powers_of in (counts, counts - 1):
                 powers = _times_power(v, ladder, powers_of)
                 for i, count in enumerate(powers_of.tolist()):
                     alone = _ladder(e[i:i + 1], max(count, 1))
-                    want = _times_power(v[i:i + 1], alone, count)
+                    want = _times_power(v[i:i + 1], alone, np.array([count]))
                     assert powers[i].tobytes() == want[0].tobytes()
 
     def test_stacked_walks_are_separate_calls(self):
