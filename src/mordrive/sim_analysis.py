@@ -13,9 +13,12 @@ the augmented matrix's zero last row in every power.  The N steps are cut
 into blocks of about sqrt(N): the rows (c, d) E^j within a block come
 from doubling over one ladder of E^(2^j), the block starts from the
 same routine on the ladder's tail, E^B's own ladder, and all outputs
-from one 2-D product written straight into the trace's one output
-buffer, so no state is kept per step.  A trace stores no time grid: its
-samples sit at k dt, and metrics and ISE work from the index and dt.
+from one 2-D product of the starts against the rows, so no state is
+kept per step.  A step trace keeps those two factors, about 2 sqrt(N)
+rows, and forms its samples in that one product only when ``y`` is
+read; ``ise`` streams two traces from their factors a few blocks at a
+time and forms neither.  No trace stores a time grid: its samples sit
+at k dt, and metrics and ISE work from the index and dt.
 
 A gain-sweep point needs no whole trace: the final value and the ISE
 against 1 are sums over all k of terms in E^k, which doubling (Smith
@@ -38,6 +41,7 @@ horizon, for a whole stack of candidate models at once.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -58,16 +62,21 @@ DEFAULT_DT_DIVISOR = 20.0
 DEFAULT_HORIZON_FACTOR = 5.0
 
 # Largest number of time steps one step response may take.  Each float64
-# array over such a grid is 16 MB, and a trace measured whole holds two at
-# once (the output and the metrics' deviation buffer), as does a sweep
-# point read from its whole trace; a wide pole spread under the default
-# dt and horizon would ask for far more.
+# array over such a grid is 16 MB.  A trace holds none until its ``y`` is
+# read, and ``ise`` reads none; a trace measured whole holds two at once
+# (the output and the metrics' deviation buffer), as does a sweep point
+# read from its whole trace.  A wide pole spread under the default dt and
+# horizon would ask for far more.  The budget keeps the block size at
+# most 2048, a divisor of ``_ISE_BLOCK``.
 MAX_STEP_SAMPLES = 2_000_000
 
 # Largest Bode grid; a point costs one complex response and three floats.
 MAX_BODE_POINTS = 2_000_000
 
-# Samples in ``ise``'s difference buffer (32 kB), reused over any trace
+# Points of ``bode``'s response evaluated at once, as in the CLI's CSV blocks
+_BODE_BLOCK = 32_768
+
+# Samples in each of ``ise``'s buffers (32 kB), reused over any trace
 _ISE_BLOCK = 4096
 
 
@@ -75,16 +84,28 @@ _ISE_BLOCK = 4096
 class StepTrace:
     """Uniformly sampled step response: sample k sits at t = k dt.
 
-    No time grid is stored; ``t`` builds it on first access and keeps it.
+    A trace stores neither its samples nor its time grid, only its two
+    block factors: sample iB + j, for B = ``len(rows)`` and k = iB + j <
+    ``n_samples``, is the dot product of ``starts[i]`` and ``rows[j]``.
+    ``y`` and ``t`` are built on first access and kept; ``ise`` reads the
+    samples from the factors without building ``y``.  ``step_response``
+    builds traces, each of at least two blocks of B <= 2048 samples.
     """
 
-    y: np.ndarray
     dt: float
+    n_samples: int
+    starts: np.ndarray
+    rows: np.ndarray
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        """Samples, the product of ``starts`` and ``rows`` in one pass."""
+        return (self.starts @ self.rows.T).reshape(-1)[:self.n_samples]
 
     @functools.cached_property
     def t(self) -> np.ndarray:
-        """Sample times, ``np.arange(len(y)) * dt``."""
-        return np.arange(len(self.y)) * self.dt
+        """Sample times, ``np.arange(n_samples) * dt``."""
+        return np.arange(self.n_samples) * self.dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,31 +223,40 @@ def _propagate(ladder: list[np.ndarray], c: np.ndarray,
     E is an augmented exponential [[M, v], [0, 1]] whose last row is
     exactly (0, ..., 0, 1), so E^k e_last is x_k of x+ = M x + v from x_0
     = 0 with a constant 1 appended, and c's last row weights that 1: no
-    offset row or offset recurrence is needed.  The block size B = 2^b is
-    the power of two >= sqrt(n_steps + 1).  The rows c^T E^j, j < B, come
-    from b doublings, each the rows so far times E^(2^j); the block starts
-    E^(iB) e_last from a call on (E^B's ladder, ``ladder[b:]``, I); and
-    output iB + j from one product of the starts against those rows.
+    offset row or offset recurrence is needed.  Output iB + j is one
+    product of the block starts against the rows of ``_factors``.
     Leading axes are a stack of systems, each taking the same products as
     a call on it alone, so a stack's outputs equal its rows' bit for bit.
     """
     if n_steps == 0:
         return c[..., -1:, :]
+    starts, rows = _factors(ladder, c, n_steps)
+    out = np.matmul(starts, rows.swapaxes(-1, -2))
+    out = out.reshape(out.shape[:-2] + (-1, c.shape[-1]))
+    return out[..., :n_steps + 1, :]
+
+
+def _factors(ladder: list[np.ndarray], c: np.ndarray,
+             n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, rows) of ``_propagate``'s outputs for n_steps >= 1, with
+    output iB + j, column q, the dot product of starts[..., i, :] and
+    rows[..., j p + q, :].
+
+    The block size B = 2^b is the power of two >= sqrt(n_steps + 1), and
+    B <= n_steps + 1.  The rows c^T E^j, j < B, (..., B p, dim), come from
+    b doublings, each the rows so far times E^(2^j); the block starts
+    E^(iB) e_last, i <= n_steps // B, (..., n_blocks, dim), from a
+    ``_propagate`` call on (E^B's ladder, ``ladder[b:]``, I).
+    """
     dim, p = c.shape[-2:]
     lead = np.broadcast_shapes(c.shape[:-2], ladder[0].shape[:-2])
     bits = math.isqrt(n_steps).bit_length()
-    block = 1 << bits
-    n_blocks = n_steps // block + 1
-    rows = np.empty(lead + (block * p, dim))
+    rows = np.empty(lead + (p << bits, dim))
     rows[..., :p, :] = c.swapaxes(-1, -2)
     for j in range(bits):
         h = p << j
         np.matmul(rows[..., :h, :], ladder[j], out=rows[..., h:2 * h, :])
-    starts = _propagate(ladder[bits:], np.eye(dim), n_blocks - 1)
-    out = np.empty(lead + (n_blocks * block, p))
-    np.matmul(starts, rows.swapaxes(-1, -2),
-              out=out.reshape(lead + (n_blocks, block * p)))
-    return out[..., :n_steps + 1, :]
+    return _propagate(ladder[bits:], np.eye(dim), n_steps >> bits), rows
 
 
 def step_response(g: TransferFunction, t_final: float | None = None,
@@ -241,6 +271,9 @@ def step_response(g: TransferFunction, t_final: float | None = None,
     cached roots, ``g.den.roots``.  A grid of more than
     ``MAX_STEP_SAMPLES`` steps is refused with ``ValidationError``, and
     non-finite samples raise ``SimulationDiverged``.
+
+    The trace holds the two factors of ``_propagate``'s product and forms
+    its samples only when ``y`` is read; every sample is checked here.
     """
     times = (characteristic_times(g) if t_final is None or dt is None
              else (None, None))
@@ -250,9 +283,20 @@ def step_response(g: TransferFunction, t_final: float | None = None,
                              np.array([g.den.roots if g.den.degree else ()]),
                              np.array([dt]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = _propagate(_ladder(e[0], n_steps + 1), c[0], n_steps)[:, 0]
-    _check_finite(y)
-    return StepTrace(y=y, dt=dt)
+        starts, rows = _factors(_ladder(e[0], n_steps + 1), c[0], n_steps)
+        trace = StepTrace(dt, n_steps + 1, starts, rows)
+        # Every start and row feeds a kept sample (B <= n_steps + 1), by
+        # x inf or by 0 inf = NaN, so a non-finite entry is a non-finite
+        # sample.  Finite entries below 2^s and 2^r give samples below
+        # dim 2^(s + r), which no rounding carries past 2^1023.
+        s_max, r_max = (float(np.abs(f).max()) for f in (starts, rows))
+        if not (math.isfinite(s_max) and math.isfinite(r_max)):
+            raise SimulationDiverged("step response produced non-finite "
+                                     "samples")
+        if (math.frexp(s_max)[1] + math.frexp(r_max)[1]
+                + len(c[0]).bit_length() > 1023):
+            _check_finite(trace.y)
+    return trace
 
 
 def _step_grid(tc_small: float | None, tc_large: float | None,
@@ -312,6 +356,9 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
     off.  Poles on the imaginary axis yield infinities that are passed
     through and flagged via ``contains_nonfinite``.  A grid of more
     than ``MAX_BODE_POINTS`` points is refused with ``ValidationError``.
+    The response is evaluated ``_BODE_BLOCK`` points at a time into the
+    two output arrays, the turn count carried from block to block, so
+    no temporary spans the whole grid.
     """
     if not (0.0 < omega_min < omega_max):
         raise ValidationError("need 0 < omega_min < omega_max")
@@ -327,14 +374,26 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
             "points; pass a smaller --ppd or a narrower band")
     n = max(2, int(round(points_per_decade * decades)) + 1)
     omega = 10.0 ** np.linspace(math.log10(omega_min), math.log10(omega_max), n)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = 1j * omega[None, :]
-        resp = (_horner(np.array([g.num.coeffs]), s)
-                / _horner(np.array([g.den.coeffs]), s))[0]
-        mag_db = 20.0 * np.log10(np.abs(resp))
-        phase = np.angle(resp)
-        turns = np.rint(np.diff(phase) / (2.0 * np.pi))
-        phase[1:] -= 2.0 * np.pi * np.cumsum(turns)
+    num, den = np.array([g.num.coeffs]), np.array([g.den.coeffs])
+    mag_db, phase, count = np.empty(n), np.empty(n), -0.0
+    for i in range(0, n, _BODE_BLOCK):
+        j = min(i + _BODE_BLOCK, n)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = 1j * omega[None, i:j]
+            resp = (_horner(num, s) / _horner(den, s))[0]
+            np.log10(np.abs(resp), out=mag_db[i:j])
+            mag_db[i:j] *= 20.0
+            # np.angle's own formula, written in place
+            angle = np.arctan2(resp.imag, resp.real, out=phase[i:j])
+            # Turns from the previous point, the grid's first taking none,
+            # summed on from the count before this block: -0.0 + t is t
+            # and sums of integers are exact, so the sums are one cumsum's.
+            steps = np.diff(angle, prepend=last) if i else np.diff(angle)
+            turns = np.rint(steps / (2.0 * np.pi))
+            last = angle[-1]
+            turns[0] += count
+            count = np.cumsum(turns, out=turns)[-1]
+            angle[len(angle) - len(turns):] -= 2.0 * np.pi * turns
     np.degrees(phase, out=phase)
     # A sum is finite exactly when every term is: no finite dB or degree
     # value on a grid this size comes near overflowing it.
@@ -348,19 +407,42 @@ def ise(a: StepTrace, b: StepTrace | float) -> float:
     and either a trace on the same grid or a constant level ``b``.
 
     A trace's grid is k * dt, so two grids match exactly when their
-    lengths and dt do, and the trapezoid is dt times the sum of squares
-    less half the squared end samples, over one ``_ISE_BLOCK`` buffer.
+    sample counts and dt do, and the trapezoid is dt times the sum of
+    squares less half the squared end samples.  Neither trace's ``y`` is
+    built: the samples are streamed from the factors, ``_ISE_BLOCK`` at a
+    time, as whole blocks of B (B <= 2048 divides it) in reused buffers,
+    each chunk the same products, bit for bit, as ``y``'s.
     """
+    traces = [a]
     if isinstance(b, StepTrace):
-        if len(a.y) != len(b.y) or a.dt != b.dt:
+        if a.n_samples != b.n_samples or a.dt != b.dt:
             raise GridMismatch("traces do not share a time grid")
-        b = b.y
-    b, d, total = np.broadcast_to(b, a.y.shape), np.empty(_ISE_BLOCK), 0.0
-    for i in range(0, len(a.y), _ISE_BLOCK):
-        part = a.y[i:i + _ISE_BLOCK]
-        part = np.subtract(part, b[i:i + _ISE_BLOCK], out=d[:len(part)])
-        total += np.dot(part, part)
-    d0, dn = a.y[0] - b[0], a.y[-1] - b[-1]
+        traces.append(b)
+    n_blocks, block = len(a.starts), len(a.rows)
+    per = _ISE_BLOCK // block
+    samples, d = np.empty((len(traces), _ISE_BLOCK)), np.empty(_ISE_BLOCK)
+    total = 0.0
+    for i in range(0, n_blocks, per):
+        # A last chunk of one block is formed with the block before it:
+        # NumPy takes a one-row product by gemv, which rounds unlike the
+        # gemm that forms ``y`` (n_blocks >= 2, as B <= n_steps).
+        lo, hi = min(i, n_blocks - 2), min(i + per, n_blocks)
+        part = slice((i - lo) * block,
+                     min(hi * block, a.n_samples) - lo * block)
+        # The last block's samples past the trace's end may overflow where
+        # ``step_response`` checked ``y`` whole.
+        with (np.errstate(over="ignore", invalid="ignore")
+              if hi == n_blocks else contextlib.nullcontext()):
+            for tr, out in zip(traces, samples):
+                np.matmul(tr.starts[lo:hi], tr.rows.T,
+                          out=out[:(hi - lo) * block].reshape(hi - lo, block))
+        diff = np.subtract(samples[0, part],
+                           samples[1, part] if len(traces) > 1 else b,
+                           out=d[:part.stop - part.start])
+        total += np.dot(diff, diff)
+        if i == 0:
+            d0 = diff[0]
+    dn = diff[-1]
     return float(a.dt * (total - (d0 * d0 + dn * dn) / 2.0))
 
 

@@ -91,8 +91,8 @@ def test_criterion_2_denominator_reduction_golden():
         for got, want in zip(reduced.coeffs, expected):
             assert abs(got - want) <= 1e-4 * abs(want)
         fact = even_odd_factor(den)
-        assert fact.z_sq[0] == pytest.approx(413.7, rel=1e-3)
-        assert fact.p_sq[0] == pytest.approx(4.20e4, rel=5e-3)
+        assert fact.z_sq[0] == pytest.approx(413.7, rel=1e-3, abs=0.0)
+        assert fact.p_sq[0] == pytest.approx(4.20e4, rel=5e-3, abs=0.0)
         assert fact.z_sq[0] < fact.p_sq[0]
 
 
@@ -104,7 +104,8 @@ def test_criterion_3_numerator_matching_golden(bench_loop):
         # hand oracle: C1^2 = 2 B2 - B1^2 - L2
         big_l = spectral_square_head(poly_mul(bench_loop.num, d_r), 1)
         c1_sq = 2.0 * BENCH_DEN[2] - BENCH_DEN[1] ** 2 - big_l[1]
-        assert n_r.coeff(1) == pytest.approx(math.sqrt(c1_sq), rel=1e-9)
+        assert n_r.coeff(1) == pytest.approx(math.sqrt(c1_sq), rel=1e-9,
+                                             abs=0.0)
         big_m = spectral_square_head(poly_mul(bench_loop.den, n_r), 1)
         assert abs(big_l[1] - big_m[1]) <= 1e-9 * (1.0 + abs(big_l[1]))
 
@@ -113,8 +114,8 @@ def test_criterion_4_conventional_design_and_sweep_ordering(model):
     with criterion(4, "conventional gain design and sweep overshoot order"):
         rep = design_conventional(model)
         # hand oracle: K = (T1+Tr)^2/(4 zeta^2 T1 Tr) - 1
-        assert rep.K == pytest.approx(39.0, rel=0.005)
-        assert rep.Kc == pytest.approx(3.38, rel=0.01)
+        assert rep.K == pytest.approx(39.0, rel=0.005, abs=0.0)
+        assert rep.Kc == pytest.approx(3.38, rel=0.01, abs=0.0)
         assert rep.achieved_zeta == pytest.approx(0.707, abs=1e-3)
         low = sweep_gain(model, 3.1, 10.0, 2)
         high = sweep_gain(model, 35.7, 50.0, 2)
@@ -128,7 +129,8 @@ def test_criterion_5_documented_non_reproduction(model, tmp_path):
         with pytest.raises(NoRealGain) as err:
             design_via_mor(model, ReductionConfig(target_order=2,
                                                   numerator_order=1))
-        assert err.value.discriminant == pytest.approx(-3.46e-5, rel=0.10)
+        assert err.value.discriminant == pytest.approx(-3.46e-5, rel=0.10,
+                                                       abs=0.0)
 
         # no design path lands anywhere near the published pair
         conv = design_conventional(model)
@@ -149,7 +151,8 @@ def test_criterion_5_documented_non_reproduction(model, tmp_path):
         notes = " ".join(report["notes"])
         assert "357.192" in notes and "35.719" in notes
         assert "unexplained" in notes
-        assert report["discriminant"] == pytest.approx(-3.46e-5, rel=0.10)
+        assert report["discriminant"] == pytest.approx(-3.46e-5, rel=0.10,
+                                                       abs=0.0)
 
 
 def test_criterion_6_frequency_band_fidelity(bench_loop):
@@ -268,7 +271,8 @@ def test_criterion_8_property_suites():
                                  den)
             _, tc_large = characteristic_times(g)
             metrics = response_metrics(step_response(g, t_final=10.0 * tc_large))
-            assert metrics.final_value == pytest.approx(dc_gain(g), rel=5e-3)
+            assert metrics.final_value == pytest.approx(dc_gain(g), rel=5e-3,
+                                                        abs=0.0)
 
         # halving dt moves the ISE by less than 0.1%
         lag1 = TransferFunction.from_coeffs([1.0], [1.0, 1.0])

@@ -366,14 +366,15 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("argv, rows, arrays", [
         (["step", "--t-final", "50", "--dt", "1e-4"], 500_001, 1),
         (["bode", "--w-min", "0.1", "--w-max", "1e4", "--ppd", "50000"],
-         250_001, 12),
+         250_001, 3),
     ], ids=["step", "bode"])
     def test_peak_memory_is_set_by_the_arrays(self, tmp_path, argv, rows,
                                               arrays):
         # The whole CSV held as one string would add about 65 MB (step)
         # and 45 MB (bode) past these bounds.  The step holds y only, each
-        # block forming its own times; bode its complex intermediates,
-        # about 12 float64 arrays; 16 MB covers one block's text and floats.
+        # block forming its own times; bode its three outputs, each block
+        # forming its own complex intermediates; 16 MB covers one block's
+        # text and floats.
         tf = tmp_path / "g.json"
         tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
         out = tmp_path / "out.csv"

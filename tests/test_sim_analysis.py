@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mordrive import sim_analysis
 from mordrive.sim_analysis import (
     MAX_STEP_SAMPLES,
     ResponseMetrics,
+    StepTrace,
     _THETA16,
     _doubling_sum,
     _expm,
@@ -655,6 +657,38 @@ class TestBode:
             else:  # the pole on the axis sits on the grid
                 assert flagged
 
+    # Blocks of 2 and 7 points put wraps and the pole on the axis on and
+    # next to block edges; 161 points in blocks of 2 and 65,537 in blocks
+    # of 32,768 leave one point to the last block.
+    @pytest.mark.parametrize("block, ppd",
+                             [(2, 40), (7, 40), (32_768, 65_536)])
+    def test_blocks_equal_one_pass(self, monkeypatch, block, ppd):
+        monkeypatch.setattr(sim_analysis, "_BODE_BLOCK", block)
+        rng = np.random.default_rng(30)
+        poles = -(10.0 ** rng.uniform(-1.0, 2.0, size=9))
+        zeros = 10.0 ** rng.uniform(-1.0, 2.0, size=2)
+        for g in (TransferFunction.from_coeffs(np.real(np.poly(zeros))[::-1],
+                                               np.real(np.poly(poles))[::-1]),
+                  TransferFunction.from_coeffs([1.0], [1.0, 0.0, 1.0])):
+            tr = bode(g, 0.01, 1e2, ppd)
+            want = _one_pass_bode(g, tr.omega)
+            assert len(tr.omega) == 4 * ppd + 1
+            assert tr.mag_db.tobytes() == want[0].tobytes()
+            assert tr.phase_deg.tobytes() == want[1].tobytes()
+
+
+def _one_pass_bode(g, omega):
+    """(mag_db, phase_deg) of ``bode`` formed over the whole grid at once,
+    the unwrap's turns summed by one cumsum."""
+    s = 1j * omega[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resp = (_horner(np.array([g.num.coeffs]), s)
+                / _horner(np.array([g.den.coeffs]), s))[0]
+        phase = np.angle(resp)
+        turns = np.rint(np.diff(phase) / (2.0 * np.pi))
+        phase[1:] -= 2.0 * np.pi * np.cumsum(turns)
+        return 20.0 * np.log10(np.abs(resp)), np.degrees(phase)
+
 
 class TestIse:
     def test_identity_is_exactly_zero(self):
@@ -695,6 +729,48 @@ class TestIse:
             b = step_response(_lag(2.0), t_final=40.0, dt=dt)
             vals.append(ise(a, b))
         assert abs(vals[1] - vals[0]) / vals[1] < 1e-3
+
+    # The 4096-sample chunks' edges, the closed-loop comparison's 139,470
+    # samples and the step budget, where B = 2048; at the last two the
+    # last chunk holds one block.
+    @pytest.mark.parametrize("n_steps", [11, 4095, 4096, 4097, 139_469,
+                                         MAX_STEP_SAMPLES])
+    def test_streamed_equals_whole_trace(self, bench_loop, n_steps):
+        dt = 0.55 / n_steps
+        a = step_response(bench_loop, t_final=n_steps * dt, dt=dt)
+        b = step_response(_lag(0.02), t_final=n_steps * dt, dt=dt)
+        got = (ise(a, b), ise(b, a), ise(a, 1.0))
+        assert got == (_whole_trace_ise(a, b), _whole_trace_ise(b, a),
+                       _whole_trace_ise(a, 1.0))
+
+    def test_one_block_last_chunk_rounds_as_y(self):
+        # 161 blocks of 256 samples, 16 to a chunk, and a growing trace
+        # whose end dominates the sum: the last block formed alone, a
+        # one-row product NumPy hands to gemv, moves this ISE by one ulp.
+        c = -0.09925512199683927
+        g = TransferFunction.from_coeffs([c], [c, 0.012080382629025943, 1.0])
+        t_final = 993.9392057020868
+        tr = step_response(g, t_final=t_final, dt=t_final / 40_961)
+        assert (len(tr.starts), len(tr.rows)) == (161, 256)
+        assert ise(tr, 0.0) == _whole_trace_ise(tr, 0.0)
+
+    def test_streams_without_forming_samples(self, model):
+        # the closed-loop comparison of the acceptance suite's criterion 7
+        g = closed_current_loop(model, 35.719)
+        red = reduce(g, ReductionConfig(target_order=2, numerator_order=1))
+        times = [characteristic_times(h) for h in (g, red.reduced)]
+        dt = min(times[0][0], times[1][0]) / 20.0
+        horizon = 5.0 * max(times[0][1], times[1][1])
+        tracemalloc.start()
+        try:
+            a = step_response(g, t_final=horizon, dt=dt)
+            value = ise(a, step_response(red.reduced, t_final=horizon, dt=dt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 139_470 * 8 / 4  # a quarter of one sample array
+        assert a.n_samples == 139_470
+        assert value == pytest.approx(0.01535, rel=1e-3, abs=0.0)
 
 
 class TestResponseMetrics:
@@ -819,6 +895,16 @@ def _full_array_metrics(tr):
     return ResponseMetrics(overshoot, settling, rise, final)
 
 
+def _whole_trace_ise(a, b):
+    """``ise`` over whole ``y`` arrays, the squares summed by ``np.dot``
+    in the 4096-sample chunks the streamed version takes."""
+    d = a.y - (b.y if isinstance(b, StepTrace) else b)
+    total = 0.0
+    for i in range(0, len(d), 4096):
+        total += np.dot(d[i:i + 4096], d[i:i + 4096])
+    return float(a.dt * (total - (d[0] * d[0] + d[-1] * d[-1]) / 2.0))
+
+
 def _constant_trace_ise(tr, level):
     """ISE against a constant level as a whole trace of that level."""
     d = tr.y - np.full_like(tr.y, level)
@@ -843,6 +929,43 @@ class TestStepTraceRobustness:
         assert np.isnan(y).any()
         with pytest.raises(SimulationDiverged):
             step_response(g, t_final=5000.0, dt=0.01)
+
+    def test_samples_are_one_product_of_the_factors(self):
+        # 1 / (s - 1) at dt = 0.5: B = 64, and the starts reach e^704
+        g = TransferFunction.from_coeffs([1.0], [-1.0, 1.0])
+        tr = step_response(g, t_final=100.0, dt=0.5)
+        e, c = _step_exponential(np.array([g.num.coeffs]),
+                                 np.array([g.den.coeffs]),
+                                 np.array([g.den.roots]), np.array([0.5]))
+        want = _propagate(_ladder(e[0], 201), c[0], 200)[:, 0]
+        assert tr.n_samples == len(tr.y) == 201
+        assert tr.y.tobytes() == want.tobytes()
+        assert tr.y is tr.y  # formed once, then kept
+
+    @pytest.mark.parametrize("t_final, diverges", [(712.0, True),
+                                                   (709.0, False)])
+    def test_finite_factors_that_may_overflow(self, monkeypatch, t_final,
+                                              diverges):
+        # 1 / (s - 1), y = e^t - 1, at dt = 0.5: the last block starts at
+        # e^704 and its rows reach e^31.5, so the factors are finite but
+        # their bound trips, and the samples are formed and checked.  At
+        # t = 712 the last ones overflow; at 709 they stay below 2^1023.
+        g = TransferFunction.from_coeffs([1.0], [-1.0, 1.0])
+        checked = []
+        check = sim_analysis._check_finite
+        monkeypatch.setattr(sim_analysis, "_check_finite",
+                            lambda y: checked.append(y) or check(y))
+        if diverges:
+            with pytest.raises(SimulationDiverged):
+                step_response(g, t_final=t_final, dt=0.5)
+            assert len(checked) == 1 and not np.isfinite(checked[0][-1])
+        else:
+            tr = step_response(g, t_final=t_final, dt=0.5)
+            assert len(checked) == 1 and checked[0] is tr.y
+            assert np.isfinite(tr.starts).all() and np.isfinite(tr.rows).all()
+            assert tr.y[-1] == pytest.approx(math.exp(709.0), rel=1e-9,
+                                             abs=0.0)
+            assert ise(tr, tr) == 0.0
 
     def test_time_grid_is_index_times_dt(self, model):
         for tr in (step_response(_lag(0.5), t_final=2.0, dt=1e-3),
