@@ -199,6 +199,7 @@ def cmd_reduce(args: argparse.Namespace, t0: float) -> int:
                                    for lv, mv in result.matched_conditions],
             "residual_epsilon": result.residual_epsilon,
             "chosen_n": result.chosen_n,
+            "step_ise": result.step_ise,
         },
         "manifest": _manifest("reduce", raw, t0, list(result.warnings)),
     }
@@ -217,6 +218,7 @@ def _report_payload(report: DesignReport, zeta: float, notes: list[str],
             "den": list(red.reduced.den.coeffs),
             "residual_epsilon": red.residual_epsilon,
             "chosen_n": red.chosen_n,
+            "step_ise": red.step_ise,
         }
     return {
         "method": report.method,

@@ -155,6 +155,7 @@ def _design(model: DerivedDriveModel, zeta: float | None,
         if cfg.target_order != 2:
             raise BadOrder("gain design needs a reduction to order 2")
         red = reduce(model.loop_gain_design, cfg)
+        red.residual_epsilon  # reported: refuse inf or nan before the solve
         den, num = red.reduced.den, red.reduced.num
 
     k = solve_damping_gain(den, num, z)

@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .poly_tf import (
-    RESIDUAL_GRID,
     Polynomial,
     StabilityFactorization,
     TransferFunction,
@@ -46,6 +45,10 @@ _MATCH_CHECK_REL = 1e-9
 # All are built and ranked; the re-check squares them in rank order,
 # about 50 us each, and stops at the first that passes.
 MAX_MATCH_CANDIDATES = 4096
+
+# Log grid of the reported squared-magnitude residual: 60 points/decade
+# over 1e-1..1e4 rad/s.
+RESIDUAL_GRID = np.logspace(-1.0, 4.0, 60 * 5 + 1)
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,27 @@ class ReductionConfig:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Reduced model plus the diagnostics behind it."""
+    """Reduced model plus the diagnostics behind it: ``original`` is the
+    full model reduced, ``step_ise`` the auto scan's score of the chosen
+    percent (None in the other modes or when every percent failed)."""
 
     reduced: TransferFunction
+    original: TransferFunction
     factorization: StabilityFactorization
     matched_conditions: tuple[tuple[float, float], ...]
-    residual_epsilon: float
     chosen_n: float | None
+    step_ise: float | None = None
     warnings: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def residual_epsilon(self) -> float:
+        """``residual_epsilon(self.original, self.reduced)``, found on
+        first read and kept like ``Polynomial.roots``; a value that is
+        not finite raises ``NumericError`` on every read."""
+        eps = residual_epsilon(self.original, self.reduced)
+        if not math.isfinite(eps):
+            raise NumericError(f"residual epsilon of the reduced model is {eps}")
+        return eps
 
 
 def reduce_denominator(den: Polynomial, r: int) -> Polynomial:
@@ -140,15 +156,14 @@ def _adjusted(coeffs: tuple[float, ...], n: float | np.ndarray) -> np.ndarray:
 
 
 def residual_epsilon(g: TransferFunction, gr: TransferFunction) -> float:
-    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |; the values of g and of
-    gr.den, which every numerator order at one r shares, come from their
-    caches.  The complex ratio (N_g D_r) / (D_g N_r) is formed first, so
+    """max over RESIDUAL_GRID of | |G/Gr|^2 - 1 |, which only a report
+    reads.  The complex ratio (N_g D_r) / (D_g N_r) is formed first, so
     no factor is squared on its own and overflows; a value that
-    overflows anyway, filling a cache too, gives inf or nan."""
+    overflows anyway gives inf or nan."""
+    s = 1j * RESIDUAL_GRID
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ng_dr = g.num.on_residual_grid * gr.den.on_residual_grid
-        nr = poly_eval(gr.num, 1j * RESIDUAL_GRID)
-        ratio = np.abs(ng_dr / (g.den.on_residual_grid * nr)) ** 2
+        ng_dr = poly_eval(g.num, s) * poly_eval(gr.den, s)
+        ratio = np.abs(ng_dr / (poly_eval(g.den, s) * poly_eval(gr.num, s))) ** 2
     return float(np.max(np.abs(ratio - 1.0)))
 
 
@@ -263,7 +278,8 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
     All percents are scored at once by the exact step-error ISE over
     5 x the slowest time constant of the full model (``step_ise``, no
     time grid).  Unstable candidates and non-finite or negative scores
-    are rejected; ties go to the smaller percent.
+    are rejected; ties go to the smaller percent.  Returns the percent,
+    the denominator, its score and the warnings.
     """
     lo, hi, step = cfg.auto_grid
     grid = np.arange(lo, hi + step / 2.0, step)
@@ -273,10 +289,10 @@ def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,
         scores = step_ise(g, n_r.scaled(k).coeffs, dens)
     ok = np.isfinite(scores) & (scores >= 0.0)
     if not np.any(ok):
-        return None, d_r, ("auto adjustment failed for every percent; "
-                           "returning the unadjusted denominator",)
+        return None, d_r, None, ("auto adjustment failed for every percent; "
+                                 "returning the unadjusted denominator",)
     best = int(np.argmin(np.where(ok, scores, np.inf)))
-    return float(grid[best]), Polynomial(dens[best]), ()
+    return float(grid[best]), Polynomial(dens[best]), float(scores[best]), ()
 
 
 def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
@@ -286,8 +302,8 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
     numerator, optionally applies the percent adjustment, and restores
     the gain, so the reduced model keeps the original DC gain exactly.
     A target order equal to the input degree keeps the denominator
-    unchanged (identity reduction).  A reduced model whose residual
-    epsilon is not finite is refused with ``NumericError``.
+    unchanged (identity reduction).  The residual epsilon is not
+    computed here but when the result's ``residual_epsilon`` is read.
     """
     g_hat = g.dc_normalized
     k = dc_gain(g)
@@ -300,18 +316,16 @@ def reduce(g: TransferFunction, cfg: ReductionConfig) -> ReductionResult:
     n_r, pairs = _match(g_hat, d_r, cfg.q)
 
     chosen_n: float | None = None
+    score: float | None = None
     notes: tuple[str, ...] = ()
     d_final = d_r
     if cfg.adjust_mode == "fixed":
         d_final = adjust_denominator(d_r, cfg.adjust_percent)
         chosen_n = cfg.adjust_percent
     elif cfg.adjust_mode == "auto":
-        chosen_n, d_final, notes = _auto_adjust(g, k, n_r, d_r, cfg)
+        chosen_n, d_final, score, notes = _auto_adjust(g, k, n_r, d_r, cfg)
 
-    reduced = TransferFunction(n_r.scaled(k), d_final)
-    eps = residual_epsilon(g, reduced)
-    if not math.isfinite(eps):
-        raise NumericError(f"residual epsilon of the reduced model is {eps}")
-    return ReductionResult(reduced=reduced, factorization=fact,
-                           matched_conditions=pairs, residual_epsilon=eps,
-                           chosen_n=chosen_n, warnings=notes)
+    return ReductionResult(reduced=TransferFunction(n_r.scaled(k), d_final),
+                           original=g, factorization=fact,
+                           matched_conditions=pairs, chosen_n=chosen_n,
+                           step_ise=score, warnings=notes)

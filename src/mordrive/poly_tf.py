@@ -5,12 +5,12 @@ package: ``coeffs[i]`` multiplies ``s**i``.  All values are immutable
 after construction and every operation is a pure function, so the types
 are safe to share between threads.  ``Polynomial.roots``,
 ``Polynomial.factorization``, ``Polynomial.reduced_orders`` (the
-per-order reduced denominators), ``Polynomial.on_residual_grid`` and
-``TransferFunction.dc_normalized`` are pure caches filled on first use,
-kept on the object itself and never keyed by value, so a race at worst
-computes one twice.  ``poly_roots`` and ``poly_eval``
-are the one-row cases of the stacked kernels ``_roots_of_rows`` (the one
-eigensolve, which a gain sweep and the auto scan call) and ``_horner``.
+per-order reduced denominators) and ``TransferFunction.dc_normalized``
+are pure caches filled on first use, kept on the object itself and never
+keyed by value, so a race at worst computes one twice.  ``poly_roots``
+and ``poly_eval`` are the one-row cases of the stacked kernels
+``_roots_of_rows`` (the one eigensolve, which a gain sweep and the auto
+scan call) and ``_horner``.
 """
 from __future__ import annotations
 
@@ -42,10 +42,6 @@ _EIG_UNSCALED = (2.0 ** -459, 2.0 ** 459)
 # Imaginary parts below this (relative) size count as zero when a real
 # root is required.
 _REAL_IMAG_TOL = 1e-8
-
-# Log grid of the reported squared-magnitude residual: 60 points/decade
-# over 1e-1..1e4 rad/s.
-RESIDUAL_GRID = np.logspace(-1.0, 4.0, 60 * 5 + 1)
 
 
 @dataclass(frozen=True)
@@ -86,15 +82,6 @@ class Polynomial:
         """Order r -> ``mor_engine.reduce_denominator(self, r)``, which
         fills it on success, so each order is built once per object."""
         return {}
-
-    @functools.cached_property
-    def on_residual_grid(self) -> np.ndarray:
-        """Values at s = 1j * RESIDUAL_GRID, read-only and kept like
-        ``roots``, so a denominator shared by several reductions is
-        evaluated there once."""
-        values = poly_eval(self, 1j * RESIDUAL_GRID)
-        values.flags.writeable = False
-        return values
 
     @property
     def is_zero(self) -> bool:

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import mordrive
-from mordrive.cli import main, read_tf_file
-from mordrive.controller_design import sweep_gain
+from mordrive.cli import _report_payload, main, read_tf_file
+from mordrive.controller_design import design_via_mor, sweep_gain
 from mordrive.drive_model import derive_model, worked_example_params
 from mordrive.errors import NoPositiveGain
+from mordrive.mor_engine import ReductionConfig, reduce
 from mordrive.poly_tf import TransferFunction
 from mordrive.sim_analysis import bode, step_response
 
@@ -141,6 +142,33 @@ class TestReduceCommand:
             assert report["diagnostics"]["chosen_n"] is not None, name
             assert report["manifest"]["warnings"] == [], name
 
+    def test_auto_reports_the_winning_step_ise(self, loop_file, tmp_path):
+        out = tmp_path / "auto.json"
+        assert main(["reduce", "--tf", loop_file, "--order", "2",
+                     "--adjust", "auto", "--out", str(out)]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        g, _ = read_tf_file(loop_file)
+        res = reduce(g, ReductionConfig(target_order=2, adjust_mode="auto"))
+        assert diag["chosen_n"] == res.chosen_n
+        assert diag["step_ise"] == res.step_ise and res.step_ise > 0.0
+        assert main(["reduce", "--tf", loop_file, "--order", "2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["step_ise"] is None
+
+    def test_overflowing_residual_exits_3_and_writes_nothing(self, tmp_path,
+                                                             capsys):
+        # |G / Gr|^2 passes the float maximum on the residual grid
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"num": [1.0, 1e200],
+                                    "den": [1.0, 1.1, 0.101, 0.001]}))
+        out = tmp_path / "red.json"
+        code = main(["reduce", "--tf", str(path), "--order", "2",
+                     "--numerator-order", "0", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: NumericError: residual epsilon of the reduced model is inf\n")
+        assert not out.exists()
+
 
 class TestDesignCommand:
     def test_conventional_report(self, motor_file, tmp_path):
@@ -191,6 +219,17 @@ class TestDesignCommand:
         report = json.loads(out.read_text())
         assert report["K"] == pytest.approx(2.49, rel=1e-2, abs=0.0)
         assert report["reduced"] is not None
+
+    def test_report_carries_the_auto_step_ise(self, model):
+        # the CLI designs unadjusted; a library auto design reports its score
+        cfg = ReductionConfig(target_order=2, numerator_order=0,
+                              adjust_mode="auto")
+        report = design_via_mor(model, cfg=cfg)
+        red = report.reduced_model
+        payload = _report_payload(report, 0.707, [], b"", 0.0, [])
+        assert red.step_ise is not None
+        assert payload["reduced"]["step_ise"] == red.step_ise
+        assert payload["reduced"]["chosen_n"] == red.chosen_n
 
     def test_mor_manifest_carries_reduction_warnings(self, motor_file, tmp_path,
                                                      monkeypatch):

@@ -52,10 +52,10 @@ class TestDeriveModelGolden:
         disc = math.sqrt(b * b - 4.0 * a * c)
         slow = (-b + disc) / (2.0 * a)
         fast = (-b - disc) / (2.0 * a)
-        assert slow == pytest.approx(-9.28, rel=5e-3)
-        assert fast == pytest.approx(-47.7, rel=5e-3)
-        assert model.T1 == pytest.approx(-1.0 / slow, rel=1e-9)
-        assert model.T2 == pytest.approx(-1.0 / fast, rel=1e-9)
+        assert slow == pytest.approx(-9.28, rel=5e-3, abs=0.0)
+        assert fast == pytest.approx(-47.7, rel=5e-3, abs=0.0)
+        assert model.T1 == pytest.approx(-1.0 / slow, rel=1e-9, abs=0.0)
+        assert model.T2 == pytest.approx(-1.0 / fast, rel=1e-9, abs=0.0)
 
 
 class TestDerivedTransferFunctions:
@@ -81,7 +81,7 @@ class TestDerivedTransferFunctions:
     def test_full_loop_gain_factor(self, model):
         p = model.params
         g0 = model.K1 * model.Kr * model.Hc / p.tc_s
-        assert model.loop_gain_full.num.coeffs[0] == pytest.approx(g0, rel=1e-12)
+        assert model.loop_gain_full.num.coeffs[0] == pytest.approx(g0, rel=1e-12, abs=0.0)
 
 
 class TestGainConversions:
@@ -93,11 +93,11 @@ class TestGainConversions:
         k = 39.053
         kc = kc_from_K(model, k)
         k_back = kc * model.K1 * model.Hc * model.Kr * model.Tm / model.params.tc_s
-        assert k_back == pytest.approx(k, rel=1e-12)
+        assert k_back == pytest.approx(k, rel=1e-12, abs=0.0)
 
     def test_unit_controller_round_trip(self, model):
         k_unit = model.K1 * model.Hc * model.Kr * model.Tm / model.params.tc_s
-        assert kc_from_K(model, k_unit) == pytest.approx(1.0, rel=1e-12)
+        assert kc_from_K(model, k_unit) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [0.0, math.inf, math.nan])
     def test_kc_refused_unless_positive_and_finite(self, model, k):
@@ -108,7 +108,7 @@ class TestGainConversions:
         # the study quotes Kc = 35.719 for K = 357.192, but the stated
         # formula gives about 31; the mismatch is documented, not patched
         kc = kc_from_K(model, 357.192)
-        assert kc == pytest.approx(31.0, rel=5e-3)
+        assert kc == pytest.approx(31.0, rel=5e-3, abs=0.0)
         assert abs(kc - 35.719) / 35.719 > 0.10
 
 

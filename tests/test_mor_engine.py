@@ -424,8 +424,13 @@ class TestReducePipeline:
         g = TransferFunction(Polynomial([1.0, 1e200]), den)
         gr = TransferFunction(Polynomial([1.0]), reduce_denominator(den, 2))
         assert residual_epsilon(g, gr) == math.inf
-        with pytest.raises(NumericError, match="residual epsilon"):
-            reduce(g, ReductionConfig(target_order=2, numerator_order=0))
+        # reduce does not compute the residual; reading it refuses, each time
+        res = reduce(g, ReductionConfig(target_order=2, numerator_order=0))
+        assert res.reduced.den == gr.den
+        for _ in range(2):
+            with pytest.raises(NumericError,
+                               match="^residual epsilon of the reduced model is inf$"):
+                res.residual_epsilon
 
     def test_unstable_input_rejected(self):
         g = TransferFunction(Polynomial([1.0]), Polynomial([1.0, -1.0]))
@@ -571,6 +576,26 @@ class TestReducePipeline:
             else:
                 assert res.warnings == ()
 
+    @pytest.mark.parametrize("loop", ["design", "benchmark"])
+    def test_auto_reports_the_score_that_chose_it(self, bench_loop, model, loop):
+        g = model.loop_gain_design if loop == "design" else bench_loop
+        cfg = ReductionConfig(target_order=2, numerator_order=1,
+                              adjust_mode="auto")
+        res = reduce(g, cfg)
+        # the scan's own row at the winning percent, bit for bit
+        lo, hi, step = cfg.auto_grid
+        grid = list(np.arange(lo, hi + step / 2.0, step))
+        d_r = reduce_denominator(g.dc_normalized.den, 2)
+        dens = np.array([adjust_denominator(d_r, n).coeffs for n in grid])
+        scores = sim_analysis.step_ise(g, res.reduced.num.coeffs, dens)
+        best = grid.index(res.chosen_n)
+        assert res.step_ise.hex() == float(scores[best]).hex()
+        assert int(np.nanargmin(scores)) == best
+        for other in (dict(adjust_mode="none"),
+                      dict(adjust_mode="fixed", adjust_percent=5.0)):
+            assert reduce(g, ReductionConfig(target_order=2, numerator_order=1,
+                                             **other)).step_ise is None
+
     def test_auto_degree_40_picks_fine_trapezoid_minimum(self):
         den = np.real(np.poly(-np.geomspace(1.0, 3.0, 40)))[::-1]
         g = TransferFunction(Polynomial([1.0, 0.1]), Polynomial(den / den[0]))
@@ -701,14 +726,15 @@ class TestFactorizationReuse:
                              _random_stable_den(rng, 7).scaled(3.0))
         done = self._sweep_orders(g)
         assert len(done) > 10
-        g_hat = g.dc_normalized
-        # the model's num and den once each; matching never reads the
-        # grid, so the DC-normalized num and den are not evaluated
-        for p, times in ((g.num, 1), (g.den, 1), (g_hat.num, 0), (g_hat.den, 0)):
-            assert sum(1 for e in evaluated if e is p) == times
-        # each unadjusted reduced denominator once, for the final residual
+        # reduce evaluates nothing on the grid: the residual is left unread
+        assert evaluated == []
+        # a read evaluates the four polynomials once; a second read, none
         for res in done:
-            assert sum(1 for e in evaluated if e is res.reduced.den) == 1
+            eps = res.residual_epsilon
+            assert res.residual_epsilon == eps
+            assert [id(p) for p in evaluated] == [
+                id(p) for p in (g.num, res.reduced.den, g.den, res.reduced.num)]
+            evaluated.clear()
 
     def test_numerator_orders_share_one_reduced_denominator(self):
         rng = np.random.default_rng(8)
@@ -736,15 +762,12 @@ class TestFactorizationReuse:
             twin_den = reduce(twin, ReductionConfig(target_order=r,
                                                     numerator_order=0)).reduced.den
             assert twin_den is not d_r and twin_den == d_r
-            assert twin_den.on_residual_grid is not d_r.on_residual_grid
         assert shared >= 3
         # equal coefficients share no cache: each is kept on its own object
         g_hat, twin_hat = g.dc_normalized, twin.dc_normalized
         assert twin_hat is not g_hat
         assert twin_hat.den.factorization is not g_hat.den.factorization
         assert twin_hat.den.reduced_orders is not g_hat.den.reduced_orders
-        for p, q in ((g.num, twin.num), (g.den, twin.den)):
-            assert q.on_residual_grid is not p.on_residual_grid
 
     def test_constant_numerator_builds_no_spectral_square(self, bench_loop,
                                                          squared):

@@ -414,8 +414,8 @@ class TestEvenOddFactor:
         assert f.e0 == 1.0
         assert f.e1 == pytest.approx(0.12988, rel=1e-12, abs=0.0)
         assert len(f.z_sq) == 1 and len(f.p_sq) == 1
-        assert f.z_sq[0] == pytest.approx(1.0 / 0.00241749, rel=1e-3)
-        assert f.p_sq[0] == pytest.approx(0.12988 / 3.0914208e-06, rel=1e-3)
+        assert f.z_sq[0] == pytest.approx(1.0 / 0.00241749, rel=1e-3, abs=0.0)
+        assert f.p_sq[0] == pytest.approx(0.12988 / 3.0914208e-06, rel=1e-3, abs=0.0)
         assert f.z_sq[0] < f.p_sq[0]
 
     def test_double_real_root(self):
@@ -571,7 +571,7 @@ class TestSpectralSquare:
             for w in omega:
                 lhs = abs(poly_eval(p, 1j * w)) ** 2
                 rhs = poly_eval(ss, -w * w).real
-                assert rhs == pytest.approx(lhs, rel=1e-10)
+                assert rhs == pytest.approx(lhs, rel=1e-10, abs=0.0)
 
 
 class TestDcGain:
