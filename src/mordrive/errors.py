@@ -47,9 +47,10 @@ class BadOrder(ValidationError):
 
 
 class MatchInfeasible(NumericError):
-    """Magnitude-matching conditions admit no real numerator."""
+    """Magnitude-matching conditions admit no real numerator: the matched
+    series has a negative root u = b^2, which ``discriminant`` holds."""
 
-    def __init__(self, message: str, discriminant: float | None = None):
+    def __init__(self, message: str, discriminant: float):
         super().__init__(message)
         self.discriminant = discriminant
 

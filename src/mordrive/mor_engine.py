@@ -38,13 +38,17 @@ from .poly_tf import (
 )
 from .sim_analysis import step_ise
 
-_MATCH_CHECK_REL = 1e-9
-
 # Largest number of candidate numerators one match may build: one per
 # choice of sign of each nonzero root of the matched spectral series.
-# All are built and ranked; the re-check squares them in rank order,
-# about 50 us each, and stops at the first that passes.
+# All are built and ranked, and only the top-ranked one is squared.
 MAX_MATCH_CANDIDATES = 4096
+
+# Most percents an auto grid may hold.  step_ise scores them all in one
+# stack, at a peak of 14 KiB per percent for the benchmark loop (r = 2)
+# and 617 KiB for a degree-20 lag chain reduced to r = 19, so 300
+# percents take about 4 MiB and 181 MiB; a 0.05-percent step over the
+# whole 1-15 range (281 percents) fits.
+MAX_AUTO_PERCENTS = 300
 
 # Log grid of the reported squared-magnitude residual: 60 points/decade
 # over 1e-1..1e4 rad/s.
@@ -57,8 +61,9 @@ class ReductionConfig:
 
     ``numerator_order`` defaults to ``target_order - 1``.  The adjust
     mode is one of ``none``, ``fixed`` (with ``adjust_percent``) or
-    ``auto``, which scans ``auto_grid`` (start, stop, step percents)
-    for the step-response ISE minimizer.
+    ``auto``, which scans ``auto_grid`` (start, stop, step percents,
+    at most ``MAX_AUTO_PERCENTS`` of them) for the step-response ISE
+    minimizer.  Orders must be integers.
     """
 
     target_order: int
@@ -68,6 +73,9 @@ class ReductionConfig:
     auto_grid: tuple[float, float, float] = (1.0, 15.0, 0.5)
 
     def __post_init__(self):
+        if not (isinstance(self.target_order, (int, np.integer))
+                and isinstance(self.q, (int, np.integer))):
+            raise BadOrder("target and numerator orders must be integers")
         if self.target_order < 1:
             raise BadOrder("target order must be >= 1")
         if self.numerator_order is not None:
@@ -81,6 +89,12 @@ class ReductionConfig:
         lo, hi, step = self.auto_grid
         if not (1.0 <= lo <= hi <= 15.0 and step > 0.0):
             raise ValidationError("auto grid must stay within [1, 15] percent")
+        # the length of _auto_adjust's arange is the ceiling of this ratio
+        if not (math.isfinite(step)
+                and 0.0 < (hi + step / 2.0 - lo) / step <= MAX_AUTO_PERCENTS):
+            raise ValidationError(
+                f"auto grid step {step} must be finite and give 1 to "
+                f"{MAX_AUTO_PERCENTS} percents")
 
     @property
     def q(self) -> int:
@@ -227,11 +241,12 @@ def match_numerator(g: TransferFunction, d_r: Polynomial, q: int) -> Polynomial:
     found from the roots of the matched spectral series (Chen, Chang &
     Han, 1979), one per choice of sign of each root; more than
     ``MAX_MATCH_CANDIDATES`` of them are refused with ``BadOrder``.  All
-    give the same |N(jw)|^2, so they are ranked: first the one whose
-    coefficients agree in sign with the original numerator most often,
-    then the one with the largest coefficients, compared from the lowest
-    power up.  They are re-checked in that order, and the first to pass
-    wins.
+    meet the q conditions exactly and give the same |N(jw)|^2, so the
+    ranking decides: first the one whose coefficients agree in sign with
+    the original numerator most often, then the one with the largest
+    coefficients, compared from the lowest power up.  The top-ranked one
+    is returned; ``MatchInfeasible`` means a negative root, for which no
+    real numerator exists.
     """
     return _match(g, d_r, q)[0]
 
@@ -248,27 +263,18 @@ def _match(g: TransferFunction, d_r: Polynomial, q: int
         return Polynomial([1.0]), ()
 
     big_l = spectral_square_head(poly_mul(g.num, d_r), q)
-    candidates = [Polynomial(functools.reduce(np.convolve, choice, np.ones(1)))
-                  for choice in itertools.product(*_root_factors(g, d_r, big_l, q))]
     # most powers 1..q agreeing in sign with g.num first, then largest
     # coefficients from the lowest power up; ties keep the built order
     signs = [math.copysign(1.0, c) if c != 0.0 else 0.0
              for c in g.num.coeffs[1:q + 1]]
-    gaps = []
-    for n_r in sorted(candidates, key=lambda n_r: (
-            -sum(c != 0.0 and math.copysign(1.0, c) == s
-                 for c, s in zip(n_r.coeffs[1:], signs)),
-            tuple(-c for c in n_r.coeffs))):
-        big_m = spectral_square_head(poly_mul(g.den, n_r), q)
-        pairs = tuple(zip(big_l[1:], big_m[1:]))
-        if all(abs(lv - mv) <= _MATCH_CHECK_REL * (1.0 + abs(lv))
-               for lv, mv in pairs):
-            return n_r, pairs
-        gaps.append(max(abs(lv - mv) / (1.0 + abs(lv)) for lv, mv in pairs))
-    raise MatchInfeasible(
-        f"none of {len(candidates)} candidate numerators (q = {q}, "
-        f"r = {d_r.degree}) passed the matching re-check; smallest "
-        f"relative gap {min(gaps):.3e}")
+    n_r = min((Polynomial(functools.reduce(np.convolve, choice, np.ones(1)))
+               for choice in itertools.product(*_root_factors(g, d_r, big_l, q))),
+              key=lambda n_r: (
+                  -sum(c != 0.0 and math.copysign(1.0, c) == s
+                       for c, s in zip(n_r.coeffs[1:], signs)),
+                  tuple(-c for c in n_r.coeffs)))
+    big_m = spectral_square_head(poly_mul(g.den, n_r), q)
+    return n_r, tuple(zip(big_l[1:], big_m[1:]))
 
 
 def _auto_adjust(g: TransferFunction, k: float, n_r: Polynomial,

@@ -9,16 +9,20 @@ which has no upper limit; auto also at order 2, the design order),
 nameplates go through ``sweep``, at moderate gains and from log-uniform
 gains up to the float maximum, and extreme nameplates, each field but
 zeta scaled by up to 1e+-300, through both ``design`` routes.  Each
-success must give finite numbers, and a reduction must keep the DC gain.
+success must give finite numbers, and a reduction must keep the DC gain;
+a reduction that exits 3 must name a numeric failure or a negative root
+of the matched series.
 """
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
+from mordrive import errors
 from mordrive.cli import main
 from mordrive.drive_model import worked_example_params
 
@@ -113,12 +117,12 @@ def _extreme_nameplates() -> list[dict]:
 NAMEPLATES = _extreme_nameplates()
 
 
-def _run(argv: list[str], capsys) -> int:
+def _run(argv: list[str], capsys) -> tuple[int, str]:
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, code, err)
     assert "internal error" not in err, (argv, err)
-    return code
+    return code, err
 
 
 def _tf_file(tmp_path, i: int, m: dict) -> str:
@@ -152,12 +156,21 @@ def test_reduce(tmp_path, capsys, adjust):
             orders.append(2)  # the design order: the candidates are quadratics
         for order in orders:
             out = tmp_path / f"red{i}_{order}.json"
-            code = _run(["reduce", "--tf", tf, "--order", str(order),
-                         "--adjust", adjust, "--out", str(out)], capsys)
+            code, err = _run(["reduce", "--tf", tf, "--order", str(order),
+                              "--adjust", adjust, "--out", str(out)], capsys)
             codes.append((order >= 4, code))
             # every numerator order is matched, so an order of 4 or more
             # ends in a model or a numeric failure, not an input error
             assert order < 4 or code in (0, 3), (i, order, code)
+            if code == 3:
+                # the method's answer: a numeric failure, or a negative
+                # root u of the matched series
+                name, message = re.search(r"^error: (\w+): (.*)$", err,
+                                          re.M).groups()
+                assert issubclass(getattr(errors, name), errors.NumericError), err
+                if name == "MatchInfeasible":
+                    root = re.search(r"= (\S+) < 0$", message)
+                    assert root and float(root[1]) < 0.0, err
             if code != 0:
                 assert not out.exists()
                 continue
@@ -177,9 +190,9 @@ def test_simulate_step_on_a_short_grid(tmp_path, capsys):
     for i, m in enumerate(MODELS):
         t_final = 5.0 / min(abs(p) for p in m["poles"])
         out = tmp_path / f"step{i}.csv"
-        code = _run(["simulate", "step", "--tf", _tf_file(tmp_path, i, m),
-                     "--out", str(out), "--t-final", repr(t_final),
-                     "--dt", repr(t_final / 400.0)], capsys)
+        code, _ = _run(["simulate", "step", "--tf", _tf_file(tmp_path, i, m),
+                        "--out", str(out), "--t-final", repr(t_final),
+                        "--dt", repr(t_final / 400.0)], capsys)
         if code == 0:
             ok += 1
             rows = _read_csv(out)
@@ -191,9 +204,9 @@ def test_simulate_step_on_a_short_grid(tmp_path, capsys):
 def test_simulate_bode(tmp_path, capsys):
     for i, m in enumerate(MODELS):
         out = tmp_path / f"bode{i}.csv"
-        code = _run(["simulate", "bode", "--tf", _tf_file(tmp_path, i, m),
-                     "--out", str(out), "--w-min", "1e-8", "--w-max", "1e5",
-                     "--ppd", "10"], capsys)
+        code, _ = _run(["simulate", "bode", "--tf", _tf_file(tmp_path, i, m),
+                        "--out", str(out), "--w-min", "1e-8", "--w-max", "1e5",
+                        "--ppd", "10"], capsys)
         assert code == 0, i
         rows = _read_csv(out)
         assert len(rows) == 131
@@ -221,9 +234,9 @@ def test_sweep_on_random_nameplates(tmp_path, capsys):
             kc_min = float(10.0 ** rng.uniform(-3.0, 308.0))
             kc_max = sys.float_info.max
         out = tmp_path / f"sweep{i}.csv"
-        code = _run(["sweep", "--motor", str(motor), "--kc-min", repr(kc_min),
-                     "--kc-max", repr(kc_max), "--steps", "4",
-                     "--out", str(out)], capsys)
+        code, _ = _run(["sweep", "--motor", str(motor), "--kc-min", repr(kc_min),
+                        "--kc-max", repr(kc_max), "--steps", "4",
+                        "--out", str(out)], capsys)
         if code == 0:
             ok += 1
             rows = _read_csv(out)
@@ -250,8 +263,8 @@ def test_design_places_poles_whose_product_overflows(tmp_path, capsys):
     motor = tmp_path / "motor.json"
     motor.write_text(json.dumps(NAMEPLATES[12]))
     out = tmp_path / "design.json"
-    code = _run(["design", "--motor", str(motor), "--method", "conventional",
-                 "--report", str(out)], capsys)
+    code, _ = _run(["design", "--motor", str(motor), "--method", "conventional",
+                    "--report", str(out)], capsys)
     assert code == 0
     report = json.loads(out.read_text())
     assert 1e154 < report["natural_frequency_rad_s"] < math.inf
@@ -310,8 +323,8 @@ def test_design_on_extreme_nameplates(tmp_path, capsys, method):
         motor = tmp_path / f"motor{i}.json"
         motor.write_text(json.dumps(params))
         out = tmp_path / f"design{i}.json"
-        code = _run(["design", "--motor", str(motor), "--method", *method,
-                     "--report", str(out)], capsys)
+        code, _ = _run(["design", "--motor", str(motor), "--method", *method,
+                        "--report", str(out)], capsys)
         if code != 0:
             continue
         ok += 1
