@@ -10,7 +10,8 @@ are pure caches filled on first use, kept on the object itself and never
 keyed by value, so a race at worst computes one twice.  ``poly_roots``
 and ``poly_eval`` are the one-row cases of the stacked kernels
 ``_roots_of_rows`` (the one eigensolve, which a gain sweep and the auto
-scan call) and ``_horner``.
+scan call) and ``_horner``; a degree-1 root in LAPACK's unscaled range
+is -c0 / c1, the kernel's own 1 x 1 eigenvalue, found without the kernel.
 """
 from __future__ import annotations
 
@@ -126,9 +127,16 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def poly_roots(p: Polynomial) -> list[complex]:
     """All complex roots, sorted by ascending (real, imag), each with
     ``|p(root)| <= max(1e-10 * max|coeff|, 4 n eps sum|c_i||root|^i)``,
-    or ``NonConvergence``: ``_roots_of_rows`` on one row."""
+    or ``NonConvergence``: ``_roots_of_rows`` on one row.  A degree-1
+    root -c0 / c1 inside LAPACK's unscaled range is that kernel's 1 x 1
+    companion eigenvalue, whose residual is within 2 eps |c0|, so it is
+    returned without the kernel."""
     if p.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
+    if p.degree == 1:
+        top = -p.coeffs[0] / p.coeffs[1]
+        if _EIG_UNSCALED[0] <= abs(top) <= _EIG_UNSCALED[1]:
+            return [complex(top)]
     z, failures = _roots_of_rows(np.array([p.coeffs]))
     if failures[0] is not None:
         raise NonConvergence(failures[0])
@@ -142,7 +150,8 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
 
     The roots are ``np.roots``' bit for bit, from one companion
     eigensolve per count of zero constant terms (row by row if it fails
-    on finite matrices; a 1 x 1 companion's eigenvalue is its entry), but
+    on finite matrices; a 1 x 1 companion's eigenvalue is its entry,
+    which ``poly_roots`` forms itself for a degree-1 row in range), but
     a root over the residual bound gets one Newton step, kept where it
     leaves a finite, lower residual.  A finite row whose companion
     entries c_i / c_n overflow, where ``np.roots`` fails, is solved as

@@ -164,7 +164,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     Each matrix X is A scaled by its own 2^-s to 1-norm at most theta_16
     (Al-Mohy & Higham 2011, Table 3.1), T_16(X) = B_0 + X^4 (B_1 + X^4
     (B_2 + X^4 B_3)) is evaluated in seven products and no solve (Paterson
-    & Stockmeyer 1973), and the result is squared s times.
+    & Stockmeyer 1973), and the result is squared s times: the whole
+    stack at each squaring every matrix takes, a select only past the
+    least s.
     """
     s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA16)[1], 0)
     n = a.shape[-1]
@@ -178,8 +180,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for j in (2, 1, 0):
         b[j] += x[3] @ b[j + 1]
     r = b[0]
-    for k in range(int(np.max(s, initial=0))):
-        r = np.where((k < s)[..., None, None], r @ r, r)
+    squarings = np.ravel(s).tolist()
+    uniform = min(squarings, default=0)
+    for k in range(max(squarings, default=0)):
+        if k < uniform:
+            r = r @ r
+        else:
+            r = np.where((k < s)[..., None, None], r @ r, r)
     return r
 
 
@@ -202,7 +209,7 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles):
     beta[..., :num.shape[-1]] = num / lead
     d = beta[..., n]
     a = np.zeros(den.shape[:-1] + (n, n))
-    a[..., range(n - 1), range(1, n)] = 1.0
+    a.reshape(a.shape[:-2] + (n * n,))[..., 1::n + 1] = 1.0  # superdiagonal
     a[..., n - 1:, :] = -alpha[..., None, :]
     c = beta[..., :n] - d[..., None] * alpha
     mags = np.sort(np.abs(poles), axis=-1)

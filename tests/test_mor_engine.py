@@ -561,6 +561,27 @@ class TestReducePipeline:
         assert all(Path(f).parts[-2:] == ("mordrive", "poly_tf.py")
                    for f in eigensolves), eigensolves
 
+    def test_degree_one_roots_run_no_root_kernel(self, bench_loop, monkeypatch):
+        # the cubic's even and odd parts and the q = 1 matching condition
+        # are degree 1: only the full denominator and the scan's stack
+        # reach the kernel
+        solved = []
+        kernel = poly_tf._roots_of_rows
+
+        def recording(coeffs):
+            solved.append(coeffs.shape)
+            return kernel(coeffs)
+
+        for module in (poly_tf, sim_analysis):
+            monkeypatch.setattr(module, "_roots_of_rows", recording)
+        for mode, want in (("auto", [(1, 4), (29, 3)]), ("none", [])):
+            g = TransferFunction(Polynomial(bench_loop.num.coeffs),
+                                 Polynomial(bench_loop.den.coeffs))
+            solved.clear()
+            reduce(g, ReductionConfig(target_order=2, numerator_order=1,
+                                      adjust_mode=mode))
+            assert solved == want, mode
+
     def test_exponentials_solve_nothing_one_per_scan(self, bench_loop, model,
                                                       monkeypatch):
         # an auto reduction, a step response and a sweep: one exponential

@@ -342,6 +342,91 @@ class TestStackedRoots:
             poly_roots(Polynomial([1e300, 1e300, 1e-300]))
 
 
+def _degree_one_outcome(p):
+    """``poly_roots(p)`` as root bits, or the ``NonConvergence`` message."""
+    try:
+        return [_bits([r.real, r.imag]) for r in poly_roots(p)]
+    except NonConvergence as exc:
+        return str(exc)
+
+
+class TestDegreeOneRoots:
+    """A degree-1 root in range is -c0 / c1 without the stacked kernel,
+    bit for bit what the kernel and ``np.roots`` give."""
+
+    LO, HI = poly_tf._EIG_UNSCALED
+
+    @classmethod
+    def _edge_rows(cls):
+        """(c0, c1), each with whether -c0 / c1 skips the kernel."""
+        lo, hi = cls.LO, cls.HI
+        return [
+            ((3.0, 2.0), True),
+            ((3.0, -2.0), True),   # c1 < 0
+            ((-0.5, -4.0), True),
+            ((hi, 1.0), True),     # |c0 / c1| = 2^459
+            ((lo, 1.0), True),     # = 2^-459
+            ((-hi, 1.0), True),
+            ((math.nextafter(hi, math.inf), 1.0), False),  # one ulp outside
+            ((math.nextafter(lo, 0.0), 1.0), False),
+            ((1e-300, 1e300), False),  # the ratio underflows to -0.0
+            ((0.0, 3.0), False),   # root +0j
+            ((0.0, -3.0), False),  # root +0j, where -c0 / c1 is -0.0
+        ]
+
+    def test_edges_are_the_kernels_and_numpys(self, monkeypatch):
+        kernel = poly_tf._roots_of_rows
+        calls = []
+        monkeypatch.setattr(poly_tf, "_roots_of_rows",
+                            lambda c: calls.append(c.shape) or kernel(c))
+        for (c0, c1), fast in self._edge_rows():
+            z, failures = kernel(np.array([[c0, c1]]))
+            assert failures == [None]
+            want = [_bits([w.real, w.imag]) for w in z[0]]
+            assert want == [_bits([w.real, w.imag]) for w in np.roots([c1, c0])]
+            calls.clear()
+            assert _degree_one_outcome(Polynomial([c0, c1])) == want
+            assert calls == ([] if fast else [(1, 2)]), (c0, c1)
+        zero = poly_roots(Polynomial([0.0, -3.0]))[0]
+        assert _bits([zero.real, zero.imag]) == _bits([0.0, 0.0])
+
+    def test_failures_keep_the_kernels_message(self):
+        nan, inf = math.nan, math.inf
+        rows = [(1e300, 1e-300),  # the ratio overflows: rebalanced, then fails
+                (nan, 1.0), (1.0, nan), (inf, 1.0), (-inf, 2.0), (1.0, inf)]
+        failed = 0
+        for c0, c1 in rows:
+            z, failures = poly_tf._roots_of_rows(np.array([[c0, c1]]))
+            got = _degree_one_outcome(Polynomial([c0, c1]))
+            if failures[0] is None:
+                assert got == [_bits([w.real, w.imag]) for w in z[0]]
+            else:
+                failed += 1
+                assert got == failures[0]
+        assert failed == 5
+        with pytest.raises(NonConvergence, match="non-finite"):
+            poly_roots(Polynomial([1e300, 1e-300]))
+
+    def test_random_magnitudes_are_the_kernels(self):
+        # c0 and c1 over the whole float range, subnormals included: the
+        # root -c0 / c1 never needs the kernel's residual step
+        rng = np.random.default_rng(3301)
+        e1 = rng.integers(-1074, 1020, 3000)
+        e0 = np.clip(e1 + rng.integers(-480, 480, 3000), -1074, 1020)
+        rows = np.ldexp(rng.uniform(-2.0, 2.0, size=(3000, 2)),
+                        np.stack([e0, e1], axis=1))
+        rows = rows[rows[:, 1] != 0.0]
+        fast = 0
+        for c0, c1 in rows.tolist():
+            z, failures = poly_tf._roots_of_rows(np.array([[c0, c1]]))
+            got = _degree_one_outcome(Polynomial([c0, c1]))
+            want = (failures[0] if failures[0] is not None
+                    else [_bits([w.real, w.imag]) for w in z[0]])
+            assert got == want, (c0, c1)
+            fast += self.LO <= abs(c0 / c1) <= self.HI
+        assert fast > 1000
+
+
 class TestRootsCache:
     @pytest.fixture()
     def calls(self, monkeypatch):

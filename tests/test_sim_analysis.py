@@ -511,6 +511,57 @@ class TestStepIse:
                 assert np.allclose(got[i], want, rtol=1e-10,
                                    atol=1e-12 * np.abs(want).max())
 
+    def test_expm_stack_is_each_matrix_alone(self, monkeypatch):
+        # 1-norms just under and over theta_16 2^3: a stack whose matrices
+        # all take 3 squarings squares whole, with no select; one whose
+        # counts run from 0 to 5 selects at every squaring past the least.
+        # Either way each matrix is its one-matrix call bit for bit.
+        rng = np.random.default_rng(3303)
+        unit = rng.normal(size=(6, 5, 5)) - 3.0 * np.eye(5)
+        unit /= np.abs(unit).sum(axis=-2).max(axis=-1)[:, None, None]
+        edge = _THETA16 * 2.0 ** 3
+        where = np.where
+        selects = []
+        for norms, want_selects in ((np.linspace(0.55, 0.999, 6), 0),
+                                    ([0.999, 1.001, 0.3, 2.1, 1.0, 0.05], 5)):
+            stack = unit * (edge * np.asarray(norms))[:, None, None]
+            selects.clear()
+            monkeypatch.setattr(np, "where",
+                                lambda *args: selects.append(1) or where(*args))
+            got = _expm(stack)
+            monkeypatch.undo()
+            assert len(selects) == want_selects
+            for i in range(len(stack)):
+                assert got[i].tobytes() == _expm(stack[i]).tobytes()
+                assert got[i].tobytes() == _expm(stack[i:i + 1])[0].tobytes()
+
+    def test_scaled_ccf_superdiagonal(self):
+        def reference(den, poles):
+            """``_scaled_ccf``'s A, its superdiagonal set index by index."""
+            n = den.shape[-1] - 1
+            a = np.zeros(den.shape[:-1] + (n, n))
+            for i in range(n - 1):
+                a[..., i, i + 1] = 1.0
+            a[..., n - 1:, :] = -(den[..., :-1] / den[..., -1:])[..., None, :]
+            mags = np.sort(np.abs(poles), axis=-1)
+            scale = np.ones(mags.shape)
+            np.cumprod(np.where(mags == 0.0, 1.0, mags)[..., :-1], axis=-1,
+                       out=scale[..., 1:])
+            return a * scale[..., None, :] / scale[..., :, None]
+
+        rng = np.random.default_rng(3304)
+        for n in (0, 1, 2, 7):
+            for lead in ((), (3, 2)):
+                den = rng.uniform(0.5, 2.0, size=lead + (n + 1,))
+                num = rng.uniform(0.5, 2.0, size=lead + (min(n, 2) + 1,))
+                poles = (rng.normal(size=lead + (n,))
+                         + 1j * rng.normal(size=lead + (n,))) * 10.0
+                if n:
+                    poles[..., 0] = 0.0  # a zero magnitude scales as 1
+                a = _scaled_ccf(num, den, poles)[0]
+                assert a.shape == lead + (n, n)
+                assert a.tobytes() == reference(den, poles).tobytes()
+
     def test_theta16_is_the_unit_roundoff_bound(self):
         # Al-Mohy & Higham (2011): the largest theta with sum over k > 16
         # of |c_k| theta^(k - 1) <= 2^-53, c_k the series coefficients of
