@@ -10,8 +10,8 @@ are pure caches filled on first use, kept on the object itself and never
 keyed by value, so a race at worst computes one twice.  ``poly_roots``
 and ``poly_eval`` are the one-row cases of the stacked kernels
 ``_roots_of_rows`` (the one eigensolve, which a gain sweep and the auto
-scan call) and ``_horner``; a degree-1 root in LAPACK's unscaled range
-is -c0 / c1, the kernel's own 1 x 1 eigenvalue, found without the kernel.
+scan call) and ``_horner``; ``poly_roots`` alone returns a degree-1 root
+in LAPACK's unscaled range as -c0 / c1, the 1 x 1 eigenvalue, without it.
 """
 from __future__ import annotations
 
@@ -150,12 +150,11 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
 
     The roots are ``np.roots``' bit for bit, from one companion
     eigensolve per count of zero constant terms (row by row if it fails
-    on finite matrices; a 1 x 1 companion's eigenvalue is its entry,
-    which ``poly_roots`` forms itself for a degree-1 row in range), but
-    a root over the residual bound gets one Newton step, kept where it
-    leaves a finite, lower residual.  A finite row whose companion
-    entries c_i / c_n overflow, where ``np.roots`` fails, is solved as
-    p(2^k u) instead, with 2^k about its largest root, and s = 2^k u.
+    on finite matrices), but a root over the residual bound gets one
+    Newton step, kept where it leaves a finite, lower residual.  A finite
+    row whose companion entries c_i / c_n overflow, where ``np.roots``
+    fails, is solved as p(2^k u) instead, with 2^k about its largest
+    root, and s = 2^k u.
     """
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     z = np.zeros((m, n), dtype=complex)
@@ -171,27 +170,24 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
             size = n - t
             desc = coeffs[rows, t:][:, ::-1]
             top = -desc[:, 1:] / desc[:, :1]  # the companion's first row
-            finite = np.isfinite(top).all(axis=1)
+            finite = np.isfinite(top).all(axis=1) & np.isfinite(desc[:, 0])
             scaled = []
             if not finite.all():
                 finite, scaled = _rebalance(desc, top, finite)
                 top[~finite] = 0.0  # solved as zeros and failed, not retried
                 for i in np.arange(m)[rows][~finite].tolist():
                     failures[i] = "companion eigenvalues failed: not finite"
-            if size == 1 and _eigvals_unscaled(top):
-                z[rows, 0] = top[:, 0]
-            else:
-                a = np.zeros((len(desc), size, size))
-                a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
-                a[:, 0, :] = top
-                try:
-                    z[rows, :size] = np.linalg.eigvals(a)
-                except np.linalg.LinAlgError:
-                    for j, i in enumerate(np.arange(m)[rows].tolist()):
-                        try:
-                            z[i, :size] = np.linalg.eigvals(a[j:j + 1])
-                        except np.linalg.LinAlgError as exc:
-                            failures[i] = f"companion eigenvalues failed: {exc}"
+            a = np.zeros((len(desc), size, size))
+            a.reshape(len(desc), -1)[:, size::size + 1] = 1.0  # subdiagonal
+            a[:, 0, :] = top
+            try:
+                z[rows, :size] = np.linalg.eigvals(a)
+            except np.linalg.LinAlgError:
+                for j, i in enumerate(np.arange(m)[rows].tolist()):
+                    try:
+                        z[i, :size] = np.linalg.eigvals(a[j:j + 1])
+                    except np.linalg.LinAlgError as exc:
+                        failures[i] = f"companion eigenvalues failed: {exc}"
             for j, k in scaled:  # s = 2^k u, exactly
                 u = z[np.arange(m)[rows][j]]  # a view
                 u.real, u.imag = np.ldexp(u.real, k), np.ldexp(u.imag, k)
@@ -225,14 +221,6 @@ def _roots_of_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
         if any(failures):
             z[[why is not None for why in failures]] = np.nan
     return z, failures
-
-
-def _eigvals_unscaled(top: np.ndarray) -> bool:
-    """Whether every nonzero entry of ``top`` lies where LAPACK leaves a
-    matrix unscaled."""
-    mag = np.abs(top)
-    lo, hi = _EIG_UNSCALED
-    return bool((((mag >= lo) & (mag <= hi)) | (mag == 0.0)).all())
 
 
 def _rebalance(desc: np.ndarray, top: np.ndarray, finite: np.ndarray):

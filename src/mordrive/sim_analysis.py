@@ -583,15 +583,15 @@ def _settled_metrics(y: np.ndarray, dt: float, final: float,
         raise NotSettled("final value is not positive; metrics undefined")
     if not np.all(np.abs(y[-k:] - final) <= 0.02 * final):
         raise NotSettled("trace has not settled within its horizon")
-    return _metrics_from_head(y[None], np.array([dt]), np.array([final]),
-                              np.array([0.02 * final]))[0]
+    return _metrics_from_head(y[None], np.array([dt]), np.array([final]))[0]
 
 
-def _metrics_from_head(y: np.ndarray, dt: np.ndarray, final: np.ndarray,
-                       band: np.ndarray) -> list[ResponseMetrics]:
+def _metrics_from_head(y: np.ndarray, dt: np.ndarray,
+                       final: np.ndarray) -> list[ResponseMetrics]:
     """Metrics of a stack of settled traces, one per row, from the first
     samples of each, the (rows, width) block ``y``: each row must hold
-    its trace's peak and every sample more than band[i] from final[i]."""
+    its trace's peak and every sample more than 2% from final[i]."""
+    band = 0.02 * final
     rows = np.arange(len(y))
     ipeak = y.argmax(axis=1)
     overshoot = np.maximum((y[rows, ipeak] - final) / final * 100.0, 0.0)
@@ -714,7 +714,7 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
 def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
                      width: np.ndarray, ceiling: np.ndarray, dt: np.ndarray,
                      final: np.ndarray) -> dict:
-    """Row i -> the metrics (dt[i], final[i] and a 2% band) of the outputs
+    """Row i -> the metrics (dt[i] and final[i]) of the outputs
     c[i]^T E[i]^k e_last, k < width[i], for each row with a window
     (width[i] > 0) whose peak lies strictly above ceiling[i].  The rows of
     each width w are sampled as ``_propagate`` stacks of at most
@@ -731,5 +731,5 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
             peaked = ceiling[group] < y.max(axis=-1)
             done = group[peaked]
             measured.update(zip(done.tolist(), _metrics_from_head(
-                y[peaked], dt[done], final[done], 0.02 * final[done])))
+                y[peaked], dt[done], final[done])))
     return measured

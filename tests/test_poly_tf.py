@@ -243,10 +243,18 @@ class TestStackedRoots:
                 self._assert_rows_are_poly_roots(rows)
 
     def test_rows_that_do_not_converge(self):
-        rows = np.array([[2.0, 3.0, 1.0], [np.nan, 3.0, 1.0], [1.0, 0.0, 1.0]])
+        rows = np.array([[2.0, 3.0, 1.0], [np.nan, 3.0, 1.0], [1.0, 0.0, 1.0],
+                         [1.0, 2.0, np.inf]])
         got, failures = self._assert_rows_are_poly_roots(rows)
-        assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
+        assert np.isnan(got[[1, 3]]).all() and not np.isnan(got[[0, 2]]).any()
         assert failures[1].startswith("companion eigenvalues failed: ")
+        # an infinite leading coefficient makes every companion entry
+        # -c_i / c_n a finite zero, yet the row fails like any non-finite one
+        assert failures[3] == "companion eigenvalues failed: not finite"
+        for coeffs in ([1.0, math.inf], [2.0, 3.0, 1.0, -math.inf]):
+            with pytest.raises(NonConvergence,
+                               match="^companion eigenvalues failed: not finite$"):
+                poly_roots(Polynomial(coeffs))
 
     def test_one_eigensolve_per_zero_term_group(self, monkeypatch):
         # an over-bound row is polished in place, not solved once more
@@ -300,15 +308,16 @@ class TestStackedRoots:
         with pytest.raises(NonConvergence, match="companion eigenvalues"):
             poly_roots(Polynomial(rows[1]))
 
-    def test_one_by_one_companions_make_no_eigensolve(self, monkeypatch):
+    def test_each_group_takes_one_eigensolve(self, monkeypatch):
+        # 1 x 1 companions included: the kernel has no degree-1 shortcut
         rng = np.random.default_rng(2020)
         linear = (rng.uniform(-2.0, 2.0, size=(20, 2))
                   * 10.0 ** rng.uniform(-50.0, 50.0, size=(20, 2)))
         quadratic = rng.uniform(0.5, 2.0, size=(6, 3))
         quadratic[4, 0] = 0.0  # a zero-constant-term group of size 1
-        # a root under 2^-459, where LAPACK scales the matrix, is solved
+        # a root under 2^-459, where LAPACK scales the matrix
         tiny = np.array([[1.2345e-150, 1.0]])
-        cases = [(linear, []), (quadratic, [5]), (tiny, [1])]
+        cases = [(linear, [20]), (quadratic, [5, 1]), (tiny, [1])]
         wants = [[np.sort(np.roots(row[::-1]), kind="stable") for row in rows]
                  for rows, _ in cases]
         calls = []
@@ -324,6 +333,17 @@ class TestStackedRoots:
             for z, w in zip(got, want):
                 assert _bits(z.real) == _bits(w.real)
                 assert _bits(z.imag) == _bits(w.imag)
+        # poly_roots' own -c0 / c1 agrees with the eigensolve on each
+        # in-range linear row
+        lo, hi = poly_tf._EIG_UNSCALED
+        got, _ = poly_tf._roots_of_rows(linear)
+        for (c0, c1), z in zip(linear.tolist(), got):
+            assert lo <= abs(c0 / c1) <= hi
+            calls.clear()
+            [alone] = poly_roots(Polynomial([c0, c1]))
+            assert calls == []
+            assert _bits([z[0].real, z[0].imag]) == _bits([alone.real,
+                                                           alone.imag])
 
     def test_overflowing_companion_is_solved_scaled(self):
         c0, c1, c2 = 2.27e278, 0.132, 3.85e-281
@@ -403,7 +423,7 @@ class TestDegreeOneRoots:
             else:
                 failed += 1
                 assert got == failures[0]
-        assert failed == 5
+        assert failed == 6
         with pytest.raises(NonConvergence, match="non-finite"):
             poly_roots(Polynomial([1e300, 1e-300]))
 
