@@ -186,11 +186,14 @@ def _closures(num: tuple[float, ...], den: tuple[float, ...],
     """Rows K num and den + K num, one per gain K, of ascending
     coefficients with ``num`` no longer than ``den``: the unity closure
     of num/den at each gain, formed here only.  A product or sum that
-    overflows is inf."""
+    overflows is inf.  Each row of dens is den plus K num padded with
+    0.0, added in place."""
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     with np.errstate(over="ignore"):
         nums = np.asarray(gains, dtype=float)[:, None] * num
-        dens = den + np.pad(nums, ((0, 0), (0, len(den) - len(num))))
+        dens = np.zeros((len(nums), len(den)))
+        dens[:, :len(num)] = nums
+        dens += den
     return nums, dens
 
 

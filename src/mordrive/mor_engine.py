@@ -29,6 +29,7 @@ from .poly_tf import (
     Polynomial,
     StabilityFactorization,
     TransferFunction,
+    _trimmed,
     combine_stability_parts,
     dc_gain,
     poly_eval,
@@ -40,7 +41,8 @@ from .sim_analysis import step_ise
 
 # Largest number of candidate numerators one match may build: one per
 # choice of sign of each nonzero root of the matched spectral series.
-# All are built and ranked, and only the top-ranked one is squared.
+# All are formed and ranked as coefficient lists, and only the top-ranked
+# one becomes a Polynomial and is squared.
 MAX_MATCH_CANDIDATES = 4096
 
 # Most percents an auto grid may hold.  step_ise scores them all in one
@@ -264,15 +266,19 @@ def _match(g: TransferFunction, d_r: Polynomial, q: int
 
     big_l = spectral_square_head(poly_mul(g.num, d_r), q)
     # most powers 1..q agreeing in sign with g.num first, then largest
-    # coefficients from the lowest power up; ties keep the built order
+    # coefficients from the lowest power up; ties keep the built order.
+    # Each choice is ranked by the coefficients its Polynomial would
+    # store, and only the winner's is built.
     signs = [math.copysign(1.0, c) if c != 0.0 else 0.0
              for c in g.num.coeffs[1:q + 1]]
-    n_r = min((Polynomial(functools.reduce(np.convolve, choice, np.ones(1)))
-               for choice in itertools.product(*_root_factors(g, d_r, big_l, q))),
-              key=lambda n_r: (
-                  -sum(c != 0.0 and math.copysign(1.0, c) == s
-                       for c, s in zip(n_r.coeffs[1:], signs)),
-                  tuple(-c for c in n_r.coeffs)))
+    best = min((_trimmed(functools.reduce(np.convolve, choice).tolist())
+                if choice else [1.0]
+                for choice in itertools.product(*_root_factors(g, d_r, big_l, q))),
+               key=lambda coeffs: (
+                   -sum(c != 0.0 and math.copysign(1.0, c) == s
+                        for c, s in zip(coeffs[1:], signs)),
+                   tuple(-c for c in coeffs)))
+    n_r = Polynomial(best)
     big_m = spectral_square_head(poly_mul(g.den, n_r), q)
     return n_r, tuple(zip(big_l[1:], big_m[1:]))
 

@@ -56,12 +56,14 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Sequence[float]):
-        vals = [float(c) for c in coeffs]
+        if (isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
+                and coeffs.dtype == np.float64):
+            vals = coeffs.tolist()  # the same Python floats, in one call
+        else:
+            vals = [float(c) for c in coeffs]
         if not vals:
             raise ValidationError("polynomial needs at least one coefficient")
-        while len(vals) > 1 and vals[-1] == 0.0:
-            vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "coeffs", tuple(_trimmed(vals)))
 
     @property
     def degree(self) -> int:
@@ -99,6 +101,14 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return poly_mul(self, other)
+
+
+def _trimmed(vals: list[float]) -> list[float]:
+    """``vals`` less the exact zeros at its end (the highest powers), its
+    first entry always kept: what a ``Polynomial`` of them stores."""
+    while len(vals) > 1 and vals[-1] == 0.0:
+        vals.pop()
+    return vals
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

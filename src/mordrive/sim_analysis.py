@@ -355,8 +355,11 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
          points_per_decade: int = 60) -> BodeTrace:
     """Magnitude/phase of g(jw) on a log grid.
 
-    The grid has ``round(ppd * decades) + 1`` points (at least 2), the
-    values of ``np.logspace``.  The phase is ``np.angle`` unwrapped by
+    The grid has n = ``round(ppd * decades) + 1`` points (at least 2):
+    10^(k step + log10 omega_min) with step = decades / (n - 1), the
+    last point pinned to omega_max, which are ``np.logspace``'s values.
+    A band whose two ends have the same log10 (zero decades) is refused
+    with ``ValidationError``.  The phase is ``np.angle`` unwrapped by
     subtracting 2 pi times the running sum of round(step / 2 pi): a step
     from one point to the next of more than pi, which on the angle's
     range [-pi, pi] is where ``np.unwrap`` corrects, takes a whole turn
@@ -371,7 +374,13 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
         raise ValidationError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:
         raise ValidationError("points_per_decade must be >= 1")
-    decades = math.log10(omega_max) - math.log10(omega_min)
+    lo, hi = math.log10(omega_min), math.log10(omega_max)
+    decades = hi - lo
+    if decades == 0.0:
+        raise ValidationError(
+            f"omega_min = {omega_min!r} and omega_max = {omega_max!r} have "
+            "the same log10, so the band spans zero decades; pass a wider "
+            "band (--w-min / --w-max)")
     # An int compared with a float is exact in Python, so no product
     # overflows here, however large points_per_decade is.
     if points_per_decade > MAX_BODE_POINTS / decades:
@@ -380,12 +389,18 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
             f"{decades:.3g} decades exceeds the budget of {MAX_BODE_POINTS} "
             "points; pass a smaller --ppd or a narrower band")
     n = max(2, int(round(points_per_decade * decades)) + 1)
-    omega = 10.0 ** np.linspace(math.log10(omega_min), math.log10(omega_max), n)
+    # np.linspace's steps, without its per-call checks: decades > 0 and
+    # n <= MAX_BODE_POINTS + 1 keep the step a normal float, never 0.0.
+    omega = np.arange(n, dtype=float)
+    omega *= decades / (n - 1)
+    omega += lo
+    omega[-1] = hi
+    np.power(10.0, omega, out=omega)
     num, den = np.array([g.num.coeffs]), np.array([g.den.coeffs])
     mag_db, phase, count = np.empty(n), np.empty(n), -0.0
-    for i in range(0, n, _BODE_BLOCK):
-        j = min(i + _BODE_BLOCK, n)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(0, n, _BODE_BLOCK):
+            j = min(i + _BODE_BLOCK, n)
             s = 1j * omega[None, i:j]
             resp = (_horner(num, s) / _horner(den, s))[0]
             np.log10(np.abs(resp), out=mag_db[i:j])
@@ -395,11 +410,16 @@ def bode(g: TransferFunction, omega_min: float, omega_max: float,
             # Turns from the previous point, the grid's first taking none,
             # summed on from the count before this block: -0.0 + t is t
             # and sums of integers are exact, so the sums are one cumsum's.
-            steps = np.diff(angle, prepend=last) if i else np.diff(angle)
+            if i:
+                steps = np.empty(j - i)
+                steps[0] = angle[0] - last
+                np.subtract(angle[1:], angle[:-1], out=steps[1:])
+            else:
+                steps = np.subtract(angle[1:], angle[:-1])
             turns = np.rint(steps / (2.0 * np.pi))
             last = angle[-1]
             turns[0] += count
-            count = np.cumsum(turns, out=turns)[-1]
+            count = turns.cumsum(out=turns)[-1]
             angle[len(angle) - len(turns):] -= 2.0 * np.pi * turns
     np.degrees(phase, out=phase)
     # A sum is finite exactly when every term is: no finite dB or degree

@@ -372,6 +372,19 @@ class TestSimulateCommand:
             assert "ValidationError" in err and "--ppd" in err
             assert not out.exists()
 
+    def test_zero_decade_band_exits_2(self, tmp_path, capsys):
+        # the two bounds are one ulp apart and share their log10
+        tf = tmp_path / "g.json"
+        tf.write_text(json.dumps({"num": [1.0], "den": [1.0, 1.0]}))
+        out = tmp_path / "bode.csv"
+        assert main(["simulate", "bode", "--tf", str(tf), "--out", str(out),
+                     "--w-min", "1e300",
+                     "--w-max", "1.0000000000000002e300"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ValidationError" in err and "--w-min / --w-max" in err
+        assert not out.exists()
+
     def test_wide_band_within_budget(self, tmp_path):
         # 600 decades at 60 points each; the band's ratio overflows
         tf = tmp_path / "g.json"

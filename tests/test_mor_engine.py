@@ -427,6 +427,71 @@ class TestMatchNumerator:
         # both outcomes occur, so neither branch is vacuous
         assert {want for _, want in verdicts} == {False, True}
 
+    def test_ranks_as_every_candidate_built(self):
+        # every r and 1 <= q < r of the oracle's models: the winner and
+        # its matched pairs are those of building each candidate's
+        # Polynomial and taking min by the key, repr for repr
+        outcomes = []
+        for g in _oracle_models():
+            for r in range(2, g.den.degree):
+                d_r = reduce_denominator(g.den, r)
+                for q in range(1, r):
+                    got, want = (_outcome(f, g, d_r, q) for f in
+                                 (mor_engine._match, _match_every_candidate))
+                    assert got == want, (r, q)
+                    outcomes.append(got[0])
+        assert outcomes.count("MatchInfeasible") > 100
+        assert len(outcomes) - outcomes.count("MatchInfeasible") > 500
+
+    @pytest.mark.parametrize("factors", [
+        # no factor: the constant numerator
+        [],
+        # a repeated pair: (+, -) and (-, +) give one product, a tie
+        [(np.array([1.0, 0.5]), np.array([1.0, -0.5]))] * 2,
+        [(np.array([1.0, 0.8, 0.3]), np.array([1.0, -0.8, 0.3]))] * 2
+        + [(np.array([1.0, 2.0]), np.array([1.0, -2.0]))],
+        # products whose top coefficient underflows to 0.0 or -0.0, so
+        # the candidates are ranked on their trimmed coefficients
+        [(np.array([1.0, 1e-200]), np.array([1.0, -1e-200]))] * 2,
+        [(np.array([1.0, 1e-170]), np.array([1.0, -1e-170])),
+         (np.array([1.0, 3e-160, 1e-300]), np.array([1.0, -3e-160, 1e-300]))],
+    ], ids=["none", "tied-real", "tied-complex", "underflow", "underflow-mixed"])
+    def test_ranks_ties_and_underflow_as_every_candidate_built(
+            self, monkeypatch, factors):
+        monkeypatch.setattr(mor_engine, "_root_factors",
+                            lambda g, d_r, big_l, q: factors)
+        for g in _oracle_models()[:6]:
+            d_r = reduce_denominator(g.den, 2)
+            got, want = (_outcome(f, g, d_r, 1) for f in
+                         (mor_engine._match, _match_every_candidate))
+            assert got == want
+
+
+def _match_every_candidate(g, d_r, q):
+    """``mor_engine._match`` ranking as a Polynomial per candidate: every
+    sign choice built, then ``min`` by the ranking key."""
+    big_l = spectral_square_head(poly_mul(g.num, d_r), q)
+    signs = [math.copysign(1.0, c) if c != 0.0 else 0.0
+             for c in g.num.coeffs[1:q + 1]]
+    n_r = min((Polynomial(functools.reduce(np.convolve, choice, np.ones(1)))
+               for choice in itertools.product(
+                   *mor_engine._root_factors(g, d_r, big_l, q))),
+              key=lambda n_r: (
+                  -sum(c != 0.0 and math.copysign(1.0, c) == s
+                       for c, s in zip(n_r.coeffs[1:], signs)),
+                  tuple(-c for c in n_r.coeffs)))
+    big_m = spectral_square_head(poly_mul(g.den, n_r), q)
+    return n_r, tuple(zip(big_l[1:], big_m[1:]))
+
+
+def _outcome(match, g, d_r, q):
+    """repr of ``match(g, d_r, q)``, or its error's type and message."""
+    try:
+        n_r, pairs = match(g, d_r, q)
+    except MorDriveError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(n_r), repr(pairs)
+
 
 class TestReducePipeline:
     def test_benchmark_reduction(self, bench_loop):

@@ -41,6 +41,35 @@ def _match_roots(got, expected, rel=1e-8):
         remaining.remove(best)
 
 
+class TestPolynomialConstruction:
+    @pytest.mark.parametrize("values", [
+        [1.0, -0.0, 2.0],
+        [-0.0],
+        [0.0, -0.0],
+        [1.0, math.nan, 3.0],
+        [math.nan, 0.0, -0.0],
+        [-math.inf, 1.0, math.inf],
+        [1.0, 2.0, 0.0, -0.0, 0.0],
+        [math.inf, -0.0],
+    ])
+    def test_float_array_equals_its_list(self, values):
+        def raw(p):  # every bit, NaN signs and payloads included
+            return np.array(p.coeffs).tobytes()
+
+        arr = np.array(values)
+        from_array, from_list = Polynomial(arr), Polynomial(list(arr))
+        assert raw(from_array) == raw(from_list)
+        assert all(type(c) is float for c in from_array.coeffs)
+        # a strided view and another dtype give the same coefficients
+        assert raw(Polynomial(np.repeat(arr, 2)[::2])) == raw(from_list)
+        single = arr.astype(np.float32)
+        assert raw(Polynomial(single)) == raw(Polynomial(list(single)))
+
+    def test_empty_array_refused(self):
+        with pytest.raises(ValidationError):
+            Polynomial(np.array([]))
+
+
 class TestPolyMul:
     def test_identity_factor(self):
         out = poly_mul(Polynomial([1.0]), Polynomial([1.0, 0.03]))

@@ -681,6 +681,38 @@ class TestBode:
         with pytest.raises(ValidationError, match="points_per_decade"):
             bode(_lag(1.0), 0.1, 10.0, 0)
 
+    def test_zero_decade_band_refused(self):
+        # two floats one ulp apart whose log10 values are the same float
+        lo, hi = 1e300, 1.0000000000000002e300
+        assert lo < hi and math.log10(lo) == math.log10(hi)
+        with pytest.raises(ValidationError, match="--w-min / --w-max"):
+            bode(_lag(1.0), lo, hi, 60)
+
+    def test_grid_is_logspace_bit_for_bit(self):
+        rng = np.random.default_rng(35)
+        bands = [(10.0 ** e, 10.0 ** (e + w), int(ppd)) for e, w, ppd in zip(
+            rng.uniform(-8.0, 6.0, 40), rng.uniform(0.01, 9.0, 40),
+            rng.integers(1, 300, 40))]
+        above_one_ulp = 1e300
+        while math.log10(above_one_ulp) == 300.0:
+            above_one_ulp = np.nextafter(above_one_ulp, math.inf)
+        bands += [
+            (1.0, 3.0, 1),                          # n = 2
+            (1.0, np.nextafter(1.0, 2.0), 60),      # one ulp wide, n = 2
+            (1e300, float(above_one_ulp), 60),      # one log10 ulp, n = 2
+            (1e-300, 1e300, 60),                    # 36,001 points
+            (1.0, 10.0, 32_768),                    # 32,769: two blocks
+            (0.01, 100.0, 16_384),                  # 65,537: three blocks
+        ]
+        counts = []
+        for lo, hi, ppd in bands:
+            omega = bode(_lag(1.0), lo, hi, ppd).omega
+            want = 10.0 ** np.linspace(math.log10(lo), math.log10(hi),
+                                       len(omega))
+            assert omega.tobytes() == want.tobytes()
+            counts.append(len(omega))
+        assert counts[-6:] == [2, 2, 2, 36_001, 32_769, 65_537]
+
     def test_matches_the_numpy_reference(self):
         rng = np.random.default_rng(1979)
         models = []
