@@ -10,15 +10,16 @@ e^([[A, b], [0, 0]] dt) (Van Loan 1978), on the state with a constant
 E's last row is exactly (0, ..., 0, 1), as ``_expm``'s Taylor-16 kernel
 (Paterson & Stockmeyer 1973; theta_16 from Al-Mohy & Higham 2011) keeps
 the augmented matrix's zero last row in every power.  The N steps are cut
-into blocks of about sqrt(N): the rows (c, d) E^j within a block come
-from doubling over one ladder of E^(2^j), the block starts from the
-same routine on the ladder's tail, E^B's own ladder, and all outputs
-from one 2-D product of the starts against the rows, so no state is
-kept per step.  A step trace keeps those two factors, about 2 sqrt(N)
-rows, and forms its samples in that one product only when ``y`` is
-read; ``ise`` streams two traces from their factors a few blocks at a
-time and forms neither.  No trace stores a time grid: its samples sit
-at k dt, and metrics and ISE work from the index and dt.
+into blocks of B, about sqrt(N): the rows (c, d) E^j within a block
+come from doubling over the low rungs of one ladder of E^(2^j), j < log2
+B, the block starts E^(iB) e_last from a second doubling over the rungs
+above, and all outputs from one 2-D product of the starts against the
+rows, so no state is kept per step.  A step trace keeps those two
+factors, about 2 sqrt(N) rows, and forms its samples in that one
+product only when ``y`` is read; ``ise`` streams two traces from their
+factors a few blocks at a time and forms neither.  No trace stores a
+time grid: its samples sit at k dt, and metrics and ISE work from the
+index and dt.
 
 A gain-sweep point needs no whole trace: the final value and the ISE
 against 1 are sums over all k of terms in E^k, which doubling (Smith
@@ -28,10 +29,11 @@ once the poles' modal envelope shows that no later sample changes
 them.  A sweep's closed loops are measured as one stack: their grids,
 exponentials and ladder are batched, each row taking its own counts, and
 the ladder is walked twice, once for two rows of powers and once for
-two doubling sums.  Each row samples at most one head window, the
-narrowest its envelope certifies, in one block of at most a whole
-trace's samples with other rows of that width; a row with no such
-window, or whose window misses the peak, reads its whole trace alone.
+two doubling sums, each rung of the sums one stacked product pair.
+Each row samples at most one head window, the narrowest its envelope
+certifies, in one block of at most a whole trace's samples with other
+rows of that width; a row with no such window, or whose window misses
+the peak, reads its whole trace alone.
 
 ``step_ise`` needs no time grid either: the exact step-error ISE over
 the reference model's default horizon, 5 x its largest time constant as
@@ -129,10 +131,10 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
     """(smallest, largest) time constants from the denominator poles.
 
     The smallest constant is 1/max|pole| (resolution limit), the
-    largest 1/min|Re pole| (decay limit): ``_time_constants`` on one
-    row.  Raises ``ValidationError`` when no finite decay time exists
-    (static gain, pole at or right of the imaginary axis), in which case
-    callers must supply explicit horizons.
+    largest 1/min|Re pole| (decay limit), as ``_unit_step_measures``
+    takes them for a stack of rows.  Raises ``ValidationError`` when no
+    finite decay time exists (static gain, pole at or right of the
+    imaginary axis), in which case callers must supply explicit horizons.
     """
     if g.den.degree < 1:
         raise ValidationError("static system has no time constants; pass "
@@ -141,14 +143,8 @@ def characteristic_times(g: TransferFunction) -> tuple[float, float]:
         raise ValidationError(
             "no finite decay time: system has a pole at or right of the "
             "imaginary axis; pass t_final and dt explicitly")
-    return _time_constants([g.den.roots])[0]
-
-
-def _time_constants(rows) -> list[tuple[float, float]]:
-    """(smallest, largest) time constants, 1/max|p| and 1/min(-Re p), of
-    each row of stable poles, given as Python complex numbers."""
-    return [(1.0 / max(map(abs, row)), 1.0 / min(-p.real for p in row))
-            for row in rows]
+    poles = g.den.roots
+    return 1.0 / max(map(abs, poles)), 1.0 / min(-p.real for p in poles)
 
 
 # 1/(4j + i)!, X^i's coefficient in T_16's block B_j; X^4 / 16! in B_3 only
@@ -231,9 +227,10 @@ def _propagate(ladder: list[np.ndarray], c: np.ndarray,
     exactly (0, ..., 0, 1), so E^k e_last is x_k of x+ = M x + v from x_0
     = 0 with a constant 1 appended, and c's last row weights that 1: no
     offset row or offset recurrence is needed.  Output iB + j is one
-    product of the block starts against the rows of ``_factors``.
-    Leading axes are a stack of systems, each taking the same products as
-    a call on it alone, so a stack's outputs equal its rows' bit for bit.
+    product of the block starts against the rows of ``_factors``, both
+    built by doubling, with no recursion.  Leading axes are a stack of
+    systems, each taking the same products as a call on it alone, so a
+    stack's outputs equal its rows' bit for bit.
     """
     if n_steps == 0:
         return c[..., -1:, :]
@@ -250,11 +247,16 @@ def _factors(ladder: list[np.ndarray], c: np.ndarray,
     rows[..., j p + q, :].
 
     The block size B = 2^b is the power of two >= sqrt(n_steps + 1), and
-    B <= n_steps + 1.  The rows c^T E^j, j < B, (..., B p, dim), come from
-    b doublings, each the rows so far times E^(2^j); the block starts
-    E^(iB) e_last, i <= n_steps // B, (..., n_blocks, dim), from a
-    ``_propagate`` call on (E^B's ladder, ``ladder[b:]``, I).
+    B <= n_steps + 1.  Two doublings build the two factors:
+    - the rows c^T E^j, j < B, (..., B p, dim), each doubling the rows
+      so far times E^(2^j) from ``ladder[:b]``;
+    - the block starts E^(iB) e_last, i < n_blocks = n_steps // B + 1,
+      (..., n_blocks, dim), from e_last, each doubling the starts so far
+      times (E^(2^j B))^T from the rungs above, ``ladder[b:]``, and
+      stopping at n_blocks, so that no start past the last block is
+      formed.
     """
+    n_steps = int(n_steps)
     dim, p = c.shape[-2:]
     lead = np.broadcast_shapes(c.shape[:-2], ladder[0].shape[:-2])
     bits = math.isqrt(n_steps).bit_length()
@@ -263,7 +265,16 @@ def _factors(ladder: list[np.ndarray], c: np.ndarray,
     for j in range(bits):
         h = p << j
         np.matmul(rows[..., :h, :], ladder[j], out=rows[..., h:2 * h, :])
-    return _propagate(ladder[bits:], np.eye(dim), n_steps >> bits), rows
+    n_blocks = (n_steps >> bits) + 1
+    starts = np.zeros(lead + (n_blocks, dim))
+    starts[..., 0, -1] = 1.0
+    h, j = 1, bits
+    while h < n_blocks:
+        k = min(h, n_blocks - h)
+        np.matmul(starts[..., :k, :], ladder[j].swapaxes(-1, -2),
+                  out=starts[..., h:h + k, :])
+        h, j = 2 * h, j + 1
+    return starts, rows
 
 
 def step_response(g: TransferFunction, t_final: float | None = None,
@@ -549,38 +560,51 @@ def _doubling_sum(w: np.ndarray, ladder: list[np.ndarray],
     Doubling (Smith 1968): W runs through the sums over k < 2^j, W <- W +
     E_j^T W E_j with E_j = E^(2^j), and each set bit j of count, lowest
     first, puts a block of 2^j terms ahead of those summed so far, total
-    <- W + E_j^T total E_j, from a total of zero.  ``count`` is an int
-    array with one count per matrix, of the stack's leading shape, and
-    each matrix takes the steps of its own bits, from ``_rung_masks``.
-    ``w`` may carry more leading axes than the ladder, so that several
-    sums over one ladder (w[0], w[1], ...) share one walk up it, each
-    equal to its own call bit for bit.
+    <- W + E_j^T total E_j, from a total of zero.  W and the total share
+    one (2, ...) buffer, so each rung takes E_j^T [W; total] E_j as one
+    stacked product pair: a rung where no count sets bit j updates W
+    alone, and the last rung the total alone.  ``count`` is an int array
+    with one count per matrix, of the stack's leading shape, and each
+    matrix takes the steps of its own bits, from ``_rung_masks``.  ``w``
+    may carry more leading axes than the ladder, so that several sums
+    over one ladder (w[0], w[1], ...) share one walk up it, each equal to
+    its own call bit for bit.
     """
-    total, masks = np.zeros_like(w), _rung_masks(count)
+    masks = _rung_masks(count)
+    pair = np.zeros((2,) + np.broadcast_shapes(w.shape, ladder[0].shape))
+    pair[0] = w
+    w, total = pair
     for j, mask in enumerate(masks):
         e, et = ladder[j], ladder[j].swapaxes(-1, -2)
-        if mask is not None:
-            total = np.where(mask, w + et @ total @ e, total)
-        if j + 1 < len(masks):
-            w = w + et @ w @ e
+        if j + 1 == len(masks):
+            np.copyto(total, w + et @ total @ e, where=mask)
+        elif mask is None:
+            w += et @ w @ e
+        else:
+            step = et @ pair @ e
+            np.copyto(total, w + step[1], where=mask)
+            w += step[0]
     return total
 
 
 def _times_power(v: np.ndarray, ladder: list[np.ndarray],
                  count: np.ndarray) -> np.ndarray:
     """Rows ``v`` times E^count, from the ladder entries at count's set
-    bits; ``count`` and stacked ``v`` as in ``_doubling_sum``."""
+    bits; ``count`` and stacked ``v`` as in ``_doubling_sum``, ``v`` of
+    the products' full shape.  The rows are updated in place on a copy."""
+    v = v.copy()
     for j, mask in enumerate(_rung_masks(count)):
         if mask is not None:
-            v = np.where(mask, v @ ladder[j], v)
+            np.copyto(v, v @ ladder[j], where=mask)
     return v
 
 
 def _rung_masks(count: np.ndarray) -> list:
     """Per rung j to the largest count's top bit, once per walk: None
-    where no count sets bit j, else a mask of the counts that set it, of
-    the int array's leading shape with matrix axes added."""
-    bits = count[..., None] >> np.arange(int(count.max()).bit_length()) & 1
+    where no count sets bit j, else a bool mask of the counts that set
+    it, of the int array's leading shape with matrix axes added."""
+    bits = (count[..., None] >> np.arange(int(count.max()).bit_length())
+            & 1).astype(bool)
     return [bits[..., j, None, None] if some else None for j, some in
             enumerate(bits.any(axis=tuple(range(count.ndim))).tolist())]
 
@@ -671,18 +695,26 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     must stay in the band.
     """
     out: list = [None] * len(dens)
-    grids = []
-    for i, times in enumerate(_time_constants(poles.tolist())):
-        try:
-            grids.append((i, *_step_grid(*times, None, None)))
+    # ``characteristic_times`` and ``_step_grid`` on every row at once.
+    # np.hypot and np.rint round as Python's abs of a complex and round
+    # do; np.abs of a complex array does not, in the last place.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tc_small = 1.0 / np.hypot(poles.real, poles.imag).max(axis=1)
+        tc_large = 1.0 / (-poles.real).min(axis=1)
+        dts = tc_small / DEFAULT_DT_DIVISOR
+        steps = DEFAULT_HORIZON_FACTOR * tc_large / dts
+        fits = (dts > 0.0) & (np.rint(steps) <= MAX_STEP_SAMPLES)
+    for i in np.flatnonzero(~fits).tolist():
+        try:  # the budget's own message
+            _step_grid(float(tc_small[i]), float(tc_large[i]), None, None)
         except ValidationError as exc:
             out[i] = exc
-    if not grids:
+    rows = np.flatnonzero(fits)
+    if not len(rows):
         return out
-    rows, dts, n_steps = map(np.array, zip(*grids))
+    dts, n_steps = dts[rows], np.rint(steps[rows]).astype(np.int64)
     counts = n_steps + 1
-    tails = np.array([max(1, int(round(0.05 * count)))
-                      for count in counts.tolist()])
+    tails = np.maximum(np.rint(0.05 * counts), 1.0).astype(np.int64)
     nums, dens, poles = nums[rows], dens[rows], poles[rows]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e, c = _step_exponential(nums, dens, poles, dts)
@@ -701,7 +733,8 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
         slope = np.arange(1, dens.shape[-1]) * dens[:, 1:]
         rho = np.abs(_horner(nums, poles) / (poles * _horner(slope, poles)))
         y_inf = nums[:, 0] / dens[:, 0]
-        w0 = np.array([1 << math.isqrt(n).bit_length() for n in n_steps])
+        # 1 << isqrt(n).bit_length() is 2^ceil(L / 2) for n of L bits
+        w0 = np.int64(1) << (np.frexp(n_steps)[1] + 1) // 2
         room = counts - tails
         widths = w0[:, None] << np.arange(int((room // w0).max()).bit_length())
         decay = np.exp(poles.real[:, None, :]
@@ -739,17 +772,25 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
     (width[i] > 0) whose peak lies strictly above ceiling[i].  The rows of
     each width w are sampled as ``_propagate`` stacks of at most
     ``MAX_STEP_SAMPLES // w`` rows, on their rungs of the stacked ladder,
-    and those of each stack that pass are measured as one block.
+    and those of each stack that pass are measured as one block.  A stack
+    that holds every row is sampled on the ladder and ``c`` themselves,
+    not on copies of their rows, and a stack whose rows all pass is
+    measured from its samples as they are.
     """
     measured = {}
     for w in sorted(set(width[width > 0].tolist())):
         rows = np.flatnonzero(width == w)
+        rungs = ladder[:(w - 1).bit_length()]
         for start in range(0, len(rows), MAX_STEP_SAMPLES // w):
             group = rows[start:start + MAX_STEP_SAMPLES // w]
-            rungs = [step[group] for step in ladder[:(w - 1).bit_length()]]
-            y = _propagate(rungs, c[group], w - 1)[..., 0]
+            if len(group) == len(width):
+                y = _propagate(rungs, c, w - 1)[..., 0]
+            else:
+                y = _propagate([step[group] for step in rungs], c[group],
+                               w - 1)[..., 0]
             peaked = ceiling[group] < y.max(axis=-1)
-            done = group[peaked]
-            measured.update(zip(done.tolist(), _metrics_from_head(
-                y[peaked], dt[done], final[done])))
+            if not peaked.all():
+                group, y = group[peaked], y[peaked]
+            measured.update(zip(group.tolist(), _metrics_from_head(
+                y, dt[group], final[group])))
     return measured

@@ -330,8 +330,8 @@ def _assert_same_measures(g):
 
 @pytest.fixture
 def propagate_steps(monkeypatch):
-    """(ladder, c, n_steps) of every ``sim_analysis._propagate`` call, the
-    recursive ones included."""
+    """(ladder, c, n_steps) of every ``sim_analysis._propagate`` call;
+    ``_factors`` builds its block starts without one."""
     calls = []
     propagate = sim_analysis._propagate
 
@@ -436,6 +436,46 @@ class TestSweepMeasures:
         # walk first, then the sums', whose second half is the counts
         assert [c.shape for c in counts] == [(2, len(stack))] * 2
         assert counts[1][1].tolist() == [_default_steps(h) + 1 for h in stack]
+
+    def test_stack_grids_are_each_rows_step_grid(self, model, monkeypatch):
+        # the stack's dt, count and tail of every row, bit for bit those of
+        # ``characteristic_times``, ``_step_grid`` and ``round`` on that
+        # row alone, over 64 closures with complex poles, whose magnitudes
+        # np.abs of a complex array rounds unlike abs
+        seen = {}
+        exponential, masks = (sim_analysis._step_exponential,
+                              sim_analysis._rung_masks)
+
+        def recording_exponential(nums, dens, poles, dt):
+            seen["dt"] = dt
+            return exponential(nums, dens, poles, dt)
+
+        def recording_masks(count):
+            seen.setdefault("counts", count)
+            return masks(count)
+
+        monkeypatch.setattr(sim_analysis, "_step_exponential",
+                            recording_exponential)
+        monkeypatch.setattr(sim_analysis, "_rung_masks", recording_masks)
+        stack = [closed_current_loop(model, float(kc))
+                 for kc in np.geomspace(0.5, 500.0, 64)]
+        sim_analysis._unit_step_measures(*_stack(stack))
+        grids = [sim_analysis._step_grid(*characteristic_times(g), None, None)
+                 for g in stack]
+        assert [dt.hex() for dt in seen["dt"].tolist()] == [
+            dt.hex() for dt, _ in grids]
+        tails = [max(1, int(round(0.05 * (n + 1)))) for _, n in grids]
+        # the power walk's counts: count - tail, then count - 1
+        assert seen["counts"].tolist() == [
+            [n + 1 - k for (_, n), k in zip(grids, tails)],
+            [n for _, n in grids]]
+        # a row past the step budget keeps the refusal's own text
+        g = closed_current_loop(model, 1e4)
+        *_, refused = sim_analysis._unit_step_measures(*_stack(stack + [g]))
+        with pytest.raises(ValidationError) as alone:
+            step_response(g)
+        assert type(refused) is ValidationError
+        assert str(refused) == str(alone.value)
 
     def test_mixed_stack_is_each_gain_alone(self, model, propagate_steps):
         # Kc = 1 creeps and 2.75 barely passes its final value, so the

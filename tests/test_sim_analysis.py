@@ -195,6 +195,20 @@ def _per_step_reference(g, n_steps, dt):
     return np.array(y)
 
 
+def _per_step_states(e, n_steps, block):
+    """E^k e_last at k = 0, B, 2B, ... <= n_steps for B = ``block``, from
+    x+ = M x + v one step at a time, in Python floats, for a 3 x 3
+    augmented exponential E = [[M, v], [0, 1]]."""
+    (m00, m01, v0), (m10, m11, v1), _ = e.tolist()
+    x0 = x1 = 0.0
+    out = []
+    for _ in range(n_steps // block + 1):
+        out.append((x0, x1, 1.0))
+        for _ in range(block):
+            x0, x1 = m00 * x0 + m01 * x1 + v0, m10 * x0 + m11 * x1 + v1
+    return np.array(out)
+
+
 def _from_poles(poles, num=(1.0,)):
     den = np.real(np.poly(poles))[::-1]
     return TransferFunction.from_coeffs(list(num), den / den[0])
@@ -259,6 +273,50 @@ class TestBlockPropagation:
             for i, row in enumerate(got.reshape(6, n_steps + 1, 1)):
                 alone = _propagate([step[i] for step in ladder], c[i], n_steps)
                 assert row.tobytes() == alone.tobytes()
+
+    # n_blocks = n_steps // B + 1 is 1 at one step, a power of two at 2
+    # and at 4095 (B = 64, 64 blocks), one past one at 4096 and 4097 (B =
+    # 128, 33 blocks), and the starts' doubling reaches 2^8 blocks at
+    # 139,469 (B = 512) and 2^9 at 2,000,000 (B = 2048)
+    @pytest.mark.parametrize("n_steps", [1, 2, 10, 11, 4095, 4096, 4097,
+                                         139_469, 2_000_000])
+    def test_block_starts_match_per_step_states(self, monkeypatch, n_steps):
+        # a lightly damped pair keeps the state moving for about 25,000
+        # steps, and decays enough per step for the recurrence to hold
+        # its rounding near 1e-13 of the scale
+        g = _from_poles([-0.05 + 2j, -0.05 - 2j])
+        dt = characteristic_times(g)[0] / 20.0
+        e, c = _step_exponential(np.array([g.num.coeffs]),
+                                 np.array([g.den.coeffs]),
+                                 np.array([g.den.roots]), np.array([dt]))
+
+        def no_call(*args):
+            raise AssertionError("_factors called _propagate")
+
+        monkeypatch.setattr(sim_analysis, "_propagate", no_call)
+        starts, rows = sim_analysis._factors(_ladder(e[0], n_steps + 1),
+                                             c[0], np.int64(n_steps))
+        block = len(rows)
+        assert len(starts) == n_steps // block + 1
+        want = _per_step_states(e[0], n_steps, block)
+        assert starts.shape == want.shape
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(starts - want)) <= 1e-12 * scale
+
+    def test_no_start_past_the_last_block(self):
+        # 1 / (s - 1) at dt = 0.5 over 709 s: B = 64 and 23 blocks, the
+        # last starting at e^704.  Starts doubled on to 32 blocks would
+        # reach e^992 and overflow; capped at 23, no product does.
+        g = TransferFunction.from_coeffs([1.0], [-1.0, 1.0])
+        e, c = _step_exponential(np.array([g.num.coeffs]),
+                                 np.array([g.den.coeffs]),
+                                 np.array([g.den.roots]), np.array([0.5]))
+        with np.errstate(over="raise", invalid="raise"):
+            starts, rows = sim_analysis._factors(_ladder(e[0], 1419), c[0],
+                                                 1418)
+        assert (len(starts), len(rows)) == (23, 64)
+        assert starts[-1, 0] == pytest.approx(math.exp(704.0) - 1.0,
+                                              rel=1e-9, abs=0.0)
 
     # d is the output weight of the propagated constant 1, so take
     # systems with d != 0
@@ -590,6 +648,106 @@ class TestStepIse:
                                     for k in range(m + 1, terms))
                 lo, hi = (mid, hi) if bound <= mpmath.mpf(2) ** -53 else (lo, mid)
             assert math.isclose(_THETA16, float(lo), rel_tol=1e-15)
+
+
+def _select_doubling_sum(w, ladder, count):
+    """The doubling sum with W and the total each taking its own product
+    pair and the total chosen by np.where, the form whose bits the
+    stacked pair keeps."""
+    total, masks = np.zeros_like(w), sim_analysis._rung_masks(count)
+    for j, mask in enumerate(masks):
+        e, et = ladder[j], ladder[j].swapaxes(-1, -2)
+        if mask is not None:
+            total = np.where(mask, w + et @ total @ e, total)
+        if j + 1 < len(masks):
+            w = w + et @ w @ e
+    return total
+
+
+def _select_times_power(v, ladder, count):
+    """The power walk with the rows chosen by np.where at each rung."""
+    for j, mask in enumerate(sim_analysis._rung_masks(count)):
+        if mask is not None:
+            v = np.where(mask, v @ ladder[j], v)
+    return v
+
+
+class TestLadderWalks:
+    """The in-place walks take the same products, bit for bit, as the
+    forms that select new arrays."""
+
+    # a count of 1 whose total starts at the lowest rung; counts that
+    # share every bit; a top bit (9) set by one row only; all counts 1;
+    # and (2, 6) counts over an extra leading axis, whose halves' top
+    # bits differ
+    @pytest.mark.parametrize("counts", [
+        [1, 2, 7, 64, 100, 255],
+        [37] * 6,
+        [1, 5, 9, 30, 60, 1000],
+        [1] * 6,
+        [[1, 3, 7, 65, 993, 1015], [37] * 6],
+        [[37] * 6, [1, 2, 4, 8, 16, 1]],
+    ], ids=["count 1", "all equal", "top bit one row", "all ones",
+            "leading axis", "leading axis, low top bit"])
+    def test_walks_match_select_forms(self, counts):
+        rng = np.random.default_rng(3636)
+        counts = np.array(counts)
+        e = 0.3 * rng.normal(size=(6, 5, 5))
+        w = rng.normal(size=counts.shape + (5, 5))
+        v = rng.normal(size=counts.shape + (1, 5))
+        w_in, v_in = w.copy(), v.copy()
+        ladder = _ladder(e, int(counts.max()))
+        got = _doubling_sum(w, ladder, counts)
+        assert got.tobytes() == _select_doubling_sum(w, ladder,
+                                                     counts).tobytes()
+        for powers_of in (counts, counts - 1):
+            got = _times_power(v, ladder, powers_of)
+            want = _select_times_power(v, ladder, powers_of)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # the walks update their own buffers, never their inputs
+        assert w.tobytes() == w_in.tobytes() and v.tobytes() == v_in.tobytes()
+
+    @pytest.mark.parametrize("passing", ["all", "some"])
+    def test_whole_stack_heads_are_a_subset_bit_for_bit(self, model,
+                                                        monkeypatch, passing):
+        # four loops at one head width, measured as the whole stack and
+        # again as four of five rows, the fifth taking no window; with
+        # "some", the third row's peak misses its ceiling
+        gs = [closed_current_loop(model, kc)
+              for kc in (3.1, 20.0, 35.719, 50.0, 10.0)]
+        e, c = _step_exponential(
+            np.array([g.num.coeffs for g in gs]),
+            np.array([g.den.coeffs for g in gs]),
+            np.array([g.den.roots for g in gs]),
+            np.array([characteristic_times(g)[0] / 20.0 for g in gs]))
+        dts = np.array([characteristic_times(g)[0] / 20.0 for g in gs])
+        ladder = _ladder(e, 512)
+        ceiling = np.full(5, -np.inf)
+        if passing == "some":
+            ceiling[2] = np.inf
+        calls = []
+        propagate = sim_analysis._propagate
+
+        def recording(part, c_part, n_steps):
+            calls.append((part, c_part))
+            return propagate(part, c_part, n_steps)
+
+        monkeypatch.setattr(sim_analysis, "_propagate", recording)
+        given = [step[:4] for step in ladder], c[:4]
+        whole = sim_analysis._certified_heads(
+            *given, np.full(4, 512), ceiling[:4], dts[:4], np.ones(4))
+        # the whole stack is sampled on the ladder and c it was given
+        [(part, c_part)] = calls
+        assert c_part is given[1]
+        assert part and all(a is b for a, b in zip(part, given[0]))
+        subset = sim_analysis._certified_heads(
+            ladder, c, np.array([512] * 4 + [0]), ceiling, dts, np.ones(5))
+        assert sorted(whole) == sorted(subset) == (
+            [0, 1, 2, 3] if passing == "all" else [0, 1, 3])
+        for i in whole:
+            assert ([x.hex() for x in whole[i]]
+                    == [x.hex() for x in subset[i]])
 
 
 def _real_poly(poles):
