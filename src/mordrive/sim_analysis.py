@@ -6,20 +6,20 @@ evaluate the rational function directly on a log grid.
 
 The one-step update is one matrix exponential, E = [[M, v], [0, 1]] =
 e^([[A, b], [0, 0]] dt) (Van Loan 1978), on the state with a constant
-1 appended, and E itself is propagated: sample k is (c, d) E^k e_last.
-E's last row is exactly (0, ..., 0, 1), as ``_expm``'s Taylor-16 kernel
-(Paterson & Stockmeyer 1973; theta_16 from Al-Mohy & Higham 2011) keeps
-the augmented matrix's zero last row in every power.  The N steps are cut
-into blocks of B, about sqrt(N): the rows (c, d) E^j within a block
-come from doubling over the low rungs of one ladder of E^(2^j), j < log2
-B, the block starts E^(iB) e_last from a second doubling over the rungs
-above, and all outputs from one 2-D product of the starts against the
-rows, so no state is kept per step.  A step trace keeps those two
-factors, about 2 sqrt(N) rows, and forms its samples in that one
-product only when ``y`` is read; ``ise`` streams two traces from their
-factors a few blocks at a time and forms neither.  No trace stores a
-time grid: its samples sit at k dt, and metrics and ISE work from the
-index and dt.
+1 appended, and E itself is propagated: sample k of the single output
+is (c, d) E^k e_last.  E's last row is exactly (0, ..., 0, 1), as
+``_expm``'s Taylor-16 kernel (Paterson & Stockmeyer 1973; theta_16 from
+Al-Mohy & Higham 2011) keeps the augmented matrix's zero last row in
+every power.  The N >= 1 steps are cut into blocks of B, about sqrt(N):
+the rows (c, d) E^j within a block come from doubling over the low
+rungs of one ladder of E^(2^j), j < log2 B, the block starts E^(iB)
+e_last from a second doubling over the rungs above, and all samples
+from one 2-D product of the starts against the rows, so no state is
+kept per step.  A step trace keeps those two factors, about 2 sqrt(N)
+rows, and forms its samples in that one product only when ``y`` is
+read; ``ise`` streams two traces from their factors a few blocks at a
+time and forms neither.  No trace stores a time grid: its samples sit at
+k dt, and metrics and ISE work from the index and dt.
 
 A gain-sweep point needs no whole trace: the final value and the ISE
 against 1 are sums over all k of terms in E^k, which doubling (Smith
@@ -219,37 +219,33 @@ def _scaled_ccf(num: np.ndarray, den: np.ndarray, poles):
 
 def _propagate(ladder: list[np.ndarray], c: np.ndarray,
                n_steps: int) -> np.ndarray:
-    """Outputs c^T E^k e_last, k = 0..n_steps, as an (..., n_steps + 1, p)
-    view of one buffer; ``c`` is (..., dim, p) and ``ladder`` is
+    """Outputs c^T E^k e_last, k = 0..n_steps >= 1, as an (..., n_steps +
+    1) view of one buffer; ``c`` is (..., dim) and ``ladder`` is
     ``_ladder(E, n_steps + 1)`` or longer, with the same leading axes.
 
     E is an augmented exponential [[M, v], [0, 1]] whose last row is
     exactly (0, ..., 0, 1), so E^k e_last is x_k of x+ = M x + v from x_0
-    = 0 with a constant 1 appended, and c's last row weights that 1: no
+    = 0 with a constant 1 appended, and c's last entry weights that 1: no
     offset row or offset recurrence is needed.  Output iB + j is one
     product of the block starts against the rows of ``_factors``, both
     built by doubling, with no recursion.  Leading axes are a stack of
     systems, each taking the same products as a call on it alone, so a
     stack's outputs equal its rows' bit for bit.
     """
-    if n_steps == 0:
-        return c[..., -1:, :]
     starts, rows = _factors(ladder, c, n_steps)
     out = np.matmul(starts, rows.swapaxes(-1, -2))
-    out = out.reshape(out.shape[:-2] + (-1, c.shape[-1]))
-    return out[..., :n_steps + 1, :]
+    return out.reshape(out.shape[:-2] + (-1,))[..., :n_steps + 1]
 
 
 def _factors(ladder: list[np.ndarray], c: np.ndarray,
              n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, rows) of ``_propagate``'s outputs for n_steps >= 1, with
-    output iB + j, column q, the dot product of starts[..., i, :] and
-    rows[..., j p + q, :].
+    output iB + j the dot product of starts[..., i, :] and rows[..., j, :].
 
     The block size B = 2^b is the power of two >= sqrt(n_steps + 1), and
     B <= n_steps + 1.  Two doublings build the two factors:
-    - the rows c^T E^j, j < B, (..., B p, dim), each doubling the rows
-      so far times E^(2^j) from ``ladder[:b]``;
+    - the rows c^T E^j, j < B, (..., B, dim), each doubling the rows so
+      far times E^(2^j) from ``ladder[:b]``;
     - the block starts E^(iB) e_last, i < n_blocks = n_steps // B + 1,
       (..., n_blocks, dim), from e_last, each doubling the starts so far
       times (E^(2^j B))^T from the rungs above, ``ladder[b:]``, and
@@ -257,13 +253,12 @@ def _factors(ladder: list[np.ndarray], c: np.ndarray,
       formed.
     """
     n_steps = int(n_steps)
-    dim, p = c.shape[-2:]
-    lead = np.broadcast_shapes(c.shape[:-2], ladder[0].shape[:-2])
+    lead, dim = c.shape[:-1], c.shape[-1]
     bits = math.isqrt(n_steps).bit_length()
-    rows = np.empty(lead + (p << bits, dim))
-    rows[..., :p, :] = c.swapaxes(-1, -2)
+    rows = np.empty(lead + (1 << bits, dim))
+    rows[..., 0, :] = c
     for j in range(bits):
-        h = p << j
+        h = 1 << j
         np.matmul(rows[..., :h, :], ladder[j], out=rows[..., h:2 * h, :])
     n_blocks = (n_steps >> bits) + 1
     starts = np.zeros(lead + (n_blocks, dim))
@@ -343,7 +338,7 @@ def _step_exponential(nums: np.ndarray, dens: np.ndarray, poles: np.ndarray,
                       dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, c) of a stack of systems nums[i] / dens[i] with roots poles[i]
     and steps dt[i]: the augmented one-step exponentials under a unit
-    step, (m, n + 1, n + 1), and the output columns, (m, n + 1, 1), with
+    step, (m, n + 1, n + 1), and the output weights, (m, n + 1), with
     sample k of row i = c[i]^T E[i]^k e_last."""
     n = dens.shape[-1] - 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -352,7 +347,7 @@ def _step_exponential(nums: np.ndarray, dens: np.ndarray, poles: np.ndarray,
         aug[:, :n, :n], aug[:, :n, n] = a * dt[:, None, None], b * dt[:, None]
         # aug's zero last row makes E's exactly (0, ..., 0, 1): no drift
         e = _expm(aug)
-    return e, np.concatenate((c, d[:, None]), axis=-1)[..., None]
+    return e, np.concatenate((c, d[:, None]), axis=-1)
 
 
 def _check_finite(y: np.ndarray) -> None:
@@ -667,15 +662,16 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     without sampling them.
 
     Row i gives (ResponseMetrics, ISE), or the ``NumericError`` or
-    ``ValidationError`` (the step budget) that stops it.  With E and c
-    from ``_step_exponential``, count = N + 1 samples and a tail of k:
-    the tail mean is the last entry of the sum of (E^j)^T (c_a e_last^T)
-    E^j over j < k with c_a = (E^(count - k))^T c, since every power of E
-    keeps the last row e_last^T; the ISE's sum of squares is the last
-    diagonal entry of the sum of (E^j)^T c' c'^T E^j over j < count with
-    c' = c - e_last, and its end sample is c^T E^(count - 1) e_last.  The
-    grids, exponentials and one ladder of E^(2^j) up to the largest count
-    are shared by the stack, which walks the ladder twice: one
+    ``ValidationError`` (the step budget) that stops it.  With E and the
+    weight vector c from ``_step_exponential``, count = N + 1 samples and
+    a tail of k: the tail mean is the last entry of the sum of (E^j)^T
+    (c_a e_last^T) E^j over j < k with c_a = (E^(count - k))^T c, since
+    every power of E keeps the last row e_last^T; the ISE's sum of squares
+    is the last diagonal entry of the sum of (E^j)^T c' c'^T E^j over j <
+    count with c' = c - e_last, c' c'^T a broadcast outer product, and its
+    end sample is c^T E^(count - 1) e_last.  The grids, exponentials and
+    one ladder of E^(2^j) up to the largest count are shared by the
+    stack, which walks the ladder twice: one
     ``_times_power`` call on the rows (c^T, c^T) with counts (count - k,
     count - 1), and one ``_doubling_sum`` on the tail and error matrices
     with counts (k, count).
@@ -719,15 +715,14 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e, c = _step_exponential(nums, dens, poles, dts)
         ladder = _ladder(e, int(counts.max()))
-        c_tail, c_end = _times_power(np.stack((c.swapaxes(-1, -2),) * 2),
-                                     ladder, np.stack((counts - tails,
-                                                       counts - 1)))
+        c_tail, c_end = _times_power(np.stack((c[:, None],) * 2), ladder,
+                                     np.stack((counts - tails, counts - 1)))
         tail = np.zeros_like(e)
         tail[:, :, -1] = c_tail[:, 0]
         err = c.copy()
         err[:, -1] -= 1.0
         tail_sum, sq = _doubling_sum(
-            np.stack((tail, err @ err.swapaxes(-1, -2))), ladder,
+            np.stack((tail, err[:, :, None] * err[:, None])), ladder,
             np.stack((tails, counts)))[..., -1, -1]
         finals = tail_sum / tails
         slope = np.arange(1, dens.shape[-1]) * dens[:, 1:]
@@ -748,13 +743,13 @@ def _unit_step_measures(nums: np.ndarray, dens: np.ndarray,
         measured = _certified_heads(ladder, c,
                                     np.where(tries[first], widths[first], 0),
                                     y_inf + env[first], dts, finals)
-        ends = (c[:, -1, 0] - 1.0) ** 2 + (c_end[:, 0, -1] - 1.0) ** 2
+        ends = (c[:, -1] - 1.0) ** 2 + (c_end[:, 0, -1] - 1.0) ** 2
         ises = (dts * (sq - ends / 2.0)).tolist()
         for i, row in enumerate(rows):
             try:
                 if i not in measured:
                     y = _propagate([step[i] for step in ladder], c[i],
-                                   n_steps[i])[:, 0]
+                                   n_steps[i])
                     _check_finite(y)
                     measured[i] = _settled_metrics(y, dts[i], finals[i],
                                                    tails[i])
@@ -768,14 +763,13 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
                      width: np.ndarray, ceiling: np.ndarray, dt: np.ndarray,
                      final: np.ndarray) -> dict:
     """Row i -> the metrics (dt[i] and final[i]) of the outputs
-    c[i]^T E[i]^k e_last, k < width[i], for each row with a window
-    (width[i] > 0) whose peak lies strictly above ceiling[i].  The rows of
-    each width w are sampled as ``_propagate`` stacks of at most
-    ``MAX_STEP_SAMPLES // w`` rows, on their rungs of the stacked ladder,
-    and those of each stack that pass are measured as one block.  A stack
-    that holds every row is sampled on the ladder and ``c`` themselves,
-    not on copies of their rows, and a stack whose rows all pass is
-    measured from its samples as they are.
+    c[i]^T E[i]^k e_last, k < width[i], c the (rows, dim) weight vectors,
+    for each row with a window (width[i] >= 2, or 0 for none) whose peak
+    lies strictly above ceiling[i].  The rows of each width w are sampled
+    as ``_propagate`` stacks of at most ``MAX_STEP_SAMPLES // w`` rows, on
+    their rungs of the stacked ladder, and those of each stack that pass
+    are measured as one block, from the samples as they are when every
+    row passes.
     """
     measured = {}
     for w in sorted(set(width[width > 0].tolist())):
@@ -783,11 +777,7 @@ def _certified_heads(ladder: list[np.ndarray], c: np.ndarray,
         rungs = ladder[:(w - 1).bit_length()]
         for start in range(0, len(rows), MAX_STEP_SAMPLES // w):
             group = rows[start:start + MAX_STEP_SAMPLES // w]
-            if len(group) == len(width):
-                y = _propagate(rungs, c, w - 1)[..., 0]
-            else:
-                y = _propagate([step[group] for step in rungs], c[group],
-                               w - 1)[..., 0]
+            y = _propagate([step[group] for step in rungs], c[group], w - 1)
             peaked = ceiling[group] < y.max(axis=-1)
             if not peaked.all():
                 group, y = group[peaked], y[peaked]

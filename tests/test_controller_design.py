@@ -495,22 +495,30 @@ class TestSweepMeasures:
         # one pass per window width, the width 3.1 and 300 share as one
         # stack; each of the five gains with a window is in one pass
         passes = [(len(c), n_steps) for _, c, n_steps in propagate_steps
-                  if c.ndim == 3 and c.shape[-1] == 1]
+                  if c.ndim == 2]
         widths = [n_steps for _, n_steps in passes]
         assert len(set(widths)) == len(widths)
         assert max(rows for rows, _ in passes) == 2
         assert sum(rows for rows, _ in passes) == 5
-        whole = [n_steps for _, c, n_steps in propagate_steps if c.ndim == 2
-                 and c.shape[-1] == 1]
+        whole = [n_steps for _, c, n_steps in propagate_steps if c.ndim == 1]
         assert whole == [_default_steps(closed_current_loop(model, kc))
                          for kc in (1.0, 2.75)]
+        # 5, 20 and 50 all certify at a width of 512 samples, so their
+        # stack is one pass over all three rows and no whole trace
+        gains = [5.0, 20.0, 50.0]
+        alone = [evaluate_gain(model, kc) for kc in gains]
+        propagate_steps.clear()
+        got = controller_design._measure_gains(model, np.array(gains))
+        assert ([_bits_of_point(pt) for pt in got]
+                == [_bits_of_point(pt) for pt in alone])
+        assert [c.shape for _, c, _ in propagate_steps] == [(3, 5)]
+        assert _steps(propagate_steps) == [511]
 
     def test_no_head_window_sampled_twice(self, model, propagate_steps):
         sweep_gain(model, 0.02, 3.0, 40)
         heads = [row.tobytes() for _, c, _ in propagate_steps
-                 if c.ndim == 3 and c.shape[-1] == 1 for row in c]
-        whole = {c.tobytes() for _, c, _ in propagate_steps
-                 if c.ndim == 2 and c.shape[-1] == 1}
+                 if c.ndim == 2 for row in c]
+        whole = {c.tobytes() for _, c, _ in propagate_steps if c.ndim == 1}
         assert heads and len(set(heads)) == len(heads)
         # some heads miss their peak, and those rows read their whole trace
         assert whole & set(heads)
@@ -528,7 +536,7 @@ class TestSweepMeasures:
         finally:
             tracemalloc.stop()
         heads = [(len(c), n_steps + 1) for _, c, n_steps in propagate_steps
-                 if c.ndim == 3 and c.shape[-1] == 1]
+                 if c.ndim == 2]
         assert max(rows * width for rows, width in heads) <= MAX_STEP_SAMPLES
         assert sum(rows for rows, width in heads if width == 65_536) == 170
         assert len([width for _, width in heads if width == 65_536]) > 1
@@ -546,8 +554,6 @@ def _rungs_of(part, whole):
     """(offset, rows) with part[j] equal, bit for bit, to whole[offset +
     j][rows] for every rung j of a ``_propagate`` call's ladder ``part``,
     or None where no rows of the stacked ladder ``whole`` match."""
-    if not part:  # a call of no steps reads no rung
-        return len(whole), []
     for start in range(len(whole) - len(part) + 1):
         stack = whole[start]
         first = part[0].reshape(-1, *stack.shape[1:])
